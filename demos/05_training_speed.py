@@ -1,10 +1,12 @@
 """Wall-clock cost of the closed-form training loop.
 
-Each alternating iteration costs two symmetric eigendecompositions plus
-a handful of dense products; there is no gradient descent. The script
-times training at increasing instance counts, ending at a benchmark
-around the scale of a mid-sized image dataset with deep-network
-features (20000 instances of dimension 1024).
+Training runs from class statistics: one Gram product X X^T and one
+eigendecomposition of it per call, then per iteration a small
+eigendecomposition (d_s) and a handful of dense products whose size does
+not depend on the instance count; there is no gradient descent. The
+script times training at increasing instance counts, ending at a
+benchmark around the scale of a mid-sized image dataset with
+deep-network features (20000 instances of dimension 1024).
 """
 
 from zsadjust import HyperParams, SynthSpec, benchmark_training

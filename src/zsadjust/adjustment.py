@@ -73,16 +73,18 @@ def untouched_provenance(table):
     }
 
 
-def adjust_seen(table, model, seen_data, hp):
+def adjust_seen(table, model, seen_data, hp, stats=None):
     """Blend each seen prototype with its class's mean mapped feature.
 
-    Every seen class in ``table`` must have at least one instance in
-    ``seen_data``. Unseen prototypes are untouched, and ``gamma1 = 0``
-    leaves the whole table unchanged.
+    The class means are mapped as ``W @ mean(x)``, from
+    ``stats = class_stats(seen_data)`` when given, without encoding each
+    instance. Every seen class in ``table`` must have at least one
+    instance in ``seen_data``. Unseen prototypes are untouched, and
+    ``gamma1 = 0`` leaves the whole table unchanged.
     """
     if hp.gamma1 == 0.0:
         return AdjustedPrototypes(table, untouched_provenance(table))
-    present_ids, means = class_mean_map(model, seen_data)
+    present_ids, means = class_mean_map(model, seen_data, stats)
     mean_col = {int(c): i for i, c in enumerate(present_ids)}
     missing = [int(c) for c in table.seen_ids if int(c) not in mean_col]
     if missing:

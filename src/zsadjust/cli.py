@@ -148,6 +148,24 @@ EVAL_OPTS = [
      "ranking space: semantic (W x vs p) or visual (x vs W^T p)"),
 ]
 
+MODEL_OPTS = [("--model", str, None, "model weights file")]
+
+SWEEP_OPTS = [
+    ("--k-list", _int_list, (1, 5, 10), "comma-separated k values to sweep"),
+]
+
+BENCH_OPTS = [("--repeats", int, 1, "number of timed runs")]
+
+# The option tables of each subcommand, read by both the parser and the
+# resolver. Every subcommand but ``synth`` also takes ``--synth``.
+COMMAND_OPTS = {
+    "synth": [SYNTH_OPTS, COMMON_OPTS],
+    "train": [FILE_OPTS, SYNTH_OPTS, HYPER_OPTS, COMMON_OPTS, EVAL_OPTS],
+    "eval": [MODEL_OPTS, FILE_OPTS, SYNTH_OPTS, COMMON_OPTS, EVAL_OPTS],
+    "sweep-k": [SWEEP_OPTS, FILE_OPTS, SYNTH_OPTS, HYPER_OPTS, COMMON_OPTS],
+    "bench": [BENCH_OPTS, FILE_OPTS, SYNTH_OPTS, HYPER_OPTS, COMMON_OPTS],
+}
+
 
 def _dest(flag):
     return flag.lstrip("-").replace("-", "_")
@@ -182,13 +200,15 @@ def _read_config(path):
     return values
 
 
-def _resolve(args, opt_tables, has_synth_toggle=False):
-    """Merge flag values over config-file values over defaults."""
+def _resolve(args):
+    """Merge flag values over config-file values over defaults for the
+    options of ``args.command``."""
+    has_synth_toggle = args.command != "synth"
     config = {}
     if getattr(args, "config", None):
         config = _read_config(args.config)
 
-    tables = [opt for table in opt_tables for opt in table]
+    tables = [opt for table in COMMAND_OPTS[args.command] for opt in table]
     known = {_dest(flag) for flag, *_ in tables}
     known.add("config")
     if has_synth_toggle:
@@ -324,7 +344,7 @@ def _write_report(report, out_dir):
 
 
 def cmd_synth(args):
-    opts = _resolve(args, [SYNTH_OPTS, COMMON_OPTS])
+    opts = _resolve(args)
     out_dir = _out_dir(opts)
     dataset, table, gmap = synthesize(_synth_spec(opts))
     save_matrix(os.path.join(out_dir, F_FEATURES), dataset.features)
@@ -338,8 +358,7 @@ def cmd_synth(args):
 
 
 def cmd_train(args):
-    opts = _resolve(args, [FILE_OPTS, SYNTH_OPTS, HYPER_OPTS, COMMON_OPTS,
-                           EVAL_OPTS], has_synth_toggle=True)
+    opts = _resolve(args)
     hp = _hyperparams(opts)
     out_dir = _out_dir(opts)
     dataset, table = _load_run_data(opts)
@@ -371,9 +390,7 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    opts = _resolve(args, [[("--model", str, None, "model weights file")],
-                           FILE_OPTS, SYNTH_OPTS, COMMON_OPTS, EVAL_OPTS],
-                    has_synth_toggle=True)
+    opts = _resolve(args)
     out_dir = _out_dir(opts)
     weights = load_matrix(_require_file(opts.model, "--model"))
     model = MappingModel(weights)
@@ -398,10 +415,7 @@ def cmd_eval(args):
 
 
 def cmd_sweep_k(args):
-    opts = _resolve(args, [[("--k-list", _int_list, (1, 5, 10),
-                             "comma-separated k values to sweep")],
-                           FILE_OPTS, SYNTH_OPTS, HYPER_OPTS, COMMON_OPTS],
-                    has_synth_toggle=True)
+    opts = _resolve(args)
     if not opts.k_list:
         raise ConfigError("--k-list must name at least one k")
     hp = _hyperparams(opts)
@@ -425,9 +439,7 @@ def cmd_sweep_k(args):
 
 
 def cmd_bench(args):
-    opts = _resolve(args, [[("--repeats", int, 1, "number of timed runs")],
-                           FILE_OPTS, SYNTH_OPTS, HYPER_OPTS, COMMON_OPTS],
-                    has_synth_toggle=True)
+    opts = _resolve(args)
     if opts.repeats < 1:
         raise ConfigError("--repeats must be >= 1")
     hp = _hyperparams(opts)
@@ -465,39 +477,19 @@ def build_parser():
                     "feature-space adjustment.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate a synthetic dataset on disk")
-    _add_opts(p, SYNTH_OPTS)
-    _add_opts(p, COMMON_OPTS)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("train", help="train and evaluate, writing artifacts")
-    _add_synth_toggle(p)
-    for table in (FILE_OPTS, SYNTH_OPTS, HYPER_OPTS, COMMON_OPTS, EVAL_OPTS):
-        _add_opts(p, table)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="score an existing model")
-    _add_synth_toggle(p)
-    _add_opts(p, [("--model", str, None, "model weights file")])
-    for table in (FILE_OPTS, SYNTH_OPTS, COMMON_OPTS, EVAL_OPTS):
-        _add_opts(p, table)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("sweep-k", help="Hit@1 over a range of k values")
-    _add_synth_toggle(p)
-    _add_opts(p, [("--k-list", _int_list, (1, 5, 10),
-                   "comma-separated k values to sweep")])
-    for table in (FILE_OPTS, SYNTH_OPTS, HYPER_OPTS, COMMON_OPTS):
-        _add_opts(p, table)
-    p.set_defaults(func=cmd_sweep_k)
-
-    p = sub.add_parser("bench", help="time the training loop")
-    _add_synth_toggle(p)
-    _add_opts(p, [("--repeats", int, 1, "number of timed runs")])
-    for table in (FILE_OPTS, SYNTH_OPTS, HYPER_OPTS, COMMON_OPTS):
-        _add_opts(p, table)
-    p.set_defaults(func=cmd_bench)
+    for name, help_text, func in (
+        ("synth", "generate a synthetic dataset on disk", cmd_synth),
+        ("train", "train and evaluate, writing artifacts", cmd_train),
+        ("eval", "score an existing model", cmd_eval),
+        ("sweep-k", "Hit@1 over a range of k values", cmd_sweep_k),
+        ("bench", "time the training loop", cmd_bench),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        if name != "synth":
+            _add_synth_toggle(p)
+        for table in COMMAND_OPTS[name]:
+            _add_opts(p, table)
+        p.set_defaults(func=func)
 
     return parser
 

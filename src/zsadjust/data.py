@@ -18,6 +18,7 @@ On-disk formats
 
 from __future__ import annotations
 
+import math
 import struct
 import warnings
 from dataclasses import dataclass
@@ -178,8 +179,10 @@ class SynthSpec:
         for name in ("d_v", "d_s", "seen_count", "unseen_count", "per_class"):
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be a positive integer")
-        if self.noise_sigma < 0 or self.shift_sigma < 0:
-            raise DataError("noise_sigma and shift_sigma must be >= 0")
+        for name in ("noise_sigma", "shift_sigma"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise DataError(f"{name} must be finite and >= 0")
         if self.d_s > self.d_v:
             warnings.warn(
                 "semantic dimension exceeds visual dimension; the linear "

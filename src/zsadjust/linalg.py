@@ -28,8 +28,9 @@ from .errors import SolverError
 # Relative Frobenius tolerance for "symmetric enough" checks.
 SYMMETRY_RTOL = 1e-10
 
-# Smallest admissible eigenvalue-pair sum lam_i + sig_j in the solver.
-DEFAULT_PIVOT_FLOOR = 1e-10
+# Smallest admissible eigenvalue-pair sum lam_i + sig_j in the solver,
+# relative to the problem scale max|lam| + max|sig|.
+DEFAULT_PIVOT_FLOOR = 1e-13
 
 
 def as_matrix(a, name="matrix"):
@@ -146,20 +147,27 @@ class SylvesterSystem:
         return float(np.linalg.norm(self.L @ w + w @ self.R + self.M, "fro"))
 
 
-def solve_sylvester(system, pivot_floor=DEFAULT_PIVOT_FLOOR, ridge_on_failure=False):
+def solve_sylvester(system, pivot_floor=DEFAULT_PIVOT_FLOOR,
+                    ridge_on_failure=False, r_eig=None):
     """Solve ``L W + W R + M = 0`` for symmetric PSD ``L`` and ``R``.
 
     Parameters
     ----------
     system : SylvesterSystem
     pivot_floor : float
-        Every eigenvalue-pair sum ``lam_i + sig_j`` must be at least this
-        large; smaller pairs signal an ill-posed objective (for example a
-        rank-deficient system with no constraint weight).
+        Every eigenvalue-pair sum ``lam_i + sig_j`` must exceed
+        ``pivot_floor * (max|lam| + max|sig|)``; smaller pairs signal an
+        ill-posed objective (for example a rank-deficient system with no
+        constraint weight). The floor is relative, so rescaling L and R
+        together does not change the decision.
     ridge_on_failure : bool
         If True and a singular pair is found, retry once with
         ``L + eps*I`` where ``eps = 1e-8 * trace(L) / p``. This is an
         explicit opt-in, never silent.
+    r_eig : (ndarray, ndarray), optional
+        Eigenvalues (ascending) and orthonormal eigenvectors of ``R``,
+        for a caller that solves several systems sharing one ``R`` up to
+        scale. Computed here when omitted.
 
     Returns
     -------
@@ -173,19 +181,27 @@ def solve_sylvester(system, pivot_floor=DEFAULT_PIVOT_FLOOR, ridge_on_failure=Fa
         On a singular eigenvalue pair (after the optional ridge retry).
     """
     lam, u = sym_eig(system.L)
-    sig, v = sym_eig(system.R)
+    q = system.R.shape[0]
+    if r_eig is None:
+        r_eig = sym_eig(system.R)
+    sig, v = r_eig
+    if sig.shape != (q,) or v.shape != (q, q):
+        raise ValueError(f"r_eig must hold {q} eigenpairs of the {q}x{q} R")
     pair_min = lam[0] + sig[0]
-    if pair_min < pivot_floor:
+    floor = pivot_floor * (np.abs(lam).max() + np.abs(sig).max())
+    if not pair_min > floor:
         if ridge_on_failure:
             p = system.L.shape[0]
             eps = 1e-8 * float(np.trace(system.L)) / p
             ridged = SylvesterSystem(
                 system.L + eps * np.eye(p), system.R, system.M
             )
-            return solve_sylvester(ridged, pivot_floor, ridge_on_failure=False)
+            return solve_sylvester(ridged, pivot_floor, ridge_on_failure=False,
+                                   r_eig=r_eig)
         raise SolverError(
             f"singular eigenvalue pair: min(lam_i + sig_j) = {pair_min:.3e} "
-            f"< pivot floor {pivot_floor:.3e}; the objective is ill-posed "
+            f"<= pivot floor {floor:.3e} ({pivot_floor:.0e} relative to "
+            f"max|lam| + max|sig|); the objective is ill-posed "
             f"(rank-deficient data or vanishing constraint weight). "
             f"Retry with ridge_on_failure=True to regularize L."
         )

@@ -15,19 +15,52 @@ Setting the gradient to zero gives a linear matrix equation
 
     P P^T W + (alpha + beta) W X X^T - [(1 + beta) P + alpha O] X^T = 0
 
-which is ``L W + W R + M = 0`` with L = P P^T, R = (alpha + beta) X X^T
-and M = -[(1 + beta) P + alpha O] X^T, solved in closed form by
+which is ``L W + W R + M = 0``, solved in closed form by
 :func:`zsadjust.linalg.solve_sylvester`. No iterative descent is involved.
+
+Training runs from class statistics. P and O are constant within a
+class, so every m-sized product reduces to the class counts n (c,), the
+class feature sums S (d_v, c) and the Gram matrix G = X X^T:
+
+    L = P_c diag(n) P_c^T,  R = (alpha + beta) G,
+    M = -[(1 + beta) P_c + alpha O_c] S^T,
+
+with one column per class in P_c and O_c. With the class means
+Xbar = S diag(1/n) and the within-class scatter G_w = G - S diag(1/n) S^T,
+each term of J is a sum of non-negative parts:
+
+    ||X^T - P^T W||^2 = tr G_w        + sum_c n_c ||xbar_c - W^T p_c||^2
+    ||W X - O||^2     = tr(W G_w W^T) + sum_c n_c ||W xbar_c - o_c||^2
+    ||W X - P||^2     = tr(W G_w W^T) + sum_c n_c ||W xbar_c - p_c||^2
+
+:func:`class_stats` computes n, S, G and G_w once, and
+:attr:`ClassStats.gram_eig` the single eigendecomposition
+G = V diag(g) V^T that gives R's eigenpairs ((alpha + beta) g, V) in
+every solve. A training call thus costs one Gram product and one
+eigh(d_v); after that no solve or objective depends on m.
+
+The functions below take the LabeledDataset and optionally its
+``class_stats``. With them, P and O hold one column per class; without
+them, one column per instance, and the same code runs with each instance
+as its own group of count 1 (S = X, G_w = 0).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DataError
-from .linalg import DEFAULT_PIVOT_FLOOR, SylvesterSystem, as_matrix, solve_sylvester
+from .linalg import (
+    DEFAULT_PIVOT_FLOOR,
+    SylvesterSystem,
+    as_matrix,
+    solve_sylvester,
+    sym_eig,
+)
 
 # Blend weights for prototype adjustment follow the reported grid-search
 # values; alpha and beta were fixed on the synthetic suite and are
@@ -65,6 +98,10 @@ class HyperParams:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
+        for name in ("lambda1", "gamma1", "lambda2", "gamma2", "alpha",
+                     "beta", "tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.alpha < 0:
             raise ValueError("alpha must be >= 0")
         if self.beta <= 0:
@@ -108,8 +145,10 @@ class MappingModel:
 
 
 def expand_per_instance(table, labels):
-    """Per-instance prototype matrix: column i is the prototype of
-    instance i's class.
+    """Prototype matrix with column i the prototype of class ``labels[i]``.
+
+    With instance labels this is the per-instance P (d_s, m); training
+    passes the sorted class ids and gets P_c (d_s, c).
 
     Parameters
     ----------
@@ -131,17 +170,89 @@ def expand_per_instance(table, labels):
     return table.vectors[:, col[labels]]
 
 
-def _grouped_means(mapped, labels):
-    ids, inverse, counts = np.unique(
-        labels, return_inverse=True, return_counts=True
-    )
-    sums = np.zeros((mapped.shape[0], ids.size))
-    np.add.at(sums.T, inverse, mapped.T)
-    return ids, inverse, sums / counts
+@dataclass(frozen=True)
+class ClassStats:
+    """Sufficient statistics of a labeled feature matrix, by group.
+
+    Attributes
+    ----------
+    class_ids : ndarray of int, shape (c,)
+        Group ids, ascending.
+    counts : ndarray, shape (c,)
+        Instances per group (n), as floats.
+    sums : ndarray, shape (d_v, c)
+        Feature sum of each group (S).
+    gram : ndarray, shape (d_v, d_v)
+        Gram matrix X X^T of all instances (G).
+    within : ndarray, shape (d_v, d_v)
+        Within-group scatter G - S diag(1/n) S^T (G_w).
+    """
+
+    class_ids: np.ndarray
+    counts: np.ndarray
+    sums: np.ndarray
+    gram: np.ndarray
+    within: np.ndarray
+
+    @cached_property
+    def means(self):
+        """Group means S diag(1/n), shape (d_v, c)."""
+        return self.sums / self.counts
+
+    @cached_property
+    def gram_eig(self):
+        """``(g, V)`` with G = V diag(g) V^T, g ascending."""
+        return sym_eig(self.gram)
 
 
-def class_mean_map(model, data):
-    """Mean of ``W @ x`` per class present in ``data``.
+def _class_sums(x, labels):
+    """Ascending class ids, counts and feature sums (d_v, c) of ``labels``.
+
+    When each class is one contiguous run of columns (as
+    :func:`zsadjust.data.split` returns them) the runs are summed in
+    place; any other order is summed from one class-sorted copy.
+    """
+    if labels.size == 0:
+        return labels, np.zeros(0), np.zeros((x.shape[0], 0))
+    starts = np.flatnonzero(np.r_[True, labels[1:] != labels[:-1]])
+    run_ids = labels[starts]
+    order = np.argsort(run_ids)
+    if np.any(np.diff(run_ids[order]) == 0):
+        perm = np.argsort(labels, kind="stable")
+        return _class_sums(x[:, perm], labels[perm])
+    counts = np.diff(np.r_[starts, labels.size]).astype(np.float64)
+    sums = np.add.reduceat(x, starts, axis=1)
+    return run_ids[order], counts[order], sums[:, order]
+
+
+def class_stats(data):
+    """Class-level statistics of a LabeledDataset: one Gram product."""
+    x = data.features
+    ids, counts, sums = _class_sums(x, data.labels)
+    gram = x @ x.T
+    scaled = sums / np.sqrt(counts)
+    return ClassStats(ids, counts, sums, gram, gram - scaled @ scaled.T)
+
+
+def _stats(data, stats):
+    """``stats`` checked against ``data``, or by default the statistics
+    of ``data`` with each instance its own group of count 1."""
+    if stats is None:
+        x = data.features
+        d_v, m = x.shape
+        return ClassStats(np.arange(m), np.ones(m), x, x @ x.T,
+                          np.zeros((d_v, d_v)))
+    if stats.sums.shape[0] != data.feature_dim or \
+            stats.counts.sum() != data.instance_count:
+        raise DataError("class statistics do not match the dataset")
+    return stats
+
+
+def class_mean_map(model, data, stats=None):
+    """Mean of ``W @ x`` per class present in ``data``, computed as
+    ``W @ mean(x)`` without encoding each instance.
+
+    ``stats`` is ``class_stats(data)`` when the caller has it.
 
     Returns
     -------
@@ -149,8 +260,11 @@ def class_mean_map(model, data):
         Sorted ids of the classes present.
     means : ndarray, shape (d_s, c)
     """
-    ids, _, means = _grouped_means(model.encode(data.features), data.labels)
-    return ids, means
+    if stats is not None:
+        stats = _stats(data, stats)
+        return stats.class_ids, model.weights @ stats.means
+    ids, counts, sums = _class_sums(data.features, data.labels)
+    return ids, model.weights @ (sums / counts)
 
 
 def class_centroids(model, data):
@@ -161,61 +275,79 @@ def class_centroids(model, data):
     -------
     ndarray, shape (d_s, m)
     """
-    _, inverse, means = _grouped_means(
-        model.encode(data.features), data.labels
-    )
-    return means[:, inverse]
+    ids, means = class_mean_map(model, data)
+    return means[:, np.searchsorted(ids, data.labels)]
 
 
-def objective(model, data, proto_per_instance, centroids, hp):
-    """Value of the training objective J(W) at the model's weights."""
+def _sq_cols(a):
+    return np.einsum("ij,ij->j", a, a)
+
+
+def objective(model, data, prototypes, centroids, hp, stats=None):
+    """Value of the training objective J(W) at the model's weights.
+
+    Without ``stats``, ``prototypes`` and ``centroids`` hold one column
+    per instance of ``data``. With ``stats = class_stats(data)`` they
+    hold one column per class of ``stats.class_ids``, and nothing is
+    computed over the instances.
+    """
+    stats = _stats(data, stats)
     w = model.weights
-    x = data.features
-    p = proto_per_instance
-    o = centroids
-    recon = x - w.T @ p
-    wx = w @ x
-    val = 0.5 * float(np.sum(recon * recon))
-    val += 0.5 * hp.alpha * float(np.sum((wx - o) ** 2))
-    val += 0.5 * hp.beta * float(np.sum((wx - p) ** 2))
-    return val
+    n = stats.counts
+    means = stats.means
+    mapped = w @ means
+    spread = float(np.sum(w * (w @ stats.within)))     # tr(W G_w W^T)
+    cycle = float(np.trace(stats.within)) + float(
+        n @ _sq_cols(means - w.T @ prototypes))
+    centroid = spread + float(n @ _sq_cols(mapped - centroids))
+    constraint = spread + float(n @ _sq_cols(mapped - prototypes))
+    return 0.5 * (cycle + hp.alpha * centroid + hp.beta * constraint)
 
 
-def objective_gradient(model, data, proto_per_instance, centroids, hp):
+def objective_gradient(model, data, prototypes, centroids, hp):
     """Analytic gradient dJ/dW, i.e. L W + W R + M of the normal equation."""
-    sys_ = assemble_system(data, proto_per_instance, centroids, hp)
+    sys_ = assemble_system(data, prototypes, centroids, hp)
     w = model.weights
     return sys_.L @ w + w @ sys_.R + sys_.M
 
 
-def assemble_system(data, proto_per_instance, centroids, hp):
+def assemble_system(data, prototypes, centroids, hp, stats=None):
     """Build the normal-equation system L W + W R + M = 0.
 
-    L = P P^T, R = (alpha + beta) X X^T,
-    M = -[(1 + beta) P + alpha O] X^T.
+    L = P diag(n) P^T, R = (alpha + beta) G,
+    M = -[(1 + beta) P + alpha O] S^T, with ``stats`` as in
+    :func:`objective` (n = 1 and S = X per instance without it).
     """
-    x = data.features
-    p = as_matrix(proto_per_instance, "per-instance prototypes")
+    stats = _stats(data, stats)
+    p = as_matrix(prototypes, "prototypes")
     o = as_matrix(centroids, "centroids")
-    if p.shape[1] != x.shape[1] or o.shape != p.shape:
+    groups = stats.counts.size
+    if p.shape[1] != groups or o.shape != p.shape:
         raise DataError(
-            "per-instance prototypes and centroids must both be "
-            f"(d_s, {x.shape[1]}); got {p.shape} and {o.shape}"
+            f"prototypes and centroids must both be (d_s, {groups}), one "
+            f"column per group; got {p.shape} and {o.shape}"
         )
-    L = p @ p.T
-    R = (hp.alpha + hp.beta) * (x @ x.T)
-    M = -((1.0 + hp.beta) * p + hp.alpha * o) @ x.T
+    b = p * np.sqrt(stats.counts)
+    L = b @ b.T
+    R = (hp.alpha + hp.beta) * stats.gram
+    M = -((1.0 + hp.beta) * p + hp.alpha * o) @ stats.sums.T
     return SylvesterSystem(L, R, M)
 
 
-def solve_weights(data, proto_per_instance, centroids, hp,
-                  pivot_floor=DEFAULT_PIVOT_FLOOR, ridge_on_failure=False):
+def solve_weights(data, prototypes, centroids, hp,
+                  pivot_floor=DEFAULT_PIVOT_FLOOR, ridge_on_failure=False,
+                  stats=None):
     """Minimize J(W) in closed form; returns a MappingModel.
 
-    Propagates SolverError from a singular eigenvalue pair unless
-    ``ridge_on_failure`` requests the explicit ridge retry.
+    ``stats`` as in :func:`objective`; R's eigenpairs come from its one
+    eigendecomposition of G. Propagates SolverError from a singular
+    eigenvalue pair unless ``ridge_on_failure`` requests the explicit
+    ridge retry.
     """
-    sys_ = assemble_system(data, proto_per_instance, centroids, hp)
-    w = solve_sylvester(sys_, pivot_floor=pivot_floor,
-                        ridge_on_failure=ridge_on_failure)
+    stats = _stats(data, stats)
+    system = assemble_system(data, prototypes, centroids, hp, stats)
+    g, v = stats.gram_eig
+    w = solve_sylvester(system, pivot_floor=pivot_floor,
+                        ridge_on_failure=ridge_on_failure,
+                        r_eig=((hp.alpha + hp.beta) * g, v))
     return MappingModel(w)

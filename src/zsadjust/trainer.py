@@ -7,8 +7,14 @@ The schedule is:
    centroids depend on W and are undefined before a first weight
    estimate exists).
 2. Per iteration: adjust seen prototypes, adjust unseen prototypes,
-   recompute per-instance centroids O from the current W, then re-solve
-   the full objective with the adjusted seen prototypes.
+   recompute the class centroids W xbar_c from the current W, then
+   re-solve the full objective with the adjusted seen prototypes.
+
+Every solve and objective runs from the class statistics of the seen
+data (:func:`zsadjust.mapping.class_stats`), built once per call: one
+Gram product X X^T and one eigh(d_v). Each iteration then costs
+O(d_s d_v^2 + d_v d_s c) for c seen classes, independent of the
+instance count m.
 
 The loop stops after ``hp.iterations`` rounds or as soon as the relative
 weight change ``||dW||_F / ||W||_F`` drops below ``hp.tol``. Each
@@ -34,7 +40,8 @@ from .data import SynthSpec, split, synthesize
 from .errors import DataError, SolverError
 from .linalg import DEFAULT_PIVOT_FLOOR
 from .mapping import (
-    class_centroids,
+    class_mean_map,
+    class_stats,
     expand_per_instance,
     objective,
     solve_weights,
@@ -91,8 +98,8 @@ def train(seen, table, hp, unseen_neighbors="adjusted",
     if unseen_neighbors not in ("adjusted", "original"):
         raise ValueError("unseen_neighbors must be 'adjusted' or 'original'")
 
-    labels = seen.labels
-    proto0 = expand_per_instance(table, labels)
+    stats = class_stats(seen)
+    proto0 = expand_per_instance(table, stats.class_ids)
     zeros = np.zeros_like(proto0)
 
     # Initial weights: cycle objective only, hard constraint relaxed,
@@ -101,7 +108,7 @@ def train(seen, table, hp, unseen_neighbors="adjusted",
     try:
         model = solve_weights(seen, proto0, zeros, hp0,
                               pivot_floor=pivot_floor,
-                              ridge_on_failure=ridge_on_failure)
+                              ridge_on_failure=ridge_on_failure, stats=stats)
     except SolverError as exc:
         raise SolverError(f"initial solve failed: {exc}") from exc
 
@@ -112,7 +119,7 @@ def train(seen, table, hp, unseen_neighbors="adjusted",
     for it in range(1, hp.iterations + 1):
         tic = time.perf_counter()
         try:
-            step_seen = adjust_seen(table, model, seen, hp)
+            step_seen = adjust_seen(table, model, seen, hp, stats=stats)
             neighbors = table if unseen_neighbors == "original" else None
             adjusted = adjust_unseen(step_seen.table, hp, neighbors=neighbors)
             # Seen-class provenance comes from the seen step, unseen from
@@ -122,15 +129,16 @@ def train(seen, table, hp, unseen_neighbors="adjusted",
                 provenance[int(cid)] = step_seen.provenance[int(cid)]
             current = AdjustedPrototypes(adjusted.table, provenance)
 
-            proto = expand_per_instance(current.table, labels)
-            centroids = class_centroids(model, seen)
+            proto = expand_per_instance(current.table, stats.class_ids)
+            _, centroids = class_mean_map(model, seen, stats)
             new_model = solve_weights(seen, proto, centroids, hp,
                                       pivot_floor=pivot_floor,
-                                      ridge_on_failure=ridge_on_failure)
+                                      ridge_on_failure=ridge_on_failure,
+                                      stats=stats)
         except SolverError as exc:
             raise SolverError(f"iteration {it}: {exc}") from exc
 
-        obj = objective(new_model, seen, proto, centroids, hp)
+        obj = objective(new_model, seen, proto, centroids, hp, stats=stats)
         delta = float(
             np.linalg.norm(new_model.weights - model.weights, "fro")
             / max(np.linalg.norm(new_model.weights, "fro"), 1e-300)

@@ -2,10 +2,16 @@
 
 These deliberately avoid the code paths they validate: the matrix
 product is a bare triple loop, and the matrix-equation solve goes
-through Kronecker vectorization and a dense linear solve.
+through Kronecker vectorization and a dense linear solve. The
+per-instance training loop is the reference for the class-level
+statistics that the package trains from.
 """
 
 import numpy as np
+
+from zsadjust.adjustment import adjust_unseen
+from zsadjust.linalg import SylvesterSystem, solve_sylvester
+from zsadjust.mapping import MappingModel
 
 
 def triple_loop_matmul(a, b):
@@ -37,3 +43,71 @@ def random_psd(rng, n, rank=None):
     rank = n if rank is None else rank
     b = rng.standard_normal((n, rank))
     return b @ b.T
+
+
+# ---------------------------------------------------------------------------
+# per-instance training: every product over all m instance columns
+
+
+def _prototype_per_instance(table, labels):
+    return table.vectors[:, [table.column_of(c) for c in labels]]
+
+
+def _grouped_means(mapped, labels):
+    ids, inverse, counts = np.unique(
+        labels, return_inverse=True, return_counts=True
+    )
+    sums = np.zeros((mapped.shape[0], ids.size))
+    np.add.at(sums.T, inverse, mapped.T)
+    return ids, inverse, sums / counts
+
+
+def per_instance_objective(w, x, p, o, alpha, beta):
+    """J(W) from the m-column residuals."""
+    recon = x - w.T @ p
+    wx = w @ x
+    return (0.5 * float(np.sum(recon * recon))
+            + 0.5 * alpha * float(np.sum((wx - o) ** 2))
+            + 0.5 * beta * float(np.sum((wx - p) ** 2)))
+
+
+def per_instance_solve(x, p, o, alpha, beta):
+    """Weights from L = P P^T, R = (alpha + beta) X X^T and
+    M = -[(1 + beta) P + alpha O] X^T, both sides decomposed here."""
+    system = SylvesterSystem(p @ p.T, (alpha + beta) * (x @ x.T),
+                             -((1.0 + beta) * p + alpha * o) @ x.T)
+    return solve_sylvester(system)
+
+
+def per_instance_train(seen, table, hp):
+    """The alternating loop of :func:`zsadjust.trainer.train` over
+    per-instance matrices, with the seen blend taken from the mean of
+    the encoded instances. Returns (weights, adjusted prototype vectors,
+    objective per iteration)."""
+    x, labels = seen.features, seen.labels
+    p = _prototype_per_instance(table, labels)
+    w = per_instance_solve(x, p, np.zeros_like(p), 0.0, hp.beta)
+    current = table
+    objectives = []
+    for _ in range(hp.iterations):
+        # centroids O: column i is the mean of the encoded instances of
+        # instance i's class
+        ids, inverse, means = _grouped_means(MappingModel(w).encode(x), labels)
+        o = means[:, inverse]
+        vectors = table.vectors.copy()
+        if hp.gamma1 != 0.0:
+            for i, cid in enumerate(table.class_ids):
+                if table.seen[i]:
+                    mean = means[:, np.flatnonzero(ids == cid)[0]]
+                    vectors[:, i] = (hp.lambda1 * table.vectors[:, i]
+                                     + hp.gamma1 * mean)
+        current = adjust_unseen(table.with_vectors(vectors), hp).table
+        p = _prototype_per_instance(current, labels)
+        w_new = per_instance_solve(x, p, o, hp.alpha, hp.beta)
+        objectives.append(
+            per_instance_objective(w_new, x, p, o, hp.alpha, hp.beta))
+        delta = np.linalg.norm(w_new - w) / max(np.linalg.norm(w_new), 1e-300)
+        w = w_new
+        if delta < hp.tol:
+            break
+    return w, current.vectors, objectives

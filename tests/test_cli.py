@@ -104,6 +104,18 @@ def test_invalid_hyperparams_config_error(tmp_path, capsys):
     assert "beta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--alpha", "nan"), ("--beta", "inf"), ("--tol", "nan"),
+    ("--synth-noise", "nan"),
+])
+def test_non_finite_flag_is_config_error(tmp_path, capsys, flag, value):
+    code = main(["train", *SYNTH, flag, value, "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert "must be finite" in err
+
+
 def test_unknown_flag_is_config_error(tmp_path):
     assert main(["train", "--frobnicate", "1"]) == 1
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +12,7 @@ from zsadjust.mapping import (
     assemble_system,
     class_centroids,
     class_mean_map,
+    class_stats,
     expand_per_instance,
     objective,
     objective_gradient,
@@ -111,6 +113,22 @@ def test_centroids_match_grouped_mean_oracle():
         members = data.labels == data.labels[i]
         assert np.allclose(out[:, i], mapped[:, members].mean(axis=1),
                            atol=1e-12)
+
+
+def test_class_stats_of_grouped_columns_copy_no_features():
+    # one contiguous run per class, in descending id order
+    rng = np.random.default_rng(5)
+    labels = np.repeat(np.arange(40), 200)[::-1].copy()
+    data = LabeledDataset(rng.standard_normal((64, labels.size)), labels, 40)
+    tracemalloc.start()
+    try:
+        stats = class_stats(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < data.features.nbytes / 10
+    assert np.allclose(stats.sums[:, 3],
+                       data.features[:, labels == 3].sum(axis=1))
 
 
 def test_class_mean_map_ids_sorted():

@@ -3,18 +3,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from zsadjust.adjustment import adjust_seen, adjust_unseen
 from zsadjust.data import LabeledDataset, PrototypeTable, SynthSpec, split, synthesize
 from zsadjust.errors import DataError, SolverError
 from zsadjust.mapping import (
     HyperParams,
+    MappingModel,
     assemble_system,
-    class_centroids,
+    class_mean_map,
+    class_stats,
     expand_per_instance,
     objective,
-    objective_gradient,
     solve_weights,
 )
 from zsadjust.trainer import benchmark_training, train
+
+from oracles import per_instance_train
 
 
 def _synthetic(seed=0, noise=0.02, shift=0.0):
@@ -33,8 +37,10 @@ def test_zero_iterations_returns_initial_solve():
     assert len(trace) == 0
     assert np.array_equal(adjusted.table.vectors, table.vectors)
     # the returned weights are the alpha = 0 closed-form solution
-    p = expand_per_instance(table, seen.labels)
-    direct = solve_weights(seen, p, np.zeros_like(p), replace(hp, alpha=0.0))
+    stats = class_stats(seen)
+    p = expand_per_instance(table, stats.class_ids)
+    direct = solve_weights(seen, p, np.zeros_like(p), replace(hp, alpha=0.0),
+                           stats=stats)
     assert np.array_equal(model.weights, direct.weights)
 
 
@@ -66,25 +72,102 @@ def test_first_iteration_matches_manual_replay():
     hp = HyperParams(iterations=1, tol=0.0, k=3)
     model, adjusted, trace = train(seen, table, hp)
 
-    # replay: initial alpha = 0 solve, adjust prototypes, recompute
-    # centroids from the initial weights, re-solve the full objective
-    p0 = expand_per_instance(table, seen.labels)
+    # replay from the class statistics: initial alpha = 0 solve, adjust
+    # prototypes, recompute centroids from the initial weights, re-solve
+    # the full objective
+    stats = class_stats(seen)
+    p0 = expand_per_instance(table, stats.class_ids)
     model0 = solve_weights(seen, p0, np.zeros_like(p0),
-                           replace(hp, alpha=0.0))
-    from zsadjust.adjustment import adjust_seen, adjust_unseen
-    step = adjust_seen(table, model0, seen, hp)
+                           replace(hp, alpha=0.0), stats=stats)
+    step = adjust_seen(table, model0, seen, hp, stats=stats)
     adj = adjust_unseen(step.table, hp)
-    p1 = expand_per_instance(adj.table, seen.labels)
-    o1 = class_centroids(model0, seen)
-    model1 = solve_weights(seen, p1, o1, hp)
+    p1 = expand_per_instance(adj.table, stats.class_ids)
+    _, o1 = class_mean_map(model0, seen, stats)
+    model1 = solve_weights(seen, p1, o1, hp, stats=stats)
 
     assert np.array_equal(model.weights, model1.weights)
     assert np.array_equal(adjusted.table.vectors, adj.table.vectors)
-    assert trace.records[0].objective == objective(model1, seen, p1, o1, hp)
+    assert trace.records[0].objective == objective(model1, seen, p1, o1, hp,
+                                                   stats=stats)
     # the recorded objective is the minimum of that iteration's quadratic
-    grad = objective_gradient(model1, seen, p1, o1, hp)
-    m_norm = np.linalg.norm(assemble_system(seen, p1, o1, hp).M, "fro")
-    assert np.linalg.norm(grad, "fro") <= 1e-6 * (1.0 + m_norm)
+    sys_ = assemble_system(seen, p1, o1, hp, stats=stats)
+    w = model1.weights
+    grad = sys_.L @ w + w @ sys_.R + sys_.M
+    assert np.linalg.norm(grad, "fro") <= 1e-6 * (
+        1.0 + np.linalg.norm(sys_.M, "fro"))
+
+
+def _shuffled_uneven(seed):
+    """Seen data in shuffled column order with unequal class sizes,
+    including a class of one instance, plus three unseen classes."""
+    rng = np.random.default_rng(seed)
+    sizes = np.array([1, 3, 5, 8, 2, 6, 4])
+    n_seen, n_unseen, d_v, d_s = sizes.size, 3, 12, 6
+    gmap = rng.standard_normal((d_v, d_s)) / np.sqrt(d_v)
+    protos = rng.standard_normal((d_s, n_seen + n_unseen))
+    labels = rng.permutation(np.repeat(np.arange(n_seen), sizes))
+    feats = gmap @ protos[:, labels] + 0.1 * rng.standard_normal(
+        (d_v, labels.size))
+    table = PrototypeTable(np.arange(n_seen + n_unseen), protos,
+                           np.arange(n_seen + n_unseen) < n_seen)
+    return LabeledDataset(feats, labels, n_seen + n_unseen), table
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_train_matches_per_instance_oracle(seed):
+    seen, table = _shuffled_uneven(seed)
+    hp = HyperParams(iterations=3, tol=0.0, k=3)
+    model, adjusted, trace = train(seen, table, hp)
+    w, vectors, objectives = per_instance_train(seen, table, hp)
+
+    assert (np.abs(model.weights - w).max()
+            <= 1e-10 * np.abs(w).max())
+    assert np.abs(adjusted.table.vectors - vectors).max() <= 1e-12
+    assert len(trace) == len(objectives) == 3
+    for rec, want in zip(trace.records, objectives):
+        assert abs(rec.objective - want) <= 1e-12 * want
+
+
+def test_class_stats_any_label_order():
+    seen, _ = _shuffled_uneven(0)
+    order = np.argsort(seen.labels, kind="stable")
+    grouped = LabeledDataset(seen.features[:, order], seen.labels[order],
+                             seen.class_count)
+    reversed_ = LabeledDataset(grouped.features[:, ::-1],
+                               grouped.labels[::-1], seen.class_count)
+    want = class_stats(grouped)
+    assert np.array_equal(want.class_ids, np.arange(7))
+    assert np.array_equal(want.counts, [1, 3, 5, 8, 2, 6, 4])
+    for data in (seen, reversed_):
+        got = class_stats(data)
+        assert np.array_equal(got.class_ids, want.class_ids)
+        assert np.array_equal(got.counts, want.counts)
+        assert np.allclose(got.sums, want.sums, rtol=0, atol=1e-13)
+    for c in range(7):
+        members = seen.features[:, seen.labels == c]
+        assert np.allclose(want.sums[:, c], members.sum(axis=1),
+                           rtol=0, atol=1e-13)
+    # statistics of other data are refused
+    half = LabeledDataset(grouped.features[:, 1:], grouped.labels[1:],
+                          seen.class_count)
+    model = MappingModel(np.ones((6, 12)))
+    with pytest.raises(DataError, match="do not match"):
+        class_mean_map(model, half, want)
+
+
+def test_rescaled_features_train():
+    # The criterion-4 setting with features scaled by 1e-5: the smallest
+    # eigenvalue pair is about 3e-11, which an absolute pivot floor of
+    # 1e-10 rejected although the problem is well posed.
+    spec = SynthSpec(d_v=100, d_s=85, seen_count=20, unseen_count=20,
+                     per_class=20, noise_sigma=0.05, shift_sigma=0.1, seed=0)
+    ds, table, _ = synthesize(spec)
+    seen, unseen = split(ds, table)
+    tiny = LabeledDataset(1e-5 * seen.features, seen.labels, seen.class_count)
+    model, _, trace = train(tiny, table, HyperParams())
+    assert len(trace) >= 1
+    assert np.isfinite(model.weights).all()
+    assert all(np.isfinite(r.objective) for r in trace.records)
 
 
 def test_train_deterministic():
