@@ -8,8 +8,6 @@ by nearest-prototype cosine ranking.
 """
 
 from .adjustment import (
-    AdjustedPrototypes,
-    BlendRecord,
     adjust_seen,
     adjust_unseen,
     cosine_similarity,
@@ -30,13 +28,7 @@ from .data import (
 )
 from .errors import ConfigError, DataError, SolverError
 from .inference import EvalReport, evaluate, predict, skewness, sweep_k
-from .linalg import (
-    SylvesterSystem,
-    frobenius_norm,
-    matmul,
-    solve_sylvester,
-    sym_eig,
-)
+from .linalg import SylvesterSystem, solve_sylvester, sym_eig
 from .mapping import (
     HyperParams,
     MappingModel,
@@ -59,9 +51,7 @@ from .trainer import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjustedPrototypes",
     "BenchmarkResult",
-    "BlendRecord",
     "ConfigError",
     "DataError",
     "EvalReport",
@@ -83,12 +73,10 @@ __all__ = [
     "cosine_similarity",
     "evaluate",
     "expand_per_instance",
-    "frobenius_norm",
     "knn_seen",
     "load_labels",
     "load_matrix",
     "load_prototypes",
-    "matmul",
     "objective",
     "objective_gradient",
     "predict",

@@ -18,18 +18,18 @@ A zero blend weight (gamma) disables the corresponding adjustment
 outright: prototypes pass through untouched rather than being scaled by
 the lambda anchor alone.
 
-Both adjustments anchor on the prototypes of the table passed in; the
-training loop always passes the original pre-training table, so blends
-never compound across iterations.
+Both adjustments take a :class:`PrototypeTable` and return a new one,
+computed for all classes at once: one assignment for the seen columns;
+for the unseen columns one cosine matrix (seen x unseen), one stable
+sort and a similarity-weighted gather of the k neighbors. Both anchor on the prototypes of the table passed in;
+the training loop always passes the original pre-training table, so
+blends never compound across iterations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .data import PrototypeTable
 from .errors import DataError
 from .mapping import class_mean_map
 
@@ -45,32 +45,10 @@ def cosine_similarity(a, b):
     return float(np.dot(a, b) / (na * nb))
 
 
-@dataclass(frozen=True)
-class BlendRecord:
-    """What went into one class's last adjustment."""
-
-    original: np.ndarray
-    blend_term: np.ndarray | None  # None when the class was untouched
-
-
-@dataclass(frozen=True)
-class AdjustedPrototypes:
-    """A prototype table after adjustment, plus per-class provenance."""
-
-    table: PrototypeTable
-    provenance: dict
-
-    def __post_init__(self):
-        if set(self.provenance) != set(self.table.class_ids.tolist()):
-            raise DataError("provenance must cover exactly the table's classes")
-
-
+# Unused by the package: kept only because perfbench/run.py traces it.
 def untouched_provenance(table):
-    """Provenance dict marking every class as not yet blended."""
-    return {
-        int(cid): BlendRecord(table.vectors[:, i].copy(), None)
-        for i, cid in enumerate(table.class_ids)
-    }
+    """Every class id mapped to a copy of its prototype column."""
+    return dict(zip(table.class_ids.tolist(), table.vectors.T.copy()))
 
 
 def adjust_seen(table, model, seen_data, hp, stats=None):
@@ -80,42 +58,54 @@ def adjust_seen(table, model, seen_data, hp, stats=None):
     ``stats = class_stats(seen_data)`` when given, without encoding each
     instance. Every seen class in ``table`` must have at least one
     instance in ``seen_data``. Unseen prototypes are untouched, and
-    ``gamma1 = 0`` leaves the whole table unchanged.
+    ``gamma1 = 0`` returns ``table`` itself.
+
+    Raises
+    ------
+    DataError
+        If a seen class has no instances, or if a blend is the zero
+        vector (for example ``lambda1 = 0`` and a class whose mapped
+        features average to 0); the message names the classes.
     """
     if hp.gamma1 == 0.0:
-        return AdjustedPrototypes(table, untouched_provenance(table))
+        return table
     present_ids, means = class_mean_map(model, seen_data, stats)
-    mean_col = {int(c): i for i, c in enumerate(present_ids)}
-    missing = [int(c) for c in table.seen_ids if int(c) not in mean_col]
-    if missing:
-        raise DataError(f"seen classes without instances: {missing}")
-
-    vectors = table.vectors.copy()
-    provenance = untouched_provenance(table)
-    for i, cid in enumerate(table.class_ids):
-        if not table.seen[i]:
-            continue
-        mean = means[:, mean_col[int(cid)]]
-        vectors[:, i] = hp.lambda1 * table.vectors[:, i] + hp.gamma1 * mean
-        provenance[int(cid)] = BlendRecord(
-            table.vectors[:, i].copy(), mean.copy()
-        )
-    return AdjustedPrototypes(table.with_vectors(vectors), provenance)
-
-
-def _knn_by_query(table, query, k):
     seen_ids = table.seen_ids
+    missing = seen_ids[~np.isin(seen_ids, present_ids)]
+    if missing.size:
+        raise DataError(f"seen classes without instances: {missing.tolist()}")
+    seen = np.flatnonzero(table.seen)
+    vectors = table.vectors.copy()
+    vectors[:, seen] = (hp.lambda1 * table.vectors[:, seen] + hp.gamma1
+                        * means[:, np.searchsorted(present_ids, seen_ids)])
+    zero = np.linalg.norm(vectors[:, seen], axis=0) == 0.0
+    if zero.any():
+        raise DataError(
+            f"seen adjustment blends the prototypes of classes "
+            f"{seen_ids[zero].tolist()} to the zero vector "
+            f"(similarity would be undefined)"
+        )
+    return table.with_vectors(vectors)
+
+
+def _knn(source, queries, k):
+    """The k seen prototypes of ``source`` most cosine-similar to each
+    query column, best first with exact ties toward the smaller class
+    id: the seen ids and vectors sorted by id, and per query column the
+    rows (k, q) and similarities (k, q) of the k best."""
+    seen_ids = source.seen_ids
     if k > seen_ids.size:
         raise DataError(
             f"k={k} exceeds the number of seen classes ({seen_ids.size})"
         )
-    qn = np.linalg.norm(query)
-    if qn == 0.0:
-        raise ValueError("cosine similarity is undefined for the zero vector")
-    seen_vecs = table.vectors[:, table.seen]
-    sims = (seen_vecs.T @ query) / (np.linalg.norm(seen_vecs, axis=0) * qn)
-    order = np.lexsort((seen_ids, -sims))[:k]
-    return [(int(seen_ids[j]), float(sims[j])) for j in order]
+    order = np.argsort(seen_ids)
+    ids = seen_ids[order]
+    vecs = source.vectors[:, np.flatnonzero(source.seen)[order]]
+    sims = (vecs.T @ queries) / np.outer(np.linalg.norm(vecs, axis=0),
+                                         np.linalg.norm(queries, axis=0))
+    # A stable sort over id-sorted rows breaks ties toward the smaller id.
+    top = np.argsort(-sims, axis=0, kind="stable")[:k]
+    return ids, vecs, top, np.take_along_axis(sims, top, axis=0)
 
 
 def knn_seen(table, unseen_id, k):
@@ -124,7 +114,8 @@ def knn_seen(table, unseen_id, k):
     Returns a list of ``(seen class id, similarity)`` in descending
     similarity; exact ties break toward the smaller class id.
     """
-    return _knn_by_query(table, table.vector(unseen_id), k)
+    ids, _, top, sims = _knn(table, table.vector(unseen_id)[:, None], k)
+    return [(int(ids[j]), float(s)) for j, s in zip(top[:, 0], sims[:, 0])]
 
 
 def adjust_unseen(table, hp, neighbors=None):
@@ -135,31 +126,22 @@ def adjust_unseen(table, hp, neighbors=None):
     of ``table`` itself; in the training loop that is the table returned
     by :func:`adjust_seen`, so neighbors reflect that round's seen
     adjustment. Seen prototypes are untouched, and ``gamma2 = 0``
-    leaves the whole table unchanged.
+    returns ``table`` itself.
     """
     if hp.gamma2 == 0.0:
-        return AdjustedPrototypes(table, untouched_provenance(table))
+        return table
     source = table if neighbors is None else neighbors
-    if source.seen_ids.size < hp.k:
-        raise DataError(
-            f"k={hp.k} exceeds the number of seen classes "
-            f"({source.seen_ids.size})"
-        )
+    unseen = np.flatnonzero(~table.seen)
+    _, vecs, top, sims = _knn(source, table.vectors[:, unseen], hp.k)
+    weights = np.maximum(sims, 0.0)
+    total = weights.sum(axis=0)
+    # no positive similarity: leave that column unchanged this round
+    cols = total > 0.0
+    top, weights = top[:, cols], weights[:, cols] / total[cols]
+    # one neighbor rank at a time keeps the gathered block d_s x q
+    # instead of d_s x k x q
+    blend = sum(vecs[:, top[j]] * weights[j] for j in range(hp.k))
     vectors = table.vectors.copy()
-    provenance = untouched_provenance(table)
-    for i, cid in enumerate(table.class_ids):
-        if table.seen[i]:
-            continue
-        ranked = _knn_by_query(source, table.vectors[:, i], hp.k)
-        weights = np.maximum([s for _, s in ranked], 0.0)
-        total = weights.sum()
-        if total <= 0.0:
-            continue  # no positive similarity: leave this round unchanged
-        weights /= total
-        neigh = np.stack([source.vector(c) for c, _ in ranked], axis=1)
-        blend = neigh @ weights
-        vectors[:, i] = hp.lambda2 * table.vectors[:, i] + hp.gamma2 * blend
-        provenance[int(cid)] = BlendRecord(
-            table.vectors[:, i].copy(), blend
-        )
-    return AdjustedPrototypes(table.with_vectors(vectors), provenance)
+    vectors[:, unseen[cols]] = (hp.lambda2 * table.vectors[:, unseen[cols]]
+                                + hp.gamma2 * blend)
+    return table.with_vectors(vectors)

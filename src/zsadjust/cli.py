@@ -371,7 +371,7 @@ def cmd_train(args):
     )
 
     save_matrix(os.path.join(out_dir, F_MODEL), model.weights)
-    save_prototypes(adjusted.table,
+    save_prototypes(adjusted,
                     os.path.join(out_dir, F_ADJ_PROTOTYPES),
                     os.path.join(out_dir, F_ADJ_PARTITION))
     with open(os.path.join(out_dir, F_TRACE), "w") as fh:

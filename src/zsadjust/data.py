@@ -349,25 +349,18 @@ def split(dataset, table):
     nonempty (there is nothing to train on otherwise).
     """
     present = np.unique(dataset.labels)
-    known = set(table.class_ids.tolist())
-    missing = [int(c) for c in present if int(c) not in known]
-    if missing:
-        raise DataError(f"labels without a prototype: {missing}")
-    col = {int(c): i for i, c in enumerate(table.class_ids)}
-    seen_mask = np.array(
-        [table.seen[col[int(c)]] for c in dataset.labels], dtype=bool
-    )
+    missing = present[~np.isin(present, table.class_ids)]
+    if missing.size:
+        raise DataError(f"labels without a prototype: {missing.tolist()}")
+    seen_mask = np.isin(dataset.labels, table.seen_ids)
     if not seen_mask.any():
         raise DataError("seen partition is empty: nothing to train on")
-    seen_ds = LabeledDataset(
-        dataset.features[:, seen_mask], dataset.labels[seen_mask],
-        dataset.class_count,
-    )
-    unseen_ds = LabeledDataset(
-        dataset.features[:, ~seen_mask], dataset.labels[~seen_mask],
-        dataset.class_count,
-    )
-    return seen_ds, unseen_ds
+    # compress keeps the C order that LabeledDataset stores, where a
+    # boolean column index returns an F-ordered copy to be copied again
+    return tuple(
+        LabeledDataset(np.compress(mask, dataset.features, axis=1),
+                       dataset.labels[mask], dataset.class_count)
+        for mask in (seen_mask, ~seen_mask))
 
 
 def synthesize(spec):

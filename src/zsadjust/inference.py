@@ -1,9 +1,10 @@
 """Zero-shot prediction, Hit@k scoring, and hubness diagnostics.
 
 A test instance x is mapped to semantic space as ``W @ x`` and the
-unseen classes are ranked by cosine similarity to their (adjusted)
-prototypes; ties break toward the smaller class id. Hit@k is the
-fraction of instances whose true class appears in the top k.
+unseen classes of a PrototypeTable (such as the adjusted one ``train``
+returns) are ranked by cosine similarity to their prototypes; ties break
+toward the smaller class id. Hit@k is the fraction of instances whose
+true class appears in the top k.
 
 The hubness diagnostic is the sample skewness of the 1-NN in-degree
 over the candidate prototypes: how unevenly the prototypes attract
@@ -17,18 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adjustment import AdjustedPrototypes
-from .data import PrototypeTable
 from .errors import DataError
 from .trainer import train
-
-
-def _as_table(table_or_adjusted):
-    if isinstance(table_or_adjusted, AdjustedPrototypes):
-        return table_or_adjusted.table
-    if isinstance(table_or_adjusted, PrototypeTable):
-        return table_or_adjusted
-    raise TypeError("expected a PrototypeTable or AdjustedPrototypes")
 
 
 def skewness(values):
@@ -52,14 +43,12 @@ def _candidate_block(table):
 
 
 def _rank_columns(model, features, table, direction="semantic"):
-    """Ranking of unseen candidates for every feature column.
+    """Similarity of every unseen candidate to every feature column.
 
     Returns
     -------
     ids : ndarray, shape (c,)
         Candidate class ids, ascending.
-    order : ndarray of int, shape (c, m)
-        ``order[r, i]`` is the candidate index ranked r-th for column i.
     sims : ndarray, shape (c, m)
         Cosine similarities (candidate row, instance column); NaN
         columns mark instances whose mapped feature was the zero vector.
@@ -84,10 +73,7 @@ def _rank_columns(model, features, table, direction="semantic"):
     safe = np.where(norms == 0.0, 1.0, norms)
     sims = rhs.T @ (lhs / safe)
     sims[:, zero] = np.nan
-    # Stable sort on descending similarity keeps the ascending-id layout
-    # of the candidates as the tie-break.
-    order = np.argsort(-sims, axis=0, kind="stable")
-    return ids, order, sims
+    return ids, sims
 
 
 def predict(model, x, table, direction="semantic"):
@@ -97,7 +83,7 @@ def predict(model, x, table, direction="semantic"):
     ----------
     model : MappingModel
     x : ndarray, shape (d_v,)
-    table : PrototypeTable or AdjustedPrototypes
+    table : PrototypeTable
         Only its unseen classes are candidates.
     direction : {"semantic", "visual"}
         Compare in semantic space (``W x`` vs prototypes, the default)
@@ -113,12 +99,15 @@ def predict(model, x, table, direction="semantic"):
     DataError
         If the mapped instance is the zero vector (cosine undefined).
     """
-    table = _as_table(table)
     x = np.asarray(x, dtype=np.float64).ravel()
-    ids, order, sims = _rank_columns(model, x[:, None], table, direction)
-    if np.isnan(sims[0, 0]):
+    ids, sims = _rank_columns(model, x[:, None], table, direction)
+    sims = sims[:, 0]
+    if np.isnan(sims[0]):
         raise DataError("mapped instance is the zero vector; cannot rank")
-    return [(int(ids[j]), float(sims[j, 0])) for j in order[:, 0]]
+    # Stable sort on descending similarity keeps the ascending-id layout
+    # of the candidates as the tie-break.
+    order = np.argsort(-sims, kind="stable")
+    return [(int(ids[j]), float(sims[j])) for j in order]
 
 
 @dataclass(frozen=True)
@@ -154,7 +143,7 @@ def evaluate(model, unseen, table, ks=(1, 5), direction="semantic"):
     unseen : LabeledDataset
         Instances of unseen classes only; every label must have an
         unseen prototype in ``table``.
-    table : PrototypeTable or AdjustedPrototypes
+    table : PrototypeTable
     ks : iterable of int
         Which Hit@k accuracies to report; a k at or beyond the number of
         candidates scores every non-degenerate instance as a hit.
@@ -167,22 +156,22 @@ def evaluate(model, unseen, table, ks=(1, 5), direction="semantic"):
         ``per_class_accuracy`` is Hit@1 per class.
     """
     tic = time.perf_counter()
-    table = _as_table(table)
     if unseen.instance_count == 0:
         raise DataError("cannot evaluate an empty dataset")
-    ids, order, sims = _rank_columns(model, unseen.features, table, direction)
-    id_to_cand = {int(c): i for i, c in enumerate(ids)}
+    ids, sims = _rank_columns(model, unseen.features, table, direction)
     missing = sorted(set(unseen.labels.tolist()) - set(ids.tolist()))
     if missing:
         raise DataError(f"labels without an unseen prototype: {missing}")
 
     m = unseen.instance_count
-    true_idx = np.array([id_to_cand[int(c)] for c in unseen.labels])
-    zero = np.isnan(sims[0])
-    # rank_of[i] = position of the true class in instance i's ranking
-    positions = np.empty_like(order)
-    np.put_along_axis(positions, order, np.arange(ids.size)[:, None], axis=0)
-    rank_of = positions[true_idx, np.arange(m)]
+    true_idx = np.searchsorted(ids, unseen.labels)
+    true = sims[true_idx, np.arange(m)]
+    zero = np.isnan(true)
+    # rank_of[i] = position of the true class in instance i's ranking:
+    # the candidates above it, plus the tied ones with a smaller id
+    cand = np.arange(ids.size)[:, None]
+    rank_of = np.count_nonzero(
+        (sims > true) | ((sims == true) & (cand < true_idx)), axis=0)
 
     hit_at = {}
     for k in sorted(set(int(k) for k in ks)):
@@ -197,7 +186,7 @@ def evaluate(model, unseen, table, ks=(1, 5), direction="semantic"):
         mask = unseen.labels == cid
         per_class[int(cid)] = float(np.mean(top1[mask]))
 
-    first = order[0, ~zero]
+    first = np.argmax(sims[:, ~zero], axis=0)
     in_degree = np.bincount(first, minlength=ids.size)
     return EvalReport(
         hit_at=hit_at,

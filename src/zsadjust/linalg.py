@@ -1,7 +1,7 @@
 """Dense real-matrix operations and the closed-form mapping-equation solver.
 
-Everything downstream (objective assembly, training, inference) is built
-on the four operations here: matrix product, Frobenius norm, symmetric
+Objective assembly and training are built on the operations here:
+finite-matrix coercion, the symmetry check, symmetric
 eigendecomposition, and the solver for
 
     L W + W R + M = 0
@@ -47,24 +47,6 @@ def as_matrix(a, name="matrix"):
             f"{name} contains a non-finite entry at row {bad[0]}, col {bad[1]}"
         )
     return out
-
-
-def matmul(a, b):
-    """Matrix product ``a @ b`` with explicit conformance checking."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: ({a.shape[0]}x{a.shape[1]}) @ "
-            f"({b.shape[0]}x{b.shape[1]})"
-        )
-    return a @ b
-
-
-def frobenius_norm(a):
-    """Square root of the sum of squared entries."""
-    a = as_matrix(a, "a")
-    return float(np.linalg.norm(a, "fro"))
 
 
 def is_symmetric(a, rtol=SYMMETRY_RTOL):

@@ -9,6 +9,9 @@ The schedule is:
 2. Per iteration: adjust seen prototypes, adjust unseen prototypes,
    recompute the class centroids W xbar_c from the current W, then
    re-solve the full objective with the adjusted seen prototypes.
+   Both adjustments anchor on the original table, and the last
+   iteration's adjusted prototypes are returned as a plain
+   :class:`~zsadjust.data.PrototypeTable`.
 
 Every solve and objective runs from the class statistics of the seen
 data (:func:`zsadjust.mapping.class_stats`), built once per call: one
@@ -30,12 +33,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .adjustment import (
-    AdjustedPrototypes,
-    adjust_seen,
-    adjust_unseen,
-    untouched_provenance,
-)
+from .adjustment import adjust_seen, adjust_unseen
 from .data import SynthSpec, split, synthesize
 from .errors import DataError, SolverError
 from .linalg import DEFAULT_PIVOT_FLOOR
@@ -91,7 +89,10 @@ def train(seen, table, hp, unseen_neighbors="adjusted",
 
     Returns
     -------
-    (MappingModel, AdjustedPrototypes, TrainingTrace)
+    (MappingModel, PrototypeTable, TrainingTrace)
+        The final weights, the adjusted prototypes of every class (the
+        input table itself after zero iterations) and one trace record
+        per completed iteration.
     """
     if seen.instance_count == 0:
         raise DataError("cannot train on an empty seen dataset")
@@ -112,24 +113,18 @@ def train(seen, table, hp, unseen_neighbors="adjusted",
     except SolverError as exc:
         raise SolverError(f"initial solve failed: {exc}") from exc
 
-    current = AdjustedPrototypes(table, untouched_provenance(table))
+    neighbors = table if unseen_neighbors == "original" else None
+    adjusted = table
     records = []
-    prev_vectors = table.vectors
 
     for it in range(1, hp.iterations + 1):
+        prev_vectors = adjusted.vectors
         tic = time.perf_counter()
         try:
-            step_seen = adjust_seen(table, model, seen, hp, stats=stats)
-            neighbors = table if unseen_neighbors == "original" else None
-            adjusted = adjust_unseen(step_seen.table, hp, neighbors=neighbors)
-            # Seen-class provenance comes from the seen step, unseen from
-            # the unseen step.
-            provenance = dict(adjusted.provenance)
-            for cid in table.seen_ids:
-                provenance[int(cid)] = step_seen.provenance[int(cid)]
-            current = AdjustedPrototypes(adjusted.table, provenance)
-
-            proto = expand_per_instance(current.table, stats.class_ids)
+            adjusted = adjust_unseen(
+                adjust_seen(table, model, seen, hp, stats=stats), hp,
+                neighbors=neighbors)
+            proto = expand_per_instance(adjusted, stats.class_ids)
             _, centroids = class_mean_map(model, seen, stats)
             new_model = solve_weights(seen, proto, centroids, hp,
                                       pivot_floor=pivot_floor,
@@ -143,8 +138,8 @@ def train(seen, table, hp, unseen_neighbors="adjusted",
             np.linalg.norm(new_model.weights - model.weights, "fro")
             / max(np.linalg.norm(new_model.weights, "fro"), 1e-300)
         )
-        vecs = current.table.vectors
-        seen_mask = current.table.seen
+        vecs = adjusted.vectors
+        seen_mask = table.seen
         seen_shift = float(np.linalg.norm(
             vecs[:, seen_mask] - prev_vectors[:, seen_mask], "fro"))
         unseen_shift = float(np.linalg.norm(
@@ -154,11 +149,10 @@ def train(seen, table, hp, unseen_neighbors="adjusted",
                                        unseen_shift, ms))
 
         model = new_model
-        prev_vectors = vecs
         if delta < hp.tol:
             break
 
-    return model, current, TrainingTrace(tuple(records))
+    return model, adjusted, TrainingTrace(tuple(records))
 
 
 @dataclass(frozen=True)

@@ -1,30 +1,16 @@
 """Independent reference implementations used to check the library.
 
-These deliberately avoid the code paths they validate: the matrix
-product is a bare triple loop, and the matrix-equation solve goes
-through Kronecker vectorization and a dense linear solve. The
-per-instance training loop is the reference for the class-level
+These deliberately avoid the code paths they validate: the
+matrix-equation solve goes through Kronecker vectorization and a dense
+linear solve, the unseen-prototype blend runs one class at a time, and
+the per-instance training loop is the reference for the class-level
 statistics that the package trains from.
 """
 
 import numpy as np
 
-from zsadjust.adjustment import adjust_unseen
 from zsadjust.linalg import SylvesterSystem, solve_sylvester
 from zsadjust.mapping import MappingModel
-
-
-def triple_loop_matmul(a, b):
-    rows, inner = a.shape
-    cols = b.shape[1]
-    out = np.zeros((rows, cols))
-    for i in range(rows):
-        for j in range(cols):
-            acc = 0.0
-            for k in range(inner):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
 
 
 def kron_solve(L, R, M):
@@ -43,6 +29,41 @@ def random_psd(rng, n, rank=None):
     rank = n if rank is None else rank
     b = rng.standard_normal((n, rank))
     return b @ b.T
+
+
+# ---------------------------------------------------------------------------
+# per-class unseen adjustment: one matrix-vector product and one lexsort
+# per unseen class
+
+
+def per_class_knn(source, query, k):
+    """The k seen classes of ``source`` most cosine-similar to ``query``
+    as (id, similarity) pairs, ordered by (-similarity, id)."""
+    seen_ids = source.seen_ids
+    seen_vecs = source.vectors[:, source.seen]
+    sims = (seen_vecs.T @ query) / (np.linalg.norm(seen_vecs, axis=0)
+                                    * np.linalg.norm(query))
+    order = np.lexsort((seen_ids, -sims))[:k]
+    return [(int(seen_ids[j]), float(sims[j])) for j in order]
+
+
+def per_class_adjust_unseen(table, hp, neighbors=None):
+    """Vectors of ``table`` after the unseen blend, one class at a time."""
+    vectors = table.vectors.copy()
+    if hp.gamma2 == 0.0:
+        return vectors
+    source = table if neighbors is None else neighbors
+    for i in np.flatnonzero(~table.seen):
+        ranked = per_class_knn(source, table.vectors[:, i], hp.k)
+        weights = np.maximum([s for _, s in ranked], 0.0)
+        total = weights.sum()
+        if total <= 0.0:
+            continue  # no positive similarity: left unchanged
+        weights /= total
+        neigh = np.stack([source.vector(c) for c, _ in ranked], axis=1)
+        vectors[:, i] = (hp.lambda2 * table.vectors[:, i]
+                         + hp.gamma2 * (neigh @ weights))
+    return vectors
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +122,8 @@ def per_instance_train(seen, table, hp):
                     mean = means[:, np.flatnonzero(ids == cid)[0]]
                     vectors[:, i] = (hp.lambda1 * table.vectors[:, i]
                                      + hp.gamma1 * mean)
-        current = adjust_unseen(table.with_vectors(vectors), hp).table
+        current = table.with_vectors(
+            per_class_adjust_unseen(table.with_vectors(vectors), hp))
         p = _prototype_per_instance(current, labels)
         w_new = per_instance_solve(x, p, o, hp.alpha, hp.beta)
         objectives.append(

@@ -201,9 +201,9 @@ def test_criterion_6_adjustment_algebra():
     data = LabeledDataset(rng.standard_normal((5, 15)), labels, 8)
     model = MappingModel(rng.standard_normal((5, 5)))
     out = adjust_seen(table, model, data, HyperParams(gamma1=0.0, k=2))
-    ok &= bool(np.array_equal(out.table.vectors, vecs))
+    ok &= bool(np.array_equal(out.vectors, vecs))
     out = adjust_unseen(table, HyperParams(gamma2=0.0, k=2))
-    ok &= bool(np.array_equal(out.table.vectors, vecs))
+    ok &= bool(np.array_equal(out.vectors, vecs))
 
     # reported blend values: a seen prototype equal to its mapped mean is
     # a fixed point of 0.75/0.25
@@ -214,7 +214,7 @@ def test_criterion_6_adjustment_algebra():
     fix_data = LabeledDataset(proto.reshape(-1, 1), np.array([0]), 2)
     out = adjust_seen(fix_table, MappingModel(np.eye(4)), fix_data,
                       HyperParams(k=1))
-    ok &= bool(np.max(np.abs(out.table.vectors[:, 0] - proto)) <= 1e-12)
+    ok &= bool(np.max(np.abs(out.vectors[:, 0] - proto)) <= 1e-12)
 
     # 0.8/0.2 single-neighbor blend
     q = np.array([0.6, 0.8])
@@ -222,7 +222,7 @@ def test_criterion_6_adjustment_algebra():
     pair = PrototypeTable(np.array([0, 1]), np.column_stack([q, p]),
                           np.array([True, False]))
     out = adjust_unseen(pair, HyperParams(k=1))
-    ok &= bool(np.max(np.abs(out.table.vectors[:, 1]
+    ok &= bool(np.max(np.abs(out.vectors[:, 1]
                              - (0.8 * p + 0.2 * q))) <= 1e-12)
 
     # normalized neighbor weights sum to one

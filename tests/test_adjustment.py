@@ -10,6 +10,9 @@ from zsadjust.adjustment import (
 from zsadjust.data import LabeledDataset, PrototypeTable
 from zsadjust.errors import DataError
 from zsadjust.mapping import HyperParams, MappingModel
+from zsadjust.trainer import train
+
+from oracles import per_class_adjust_unseen, per_class_knn
 
 
 def test_cosine_self():
@@ -51,7 +54,7 @@ def test_adjust_seen_noop_when_gamma_zero():
         np.array([1.0, 2.0]), [3.0, 4.0], np.eye(2))
     hp = HyperParams(gamma1=0.0, k=1)
     out = adjust_seen(table, model, data, hp)
-    assert np.array_equal(out.table.vectors, table.vectors)
+    assert np.array_equal(out.vectors, table.vectors)
 
 
 def test_adjust_seen_pure_mapped_mean():
@@ -59,7 +62,7 @@ def test_adjust_seen_pure_mapped_mean():
         np.array([1.0, 2.0]), [3.0, 4.0], np.eye(2))
     hp = HyperParams(lambda1=0.0, gamma1=0.25, k=1)
     out = adjust_seen(table, model, data, hp)
-    assert np.allclose(out.table.vectors[:, 0], 0.25 * np.array([3.0, 4.0]))
+    assert np.allclose(out.vectors[:, 0], 0.25 * np.array([3.0, 4.0]))
 
 
 def test_adjust_seen_default_blend_fixed_point():
@@ -68,7 +71,7 @@ def test_adjust_seen_default_blend_fixed_point():
     w = np.eye(3)
     table, data, model = _one_class_setup(proto, proto, w)
     out = adjust_seen(table, model, data, HyperParams(k=1))
-    assert np.max(np.abs(out.table.vectors[:, 0] - proto)) <= 1e-12
+    assert np.max(np.abs(out.vectors[:, 0] - proto)) <= 1e-12
 
 
 def test_adjust_seen_leaves_unseen_untouched():
@@ -79,9 +82,9 @@ def test_adjust_seen_leaves_unseen_untouched():
                           np.array([0, 0, 1, 1, 0, 1]), 4)
     model = MappingModel(rng.standard_normal((3, 3)))
     out = adjust_seen(table, model, data, HyperParams(k=1))
-    assert np.array_equal(out.table.vectors[:, 2:], vecs[:, 2:])
-    assert np.array_equal(out.table.seen, table.seen)
-    assert np.array_equal(out.table.class_ids, table.class_ids)
+    assert np.array_equal(out.vectors[:, 2:], vecs[:, 2:])
+    assert np.array_equal(out.seen, table.seen)
+    assert np.array_equal(out.class_ids, table.class_ids)
 
 
 def test_adjust_seen_requires_instances():
@@ -94,12 +97,11 @@ def test_adjust_seen_requires_instances():
 
 
 def test_adjust_seen_anchors_on_given_table():
-    # provenance records the input prototypes as the originals
+    # the blend anchors on the input prototype and the mapped mean
     table, data, model = _one_class_setup(
         np.array([1.0, 0.0]), [0.0, 1.0], np.eye(2))
     out = adjust_seen(table, model, data, HyperParams(k=1))
-    assert np.array_equal(out.provenance[0].original, [1.0, 0.0])
-    assert np.allclose(out.provenance[0].blend_term, [0.0, 1.0])
+    assert np.allclose(out.vectors[:, 0], [0.75, 0.25])
 
 
 def test_knn_full_ranking_matches_exhaustive_sort():
@@ -146,10 +148,10 @@ def test_adjust_unseen_noop_when_gamma_zero():
     table = _table(rng.standard_normal((3, 5)), [True, True, True, False, False])
     hp = HyperParams(lambda2=1.0, gamma2=0.0, k=2)
     out = adjust_unseen(table, hp)
-    assert np.array_equal(out.table.vectors, table.vectors)
+    assert np.array_equal(out.vectors, table.vectors)
     # idempotent: applying the no-op again changes nothing
-    again = adjust_unseen(out.table, hp)
-    assert np.array_equal(again.table.vectors, table.vectors)
+    again = adjust_unseen(out, hp)
+    assert np.array_equal(again.vectors, table.vectors)
 
 
 def test_adjust_unseen_default_blend_k1():
@@ -158,8 +160,8 @@ def test_adjust_unseen_default_blend_k1():
     p = np.array([0.0, 1.0])
     table = _table(np.column_stack([q, p]), [True, False])
     out = adjust_unseen(table, HyperParams(k=1))
-    assert np.max(np.abs(out.table.vectors[:, 1] - (0.8 * p + 0.2 * q))) <= 1e-12
-    assert np.array_equal(out.table.vectors[:, 0], q)  # seen untouched
+    assert np.max(np.abs(out.vectors[:, 1] - (0.8 * p + 0.2 * q))) <= 1e-12
+    assert np.array_equal(out.vectors[:, 0], q)  # seen untouched
 
 
 def test_adjust_unseen_equal_similarities_average():
@@ -172,7 +174,7 @@ def test_adjust_unseen_equal_similarities_average():
     hp = HyperParams(k=2)
     out = adjust_unseen(table, hp)
     expected = 0.8 * p + 0.2 * (s1 + s2) / 2.0
-    assert np.allclose(out.table.vectors[:, 2], expected, atol=1e-12)
+    assert np.allclose(out.vectors[:, 2], expected, atol=1e-12)
 
 
 def test_adjust_unseen_weights_normalize_to_one():
@@ -188,7 +190,7 @@ def test_adjust_unseen_weights_normalize_to_one():
     assert abs(weights.sum() - 1.0) <= 1e-12
     blend = sum(w * table.vector(c) for w, (c, _) in zip(weights, ranked))
     out = adjust_unseen(table, hp)
-    assert np.allclose(out.table.vectors[:, 5], 0.8 * unseen + 0.2 * blend,
+    assert np.allclose(out.vectors[:, 5], 0.8 * unseen + 0.2 * blend,
                        atol=1e-12)
 
 
@@ -197,8 +199,7 @@ def test_adjust_unseen_all_negative_similarities_left_unchanged():
     unseen = np.array([-1.0, -0.5])
     table = _table(np.column_stack([seen_vecs, unseen]), [True, True, False])
     out = adjust_unseen(table, HyperParams(k=2))
-    assert np.array_equal(out.table.vectors[:, 2], unseen)
-    assert out.provenance[2].blend_term is None
+    assert np.array_equal(out.vectors[:, 2], unseen)
 
 
 def test_adjust_unseen_neighbor_source_switch():
@@ -210,9 +211,9 @@ def test_adjust_unseen_neighbor_source_switch():
     hp = HyperParams(k=1)
     from_moved = adjust_unseen(moved, hp)
     from_orig = adjust_unseen(moved, hp, neighbors=table)
-    assert np.allclose(from_moved.table.vectors[:, 1],
+    assert np.allclose(from_moved.vectors[:, 1],
                        0.8 * p + 0.2 * np.array([0.0, 2.0]), atol=1e-12)
-    assert np.allclose(from_orig.table.vectors[:, 1],
+    assert np.allclose(from_orig.vectors[:, 1],
                        0.8 * p + 0.2 * q_orig, atol=1e-12)
 
 
@@ -233,8 +234,8 @@ def test_affine_identity_when_everything_coincides():
     model = MappingModel(np.eye(3))
     hp = HyperParams(k=2)
     step1 = adjust_seen(table, model, data, hp)
-    step2 = adjust_unseen(step1.table, hp)
-    assert np.allclose(step2.table.vectors, vecs, atol=1e-12)
+    step2 = adjust_unseen(step1, hp)
+    assert np.allclose(step2.vectors, vecs, atol=1e-12)
 
 
 def test_partition_preserved_through_both_steps():
@@ -245,6 +246,69 @@ def test_partition_preserved_through_both_steps():
                           np.array([0, 1, 2, 3, 0, 1, 2, 3]), 6)
     model = MappingModel(rng.standard_normal((3, 3)))
     hp = HyperParams(k=3)
-    out = adjust_unseen(adjust_seen(table, model, data, hp).table, hp)
-    assert np.array_equal(out.table.class_ids, table.class_ids)
-    assert np.array_equal(out.table.seen, table.seen)
+    out = adjust_unseen(adjust_seen(table, model, data, hp), hp)
+    assert np.array_equal(out.class_ids, table.class_ids)
+    assert np.array_equal(out.seen, table.seen)
+
+
+def test_adjust_seen_zero_blend_names_classes():
+    # lambda1 = 0 and class 3's features average to 0: its blend is the
+    # zero vector, for the library call and for train
+    table = PrototypeTable(np.array([3, 5, 7]),
+                           np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]),
+                           np.array([True, True, False]))
+    data = LabeledDataset(np.array([[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]]),
+                          np.array([3, 3, 5]), 8)
+    hp = HyperParams(lambda1=0.0, k=1)
+    with pytest.raises(DataError,
+                       match=r"seen adjustment .* classes \[3\] .*zero"):
+        adjust_seen(table, MappingModel(np.eye(2)), data, hp)
+    with pytest.raises(DataError,
+                       match=r"seen adjustment .* classes \[3\] .*zero"):
+        train(data, table, hp)
+
+
+def _scrambled_table(seed, vector_seed=None, n_seen=9, n_unseen=7, d_s=4):
+    """Integer prototypes (exact dot products, so duplicated columns tie
+    exactly) under shuffled, non-contiguous ids. Every seen prototype has
+    a positive first entry, and one unseen prototype is -e1, so all its
+    similarities are negative. ``vector_seed`` draws other vectors for
+    the same ids and tags."""
+    rng = np.random.default_rng(seed)
+    vrng = rng if vector_seed is None else np.random.default_rng(vector_seed)
+    n = n_seen + n_unseen
+    perm = rng.permutation(n)
+    ids = 3 * rng.permutation(n) + 1
+    vecs = vrng.integers(-2, 3, size=(d_s, n)).astype(float)
+    vecs[0, :n_seen] = vrng.integers(1, 3, size=n_seen)
+    vecs[:, 1] = vecs[:, 0]                 # seen tie
+    vecs[:, 4] = vecs[:, 2]                 # seen tie
+    vecs[:, n_seen] = vecs[:, 0]            # unseen on the first tie
+    vecs[:, n_seen + 1] = -np.eye(d_s)[0]   # all-negative similarities
+    vecs[0, np.all(vecs == 0, axis=0)] = 1.0
+    return PrototypeTable(ids, vecs[:, perm], (np.arange(n) < n_seen)[perm])
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("k", [1, 3, 9])
+@pytest.mark.parametrize("source", ["self", "other"])
+def test_adjust_unseen_matches_per_class_oracle(seed, k, source):
+    # columns out of id order, exact ties, an all-negative unseen class
+    # and k up to the number of seen classes
+    table = _scrambled_table(seed)
+    neighbors = None if source == "self" else _scrambled_table(seed, 100)
+    src = table if neighbors is None else neighbors
+    # the unseen queries of table against the seen prototypes of src
+    mixed = table.with_vectors(np.where(table.seen, src.vectors,
+                                        table.vectors))
+    for cid in table.unseen_ids:
+        got = knn_seen(mixed, cid, k)
+        want = per_class_knn(src, table.vector(cid), k)
+        assert [c for c, _ in got] == [c for c, _ in want]
+    hp = HyperParams(k=k)
+    out = adjust_unseen(table, hp, neighbors=neighbors)
+    want = per_class_adjust_unseen(table, hp, neighbors=neighbors)
+    assert np.abs(out.vectors - want).max() <= 1e-14 * np.abs(want).max()
+    negative = np.all(table.vectors == -np.eye(4)[:, [0]], axis=0)
+    assert negative.any()
+    assert np.array_equal(out.vectors[:, negative], table.vectors[:, negative])

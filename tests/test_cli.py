@@ -311,3 +311,29 @@ def test_eval_without_unseen_instances(tmp_path, capsys):
                  "--partition", str(data_dir / "partition.txt"),
                  "--out", str(tmp_path / "eval")])
     assert code == 2
+
+
+def test_zero_seen_blend_is_data_error(tmp_path, capsys):
+    # --lambda1 0 and class 0's features average to the zero vector
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    save_matrix(data_dir / "features.zsm",
+                np.array([[1.0, -1.0, 0.0, 0.0, 1.0],
+                          [0.0, 0.0, 1.0, 0.0, 1.0],
+                          [0.0, 0.0, 0.0, 1.0, 1.0]]))
+    save_labels(data_dir / "labels.txt", [0, 0, 1, 1, 2])
+    from zsadjust.data import PrototypeTable
+    table = PrototypeTable(np.array([0, 1, 2]),
+                           np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]),
+                           np.array([True, True, False]))
+    save_prototypes(table, data_dir / "prototypes.zsm",
+                    data_dir / "partition.txt")
+    code = main(["train",
+                 "--features", str(data_dir / "features.zsm"),
+                 "--labels", str(data_dir / "labels.txt"),
+                 "--prototypes", str(data_dir / "prototypes.zsm"),
+                 "--partition", str(data_dir / "partition.txt"),
+                 "--k", "1", "--lambda1", "0", "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "seen adjustment" in err and "[0]" in err and "zero vector" in err

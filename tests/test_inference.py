@@ -237,3 +237,19 @@ def test_sweep_matches_manual_training():
         model, adjusted, _ = train(seen, table, replace(hp, k=k))
         report = evaluate(model, unseen, adjusted, ks=(1,))
         assert curve[k] == report.hit_at[1]
+
+
+def test_evaluate_exact_tie_goes_to_smaller_id():
+    # unseen classes 1 and 2 share one prototype; an instance of class 2
+    # maps onto it, and an instance of class 3 ties all three classes
+    vecs = np.array([[-1.0, 1.0, 1.0, 0.0],
+                     [-1.0, 0.0, 0.0, 1.0]])
+    table = _table(vecs, [True, False, False, False])
+    data = LabeledDataset(np.array([[2.0, 1.0], [0.0, 1.0]]),
+                          np.array([2, 3]), 4)
+    report = evaluate(MappingModel(np.eye(2)), data, table, ks=(1, 2, 3))
+    assert report.hit_at == {1: 0.0, 2: 0.5, 3: 1.0}
+    # both first-rank predictions go to class 1: in-degree (2, 0, 0);
+    # ties toward the larger id would give (0, 1, 1)
+    assert report.hubness_skewness == pytest.approx(skewness([2, 0, 0]))
+    assert skewness([2, 0, 0]) != pytest.approx(skewness([0, 1, 1]))

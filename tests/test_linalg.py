@@ -2,59 +2,15 @@ import numpy as np
 import pytest
 
 from zsadjust.errors import SolverError
-from zsadjust.linalg import (
-    SylvesterSystem,
-    frobenius_norm,
-    matmul,
-    solve_sylvester,
-    sym_eig,
-)
+from zsadjust.linalg import SylvesterSystem, as_matrix, solve_sylvester, sym_eig
 
-from oracles import kron_solve, random_psd, triple_loop_matmul
+from oracles import kron_solve, random_psd
 
 
-def test_matmul_identity():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(matmul(np.eye(2), a), a)
-
-
-def test_matmul_hand_checked():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[0.0], [1.0]])
-    assert np.array_equal(matmul(a, b), np.array([[2.0], [4.0]]))
-
-
-def test_matmul_matches_triple_loop():
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal((5, 4))
-    b = rng.standard_normal((4, 3))
-    assert np.allclose(matmul(a, b), triple_loop_matmul(a, b), atol=1e-12)
-
-
-def test_matmul_dimension_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-
-def test_matmul_rejects_nonfinite():
-    bad = np.array([[1.0, np.nan]])
-    with pytest.raises(ValueError, match="non-finite"):
-        matmul(bad, np.ones((2, 1)))
-
-
-def test_frobenius_zero_matrix():
-    assert frobenius_norm(np.zeros((3, 4))) == 0.0
-
-
-def test_frobenius_345():
-    assert frobenius_norm(np.array([[3.0, 4.0]])) == 5.0
-
-
-def test_frobenius_matches_elementwise():
-    rng = np.random.default_rng(11)
-    a = rng.standard_normal((4, 4))
-    expected = np.sqrt(sum(a[i, j] ** 2 for i in range(4) for j in range(4)))
-    assert abs(frobenius_norm(a) - expected) < 1e-12
+def test_as_matrix_rejects_nonfinite_with_location():
+    bad = np.array([[1.0, 2.0], [3.0, np.nan]])
+    with pytest.raises(ValueError, match="non-finite entry at row 1, col 1"):
+        as_matrix(bad, "a")
 
 
 def test_sym_eig_diagonal():

@@ -35,7 +35,7 @@ def test_zero_iterations_returns_initial_solve():
     hp = HyperParams(iterations=0, k=3)
     model, adjusted, trace = train(seen, table, hp)
     assert len(trace) == 0
-    assert np.array_equal(adjusted.table.vectors, table.vectors)
+    assert np.array_equal(adjusted.vectors, table.vectors)
     # the returned weights are the alpha = 0 closed-form solution
     stats = class_stats(seen)
     p = expand_per_instance(table, stats.class_ids)
@@ -53,7 +53,7 @@ def test_fixed_point_converges_in_one_iteration():
     # weight change vanishes immediately and tol stops the loop
     assert len(trace) == 1
     assert trace.records[0].w_delta < hp.tol
-    assert np.array_equal(adjusted.table.vectors, table.vectors)
+    assert np.array_equal(adjusted.vectors, table.vectors)
 
 
 def test_trace_length_bounded_and_finite():
@@ -80,13 +80,13 @@ def test_first_iteration_matches_manual_replay():
     model0 = solve_weights(seen, p0, np.zeros_like(p0),
                            replace(hp, alpha=0.0), stats=stats)
     step = adjust_seen(table, model0, seen, hp, stats=stats)
-    adj = adjust_unseen(step.table, hp)
-    p1 = expand_per_instance(adj.table, stats.class_ids)
+    adj = adjust_unseen(step, hp)
+    p1 = expand_per_instance(adj, stats.class_ids)
     _, o1 = class_mean_map(model0, seen, stats)
     model1 = solve_weights(seen, p1, o1, hp, stats=stats)
 
     assert np.array_equal(model.weights, model1.weights)
-    assert np.array_equal(adjusted.table.vectors, adj.table.vectors)
+    assert np.array_equal(adjusted.vectors, adj.vectors)
     assert trace.records[0].objective == objective(model1, seen, p1, o1, hp,
                                                    stats=stats)
     # the recorded objective is the minimum of that iteration's quadratic
@@ -122,7 +122,7 @@ def test_train_matches_per_instance_oracle(seed):
 
     assert (np.abs(model.weights - w).max()
             <= 1e-10 * np.abs(w).max())
-    assert np.abs(adjusted.table.vectors - vectors).max() <= 1e-12
+    assert np.abs(adjusted.vectors - vectors).max() <= 1e-12
     assert len(trace) == len(objectives) == 3
     for rec, want in zip(trace.records, objectives):
         assert abs(rec.objective - want) <= 1e-12 * want
@@ -176,7 +176,7 @@ def test_train_deterministic():
     a = train(seen, table, hp)
     b = train(seen, table, hp)
     assert np.array_equal(a[0].weights, b[0].weights)
-    assert np.array_equal(a[1].table.vectors, b[1].table.vectors)
+    assert np.array_equal(a[1].vectors, b[1].vectors)
     assert [r.objective for r in a[2].records] == \
         [r.objective for r in b[2].records]
 
@@ -187,8 +187,8 @@ def test_unseen_neighbor_source_flag_changes_result():
     adj = train(seen, table, hp, unseen_neighbors="adjusted")[1]
     orig = train(seen, table, hp, unseen_neighbors="original")[1]
     unseen_mask = ~table.seen
-    assert not np.array_equal(adj.table.vectors[:, unseen_mask],
-                              orig.table.vectors[:, unseen_mask])
+    assert not np.array_equal(adj.vectors[:, unseen_mask],
+                              orig.vectors[:, unseen_mask])
 
 
 def test_train_rejects_bad_neighbor_flag():
