@@ -20,9 +20,10 @@ the lambda anchor alone.
 
 Both adjustments take a :class:`PrototypeTable` and return a new one,
 computed for all classes at once: one assignment for the seen columns;
-for the unseen columns one cosine matrix (seen x unseen), one stable
-sort and a similarity-weighted gather of the k neighbors. Both anchor on the prototypes of the table passed in;
-the training loop always passes the original pre-training table, so
+for the unseen columns one cosine matrix (seen x unseen), a partition
+to the k-th best similarity per column and a similarity-weighted gather
+of the k neighbors. Both anchor on the prototypes of the table passed
+in; the training loop always passes the original pre-training table, so
 blends never compound across iterations.
 """
 
@@ -103,9 +104,24 @@ def _knn(source, queries, k):
     vecs = source.vectors[:, np.flatnonzero(source.seen)[order]]
     sims = (vecs.T @ queries) / np.outer(np.linalg.norm(vecs, axis=0),
                                          np.linalg.norm(queries, axis=0))
-    # A stable sort over id-sorted rows breaks ties toward the smaller id.
-    top = np.argsort(-sims, axis=0, kind="stable")[:k]
-    return ids, vecs, top, np.take_along_axis(sims, top, axis=0)
+    # Sort key: best first, a NaN similarity (overflowed norms) last.
+    key = -sims
+    key[np.isnan(key)] = np.inf
+    # Per column keep the rows at or above the k-th value: k of them,
+    # unless ties at the k-th value straddle the cut, where only the
+    # smallest-id tied rows are kept. A stable sort of the k rows (in row
+    # order, i.e. id order) then breaks ties toward the smaller id.
+    kth = np.partition(key, k - 1, axis=0)[k - 1]
+    keep = key <= kth
+    if np.count_nonzero(keep) > k * keep.shape[1]:
+        better = key < kth
+        tied = key == kth
+        keep = better | (tied & (np.cumsum(tied, axis=0)
+                                 <= k - np.count_nonzero(better, axis=0)))
+    top = np.nonzero(keep.T)[1].reshape(-1, k).T
+    cols = np.arange(top.shape[1])
+    top = top[np.argsort(key[top, cols], axis=0, kind="stable"), cols]
+    return ids, vecs, top, sims[top, cols]
 
 
 def knn_seen(table, unseen_id, k):

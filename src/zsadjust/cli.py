@@ -25,6 +25,7 @@ import numpy as np
 from .data import (
     LabeledDataset,
     SynthSpec,
+    _unseen_partition,
     load_labels,
     load_matrix,
     load_prototypes,
@@ -296,7 +297,8 @@ def _load_run_data(opts):
         )
         class_count = int(max(labels.max(initial=0),
                               table.class_ids.max())) + 1
-        dataset = LabeledDataset(feats, labels, class_count)
+        # load_matrix has already rejected non-finite entries
+        dataset = LabeledDataset._of_checked(feats, labels, class_count)
     return _normalize(dataset, table, opts.normalize)
 
 
@@ -405,7 +407,7 @@ def cmd_eval(args):
             f"model maps into {model.semantic_dim} semantic dimensions, "
             f"prototypes have {table.semantic_dim}"
         )
-    _, unseen = split(dataset, table)
+    unseen = _unseen_partition(dataset, table)
     if unseen.instance_count == 0:
         raise DataError("no unseen-class instances to evaluate")
     report = evaluate(model, unseen, table, ks=opts.ks,

@@ -19,6 +19,7 @@ On-disk formats
 from __future__ import annotations
 
 import math
+import os
 import struct
 import warnings
 from dataclasses import dataclass
@@ -49,8 +50,21 @@ class LabeledDataset:
     class_count: int
 
     def __post_init__(self):
-        feats = as_matrix(self.features, "features")
-        labels = np.asarray(self.labels, dtype=np.int64)
+        self._set_columns(as_matrix(self.features, "features"), self.labels)
+
+    @classmethod
+    def _of_checked(cls, features, labels, class_count):
+        """Dataset over ``features`` already known to be finite (a
+        checked file or columns of a checked dataset): the labels and
+        shape are validated, the features are not scanned again."""
+        dataset = object.__new__(cls)
+        object.__setattr__(dataset, "class_count", class_count)
+        dataset._set_columns(np.ascontiguousarray(features, dtype=np.float64),
+                             labels)
+        return dataset
+
+    def _set_columns(self, feats, labels):
+        labels = np.asarray(labels, dtype=np.int64)
         if labels.ndim != 1 or labels.shape[0] != feats.shape[1]:
             raise DataError(
                 f"expected one label per instance column: "
@@ -237,14 +251,19 @@ def _load_binary(path):
         magic, rows, cols = _HEADER.unpack(header)
         if magic != MAGIC:
             raise DataError(f"{path}: bad magic bytes {magic!r}")
-        body = fh.read()
-    expected = rows * cols * 8
-    if len(body) != expected:
+        expected = rows * cols * 8
+        # sized from the file before anything is allocated, so a corrupt
+        # header cannot ask for a huge array
+        size = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if size == expected:
+            # the payload goes straight into its array, with no bytes copy
+            a = np.empty((rows, cols), dtype="<f8")
+            size = fh.readinto(a)
+    if size != expected:
         raise DataError(
-            f"{path}: payload is {len(body)} bytes but header declares "
+            f"{path}: payload is {size} bytes but header declares "
             f"{rows}x{cols} ({expected} bytes)"
         )
-    a = np.frombuffer(body, dtype="<f8").reshape(rows, cols)
     return _check_finite(a, path)
 
 
@@ -348,19 +367,34 @@ def split(dataset, table):
     Every label must have a prototype, and the seen side must be
     nonempty (there is nothing to train on otherwise).
     """
+    seen_mask = _seen_mask(dataset, table)
+    if not seen_mask.any():
+        raise DataError("seen partition is empty: nothing to train on")
+    return _columns(dataset, seen_mask), _columns(dataset, ~seen_mask)
+
+
+def _unseen_partition(dataset, table):
+    """The unseen side of :func:`split` alone: the seen columns are not
+    copied, and there need not be any."""
+    return _columns(dataset, ~_seen_mask(dataset, table))
+
+
+def _seen_mask(dataset, table):
+    """Per instance, whether its class is seen; every label must have a
+    prototype."""
     present = np.unique(dataset.labels)
     missing = present[~np.isin(present, table.class_ids)]
     if missing.size:
         raise DataError(f"labels without a prototype: {missing.tolist()}")
-    seen_mask = np.isin(dataset.labels, table.seen_ids)
-    if not seen_mask.any():
-        raise DataError("seen partition is empty: nothing to train on")
+    return np.isin(dataset.labels, table.seen_ids)
+
+
+def _columns(dataset, mask):
     # compress keeps the C order that LabeledDataset stores, where a
     # boolean column index returns an F-ordered copy to be copied again
-    return tuple(
-        LabeledDataset(np.compress(mask, dataset.features, axis=1),
-                       dataset.labels[mask], dataset.class_count)
-        for mask in (seen_mask, ~seen_mask))
+    features = np.compress(mask, dataset.features, axis=1)
+    return LabeledDataset._of_checked(features, dataset.labels[mask],
+                                      dataset.class_count)
 
 
 def synthesize(spec):

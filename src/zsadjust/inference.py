@@ -180,11 +180,14 @@ def evaluate(model, unseen, table, ks=(1, 5), direction="semantic"):
         hits = (rank_of < k) & ~zero
         hit_at[k] = float(np.mean(hits))
 
-    top1 = (rank_of == 0) & ~zero
-    per_class = {}
-    for cid in np.unique(unseen.labels):
-        mask = unseen.labels == cid
-        per_class[int(cid)] = float(np.mean(top1[mask]))
+    # Hit@1 per class: exact hit counts over instance counts, one division
+    # per class as np.mean would do
+    class_hits = np.bincount(true_idx, weights=(rank_of == 0) & ~zero,
+                             minlength=ids.size)
+    counts = np.bincount(true_idx, minlength=ids.size)
+    present = np.flatnonzero(counts)
+    per_class = dict(zip(ids[present].tolist(),
+                         (class_hits[present] / counts[present]).tolist()))
 
     first = np.argmax(sims[:, ~zero], axis=0)
     in_degree = np.bincount(first, minlength=ids.size)

@@ -137,6 +137,19 @@ def test_knn_tie_breaks_toward_smaller_id():
     assert [c for c, _ in got] == [0, 1]
 
 
+def test_knn_undefined_similarity_ranked_last():
+    # finite prototypes whose norms overflow give a NaN cosine; it ranks
+    # after every defined one, whatever k
+    vecs = np.array([[1e200, 1.0, 2.0, 1e200],
+                     [1e200, 3.0, 1.0, 1e200]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = _table(vecs, [True, True, True, False])
+        for k in (1, 2, 3):
+            got = knn_seen(table, 3, k)
+            assert [c for c, _ in got] == [1, 2, 0][:k]
+    assert np.isnan(got[-1][1])
+
+
 def test_knn_rejects_oversized_k():
     table = _table(np.eye(3), [True, True, False])
     with pytest.raises(DataError, match="exceeds"):

@@ -313,6 +313,75 @@ def test_eval_without_unseen_instances(tmp_path, capsys):
     assert code == 2
 
 
+def _train_on_files(tmp_path):
+    """Synthetic data written to files and a model trained on them:
+    (data dir, run dir, the file arguments of eval minus the features
+    and labels, which each test picks)."""
+    data_dir = tmp_path / "data"
+    assert main(["synth", "--synth-dv", "16", "--synth-ds", "6",
+                 "--synth-seen", "8", "--synth-unseen", "3",
+                 "--synth-per-class", "5", "--synth-noise", "0.05",
+                 "--seed", "2", "--out", str(data_dir)]) == 0
+    run = tmp_path / "run"
+    assert main(["train",
+                 "--features", str(data_dir / "features.zsm"),
+                 "--labels", str(data_dir / "labels.txt"),
+                 "--prototypes", str(data_dir / "prototypes.zsm"),
+                 "--partition", str(data_dir / "partition.txt"),
+                 "--k", "3", "--iters", "2", "--out", str(run)]) == 0
+    eval_args = ["eval", "--model", str(run / "model.zsm"),
+                 "--prototypes", str(run / "prototypes_adjusted.zsm"),
+                 "--partition", str(run / "partition_adjusted.txt")]
+    return data_dir, run, eval_args
+
+
+def test_eval_on_unseen_only_test_file(tmp_path):
+    # the natural zero-shot test set: no seen-class instance at all
+    data_dir, run, eval_args = _train_on_files(tmp_path)
+    feats = load_matrix(data_dir / "features.zsm")
+    labels = load_labels(data_dir / "labels.txt")
+    unseen = labels >= 8
+    save_matrix(tmp_path / "test.zsm", feats[:, unseen])
+    save_labels(tmp_path / "test.txt", labels[unseen])
+    out = tmp_path / "eval"
+    assert main([*eval_args, "--features", str(tmp_path / "test.zsm"),
+                 "--labels", str(tmp_path / "test.txt"),
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    trained = json.loads((run / "report.json").read_text())
+    assert report["instance_count"] == 15
+    for key in ("hit_at", "per_class_accuracy", "hubness_skewness"):
+        assert report[key] == trained[key]
+
+
+def test_eval_rejects_nan_in_seen_column(tmp_path, capsys):
+    # eval scores only the unseen columns but still checks the whole file
+    data_dir, _, eval_args = _train_on_files(tmp_path)
+    feats = load_matrix(data_dir / "features.zsm").copy()
+    assert load_labels(data_dir / "labels.txt")[7] < 8
+    feats[2, 7] = np.nan
+    # save_matrix refuses NaN: write the file by hand
+    (tmp_path / "nan.zsm").write_bytes(
+        b"ZSRM" + np.array(feats.shape, "<u4").tobytes()
+        + feats.astype("<f8").tobytes())
+    code = main([*eval_args, "--features", str(tmp_path / "nan.zsm"),
+                 "--labels", str(data_dir / "labels.txt"),
+                 "--out", str(tmp_path / "eval")])
+    assert code == 2
+    assert "non-finite entry at row 2, col 7" in capsys.readouterr().err
+
+
+def test_label_count_mismatch_is_data_error(tmp_path, capsys):
+    data_dir, _, eval_args = _train_on_files(tmp_path)
+    save_labels(tmp_path / "short.txt",
+                load_labels(data_dir / "labels.txt")[:-1])
+    code = main([*eval_args, "--features", str(data_dir / "features.zsm"),
+                 "--labels", str(tmp_path / "short.txt"),
+                 "--out", str(tmp_path / "eval")])
+    assert code == 2
+    assert "54 labels for 55 columns" in capsys.readouterr().err
+
+
 def test_zero_seen_blend_is_data_error(tmp_path, capsys):
     # --lambda1 0 and class 0's features average to the zero vector
     data_dir = tmp_path / "data"

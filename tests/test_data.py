@@ -1,4 +1,6 @@
+import os
 import struct
+import types
 
 import numpy as np
 import pytest
@@ -35,13 +37,20 @@ def test_csv_parse(tmp_path):
                           np.array([[1.0, 2.0], [3.0, 4.0]]))
 
 
-@pytest.mark.parametrize("fmt", ["binary", "csv"])
-def test_write_then_read_bit_identical(tmp_path, fmt):
+@pytest.mark.parametrize("fmt, shape", [
+    pytest.param("binary", (10, 7), id="binary"),
+    pytest.param("csv", (10, 7), id="csv"),
+    pytest.param("binary", (0, 3), id="binary-0x3"),
+    pytest.param("binary", (3, 0), id="binary-3x0"),
+])
+def test_write_then_read_bit_identical(tmp_path, fmt, shape):
     rng = np.random.default_rng(0)
-    a = rng.standard_normal((10, 7))
+    a = rng.standard_normal(shape)
     path = tmp_path / "m.dat"
     save_matrix(path, a, fmt=fmt)
-    assert np.array_equal(load_matrix(path), a)
+    b = load_matrix(path)
+    assert b.shape == shape
+    assert np.array_equal(b, a)
 
 
 def test_format_sniffing(tmp_path):
@@ -65,17 +74,40 @@ def test_bad_magic(tmp_path):
 
 def test_payload_size_mismatch(tmp_path):
     path = tmp_path / "m.zsm"
-    path.write_bytes(struct.pack("<4sII", b"ZSRM", 2, 2)
-                     + struct.pack("<3d", 1.0, 2.0, 3.0))
-    with pytest.raises(DataError, match="declares"):
+    # a short payload, then one with trailing bytes
+    for count in (3, 5):
+        path.write_bytes(struct.pack("<4sII", b"ZSRM", 2, 2)
+                         + struct.pack(f"<{count}d", *range(count)))
+        with pytest.raises(DataError, match=f"payload is {8 * count} bytes "
+                                            f"but header declares"):
+            load_matrix(path)
+
+
+def test_payload_shrinking_after_size_check(tmp_path, monkeypatch):
+    # a file cut short between the size check and the read is refused,
+    # not returned with uninitialized entries
+    path = tmp_path / "m.zsm"
+    path.write_bytes(struct.pack("<4sII3d", b"ZSRM", 2, 2, 1.0, 2.0, 3.0))
+    real_fstat = os.fstat
+
+    def stale_fstat(fd):
+        st = real_fstat(fd)
+        return types.SimpleNamespace(st_size=st.st_size + 8)
+
+    monkeypatch.setattr(os, "fstat", stale_fstat)
+    with pytest.raises(DataError, match="payload is 24 bytes"):
         load_matrix(path)
 
 
 def test_nonfinite_entry_reported_with_location(tmp_path):
-    path = tmp_path / "m.csv"
-    path.write_text("1.0,2.0\n3.0,nan\n")
-    with pytest.raises(DataError, match="row 1, col 1"):
-        load_matrix(path)
+    csv_path = tmp_path / "m.csv"
+    csv_path.write_text("1.0,2.0\n3.0,nan\n")
+    bin_path = tmp_path / "m.zsm"
+    bin_path.write_bytes(struct.pack("<4sII4d", b"ZSRM", 2, 2,
+                                     1.0, 2.0, 3.0, float("nan")))
+    for path in (csv_path, bin_path):
+        with pytest.raises(DataError, match="row 1, col 1"):
+            load_matrix(path)
 
 
 def test_ragged_csv(tmp_path):

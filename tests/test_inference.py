@@ -147,6 +147,7 @@ def test_evaluate_counts_zero_mapped_as_miss():
     # single candidate: the surviving instance hits, the degenerate one
     # is a forced miss
     assert report.hit_at[1] == 0.5
+    assert report.per_class_accuracy == {1: 0.5}
 
 
 def test_evaluate_monotone_in_k():
