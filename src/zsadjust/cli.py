@@ -157,14 +157,21 @@ SWEEP_OPTS = [
 
 BENCH_OPTS = [("--repeats", int, 1, "number of timed runs")]
 
+DATA_OPTS = [
+    ("--synth", _bool, False,
+     "generate data in-memory instead of loading files"),
+    *FILE_OPTS,
+    *SYNTH_OPTS,
+]
+
 # The option tables of each subcommand, read by both the parser and the
-# resolver. Every subcommand but ``synth`` also takes ``--synth``.
+# resolver.
 COMMAND_OPTS = {
     "synth": [SYNTH_OPTS, COMMON_OPTS],
-    "train": [FILE_OPTS, SYNTH_OPTS, HYPER_OPTS, COMMON_OPTS, EVAL_OPTS],
-    "eval": [MODEL_OPTS, FILE_OPTS, SYNTH_OPTS, COMMON_OPTS, EVAL_OPTS],
-    "sweep-k": [SWEEP_OPTS, FILE_OPTS, SYNTH_OPTS, HYPER_OPTS, COMMON_OPTS],
-    "bench": [BENCH_OPTS, FILE_OPTS, SYNTH_OPTS, HYPER_OPTS, COMMON_OPTS],
+    "train": [DATA_OPTS, HYPER_OPTS, COMMON_OPTS, EVAL_OPTS],
+    "eval": [MODEL_OPTS, DATA_OPTS, COMMON_OPTS, EVAL_OPTS],
+    "sweep-k": [SWEEP_OPTS, DATA_OPTS, HYPER_OPTS, COMMON_OPTS],
+    "bench": [BENCH_OPTS, DATA_OPTS, HYPER_OPTS, COMMON_OPTS],
 }
 
 
@@ -173,16 +180,11 @@ def _dest(flag):
 
 
 def _add_opts(parser, opts):
-    for flag, _conv, default, help_text in opts:
-        parser.add_argument(flag, default=None, metavar="V",
+    for flag, conv, default, help_text in opts:
+        # a bare boolean flag means true
+        bare = {"nargs": "?", "const": "true"} if conv is _bool else {}
+        parser.add_argument(flag, default=None, metavar="V", **bare,
                             help=f"{help_text} (default: {default})")
-
-
-def _add_synth_toggle(parser):
-    parser.add_argument("--synth", nargs="?", const="true", default=None,
-                        metavar="BOOL",
-                        help="generate data in-memory instead of loading "
-                             "files (default: False)")
 
 
 def _read_config(path):
@@ -204,7 +206,6 @@ def _read_config(path):
 def _resolve(args):
     """Merge flag values over config-file values over defaults for the
     options of ``args.command``."""
-    has_synth_toggle = args.command != "synth"
     config = {}
     if getattr(args, "config", None):
         config = _read_config(args.config)
@@ -212,8 +213,6 @@ def _resolve(args):
     tables = [opt for table in COMMAND_OPTS[args.command] for opt in table]
     known = {_dest(flag) for flag, *_ in tables}
     known.add("config")
-    if has_synth_toggle:
-        known.add("synth")
     for key in config:
         if key not in known:
             raise ConfigError(f"unknown config key: {key}")
@@ -232,9 +231,6 @@ def _resolve(args):
             except ValueError as exc:
                 raise ConfigError(f"bad value for {flag}: {exc}") from exc
         setattr(out, dest, value)
-    if has_synth_toggle:
-        raw = args.synth if args.synth is not None else config.get("synth")
-        out.synth = _bool(raw) if raw is not None else False
     return out
 
 
@@ -271,15 +267,26 @@ def _require_file(path, flag):
     return path
 
 
+def _column_norms(a, what):
+    """L2 norm of each column of ``a``; DataError where it overflows."""
+    with np.errstate(over="ignore"):    # checked on the next line
+        norms = np.linalg.norm(a, axis=0, keepdims=True)
+    if not np.isfinite(norms).all():
+        col = int(np.flatnonzero(~np.isfinite(norms))[0])
+        raise DataError(f"cannot normalize {what} column {col}: its norm "
+                        f"overflows; rescale the input")
+    return norms
+
+
 def _normalize(dataset, table, mode):
     if mode in ("features", "both"):
-        norms = np.linalg.norm(dataset.features, axis=0, keepdims=True)
+        norms = _column_norms(dataset.features, "feature")
         if np.any(norms == 0.0):
             raise DataError("cannot normalize a zero feature column")
         dataset = LabeledDataset(dataset.features / norms, dataset.labels,
                                  dataset.class_count)
     if mode in ("prototypes", "both"):
-        norms = np.linalg.norm(table.vectors, axis=0, keepdims=True)
+        norms = _column_norms(table.vectors, "prototype")
         table = table.with_vectors(table.vectors / norms)
     return dataset, table
 
@@ -446,14 +453,10 @@ def cmd_bench(args):
         raise ConfigError("--repeats must be >= 1")
     hp = _hyperparams(opts)
     out_dir = _out_dir(opts)
-    if opts.synth:
-        payload = _synth_spec(opts)
-    else:
-        dataset, table = _load_run_data(opts)
-        seen, _ = split(dataset, table)
-        payload = (seen, table)
+    dataset, table = _load_run_data(opts)
+    seen, _ = split(dataset, table)
 
-    result = benchmark_training(payload, hp, repeats=opts.repeats,
+    result = benchmark_training((seen, table), hp, repeats=opts.repeats,
                                 unseen_neighbors=opts.unseen_neighbors,
                                 ridge_on_failure=opts.ridge_retry)
     with open(os.path.join(out_dir, F_BENCH_TXT), "w") as fh:
@@ -487,8 +490,6 @@ def build_parser():
         ("bench", "time the training loop", cmd_bench),
     ):
         p = sub.add_parser(name, help=help_text)
-        if name != "synth":
-            _add_synth_toggle(p)
         for table in COMMAND_OPTS[name]:
             _add_opts(p, table)
         p.set_defaults(func=func)

@@ -13,6 +13,12 @@ method: with L = U diag(lam) U^T and R = V diag(sig) V^T,
 
     W = U Wt V^T,   Wt[i, j] = -(U^T M V)[i, j] / (lam[i] + sig[j]).
 
+That closed form is written once, in ``_eig_solve``, which takes the two
+eigenpairs and M. :func:`solve_sylvester` feeds it the eigenpairs of a
+full :class:`SylvesterSystem`; training feeds it R's eigenpairs straight
+from the one eigendecomposition of the feature Gram matrix and so never
+forms R.
+
 All matrices are dense, row-major, double precision. Operations are pure
 functions of their inputs and hold no shared state.
 """
@@ -30,7 +36,7 @@ SYMMETRY_RTOL = 1e-10
 
 # Smallest admissible eigenvalue-pair sum lam_i + sig_j in the solver,
 # relative to the problem scale max|lam| + max|sig|.
-DEFAULT_PIVOT_FLOOR = 1e-13
+PIVOT_FLOOR = 1e-13
 
 
 def as_matrix(a, name="matrix"):
@@ -129,27 +135,47 @@ class SylvesterSystem:
         return float(np.linalg.norm(self.L @ w + w @ self.R + self.M, "fro"))
 
 
-def solve_sylvester(system, pivot_floor=DEFAULT_PIVOT_FLOOR,
-                    ridge_on_failure=False, r_eig=None):
+def _eig_solve(l_eig, r_eig, m, ridge_on_failure):
+    """``W = U [(U^T M V) ./ -(lam_i + sig_j)] V^T`` from the eigenpairs
+    ``(lam, U)`` of L and ``(sig, V)`` of R, both ascending; pivot floor
+    and ridge retry as in :func:`solve_sylvester`. The ridge shifts lam
+    by ``eps = 1e-8 * trace(L) / p``, which gives the eigenpairs of
+    ``L + eps*I``."""
+    lam, u = l_eig
+    sig, v = r_eig
+    pair_min = lam[0] + sig[0]
+    floor = PIVOT_FLOOR * (np.abs(lam).max() + np.abs(sig).max())
+    if not pair_min > floor:
+        if ridge_on_failure:
+            eps = 1e-8 * float(lam.sum()) / lam.size
+            return _eig_solve((lam + eps, u), r_eig, m, False)
+        raise SolverError(
+            f"singular eigenvalue pair: min(lam_i + sig_j) = {pair_min:.3e} "
+            f"<= pivot floor {floor:.3e} ({PIVOT_FLOOR:.0e} relative to "
+            f"max|lam| + max|sig|); the objective is ill-posed "
+            f"(rank-deficient data or vanishing constraint weight). "
+            f"Retry with ridge_on_failure=True to regularize L."
+        )
+    wt = -(u.T @ m @ v) / np.add.outer(lam, sig)
+    return u @ wt @ v.T
+
+
+def solve_sylvester(system, ridge_on_failure=False):
     """Solve ``L W + W R + M = 0`` for symmetric PSD ``L`` and ``R``.
 
     Parameters
     ----------
     system : SylvesterSystem
-    pivot_floor : float
-        Every eigenvalue-pair sum ``lam_i + sig_j`` must exceed
-        ``pivot_floor * (max|lam| + max|sig|)``; smaller pairs signal an
-        ill-posed objective (for example a rank-deficient system with no
-        constraint weight). The floor is relative, so rescaling L and R
-        together does not change the decision.
     ridge_on_failure : bool
         If True and a singular pair is found, retry once with
         ``L + eps*I`` where ``eps = 1e-8 * trace(L) / p``. This is an
         explicit opt-in, never silent.
-    r_eig : (ndarray, ndarray), optional
-        Eigenvalues (ascending) and orthonormal eigenvectors of ``R``,
-        for a caller that solves several systems sharing one ``R`` up to
-        scale. Computed here when omitted.
+
+    Every eigenvalue-pair sum ``lam_i + sig_j`` must exceed
+    ``PIVOT_FLOOR * (max|lam| + max|sig|)``; smaller pairs signal an
+    ill-posed objective (for example a rank-deficient system with no
+    constraint weight). The floor is relative, so rescaling L and R
+    together does not change the decision.
 
     Returns
     -------
@@ -162,31 +188,5 @@ def solve_sylvester(system, pivot_floor=DEFAULT_PIVOT_FLOOR,
     SolverError
         On a singular eigenvalue pair (after the optional ridge retry).
     """
-    lam, u = sym_eig(system.L)
-    q = system.R.shape[0]
-    if r_eig is None:
-        r_eig = sym_eig(system.R)
-    sig, v = r_eig
-    if sig.shape != (q,) or v.shape != (q, q):
-        raise ValueError(f"r_eig must hold {q} eigenpairs of the {q}x{q} R")
-    pair_min = lam[0] + sig[0]
-    floor = pivot_floor * (np.abs(lam).max() + np.abs(sig).max())
-    if not pair_min > floor:
-        if ridge_on_failure:
-            p = system.L.shape[0]
-            eps = 1e-8 * float(np.trace(system.L)) / p
-            ridged = SylvesterSystem(
-                system.L + eps * np.eye(p), system.R, system.M
-            )
-            return solve_sylvester(ridged, pivot_floor, ridge_on_failure=False,
-                                   r_eig=r_eig)
-        raise SolverError(
-            f"singular eigenvalue pair: min(lam_i + sig_j) = {pair_min:.3e} "
-            f"<= pivot floor {floor:.3e} ({pivot_floor:.0e} relative to "
-            f"max|lam| + max|sig|); the objective is ill-posed "
-            f"(rank-deficient data or vanishing constraint weight). "
-            f"Retry with ridge_on_failure=True to regularize L."
-        )
-    mt = u.T @ system.M @ v
-    wt = -mt / np.add.outer(lam, sig)
-    return u @ wt @ v.T
+    return _eig_solve(sym_eig(system.L), sym_eig(system.R), system.M,
+                      ridge_on_failure)

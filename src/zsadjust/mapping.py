@@ -15,8 +15,9 @@ Setting the gradient to zero gives a linear matrix equation
 
     P P^T W + (alpha + beta) W X X^T - [(1 + beta) P + alpha O] X^T = 0
 
-which is ``L W + W R + M = 0``, solved in closed form by
-:func:`zsadjust.linalg.solve_sylvester`. No iterative descent is involved.
+which is ``L W + W R + M = 0``, solved in closed form from the
+eigenpairs of L and R (see :mod:`zsadjust.linalg`). No iterative descent
+is involved.
 
 Training runs from class statistics. P and O are constant within a
 class, so every m-sized product reduces to the class counts n (c,), the
@@ -36,8 +37,9 @@ each term of J is a sum of non-negative parts:
 :func:`class_stats` computes n, S, G and G_w once, and
 :attr:`ClassStats.gram_eig` the single eigendecomposition
 G = V diag(g) V^T that gives R's eigenpairs ((alpha + beta) g, V) in
-every solve. A training call thus costs one Gram product and one
-eigh(d_v); after that no solve or objective depends on m.
+every solve. :func:`solve_weights` forms only L and M and never R. A
+training call thus costs one Gram product and one eigh(d_v); after that
+no solve or objective depends on m.
 
 The functions below take the LabeledDataset and optionally its
 ``class_stats``. With them, P and O hold one column per class; without
@@ -54,13 +56,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError
-from .linalg import (
-    DEFAULT_PIVOT_FLOOR,
-    SylvesterSystem,
-    as_matrix,
-    solve_sylvester,
-    sym_eig,
-)
+from .linalg import SylvesterSystem, _eig_solve, as_matrix, sym_eig
 
 # Blend weights for prototype adjustment follow the reported grid-search
 # values; alpha and beta were fixed on the synthetic suite and are
@@ -226,10 +222,17 @@ def _class_sums(x, labels):
 
 
 def class_stats(data):
-    """Class-level statistics of a LabeledDataset: one Gram product."""
+    """Class-level statistics of a LabeledDataset: one Gram product.
+
+    Raises DataError when finite features overflow in G.
+    """
     x = data.features
     ids, counts, sums = _class_sums(x, data.labels)
-    gram = x @ x.T
+    with np.errstate(over="ignore"):    # checked on the next line
+        gram = x @ x.T
+    if not np.isfinite(gram).all():
+        raise DataError("the feature Gram matrix X X^T overflows; rescale "
+                        "the features")
     scaled = sums / np.sqrt(counts)
     return ClassStats(ids, counts, sums, gram, gram - scaled @ scaled.T)
 
@@ -311,14 +314,9 @@ def objective_gradient(model, data, prototypes, centroids, hp):
     return sys_.L @ w + w @ sys_.R + sys_.M
 
 
-def assemble_system(data, prototypes, centroids, hp, stats=None):
-    """Build the normal-equation system L W + W R + M = 0.
-
-    L = P diag(n) P^T, R = (alpha + beta) G,
-    M = -[(1 + beta) P + alpha O] S^T, with ``stats`` as in
-    :func:`objective` (n = 1 and S = X per instance without it).
-    """
-    stats = _stats(data, stats)
+def _normal_equation(stats, prototypes, centroids, hp):
+    """L = P diag(n) P^T and M = -[(1 + beta) P + alpha O] S^T, with one
+    column per group of ``stats`` in P and O."""
     p = as_matrix(prototypes, "prototypes")
     o = as_matrix(centroids, "centroids")
     groups = stats.counts.size
@@ -328,26 +326,32 @@ def assemble_system(data, prototypes, centroids, hp, stats=None):
             f"column per group; got {p.shape} and {o.shape}"
         )
     b = p * np.sqrt(stats.counts)
-    L = b @ b.T
-    R = (hp.alpha + hp.beta) * stats.gram
-    M = -((1.0 + hp.beta) * p + hp.alpha * o) @ stats.sums.T
-    return SylvesterSystem(L, R, M)
+    return b @ b.T, -((1.0 + hp.beta) * p + hp.alpha * o) @ stats.sums.T
 
 
-def solve_weights(data, prototypes, centroids, hp,
-                  pivot_floor=DEFAULT_PIVOT_FLOOR, ridge_on_failure=False,
+def assemble_system(data, prototypes, centroids, hp, stats=None):
+    """Build the normal-equation system L W + W R + M = 0.
+
+    L = P diag(n) P^T, R = (alpha + beta) G,
+    M = -[(1 + beta) P + alpha O] S^T, with ``stats`` as in
+    :func:`objective` (n = 1 and S = X per instance without it).
+    """
+    stats = _stats(data, stats)
+    L, M = _normal_equation(stats, prototypes, centroids, hp)
+    return SylvesterSystem(L, (hp.alpha + hp.beta) * stats.gram, M)
+
+
+def solve_weights(data, prototypes, centroids, hp, ridge_on_failure=False,
                   stats=None):
     """Minimize J(W) in closed form; returns a MappingModel.
 
-    ``stats`` as in :func:`objective`; R's eigenpairs come from its one
-    eigendecomposition of G. Propagates SolverError from a singular
-    eigenvalue pair unless ``ridge_on_failure`` requests the explicit
-    ridge retry.
+    ``stats`` as in :func:`objective`. Only L and M are formed: R's
+    eigenpairs ((alpha + beta) g, V) come from the one eigendecomposition
+    of G. Propagates SolverError from a singular eigenvalue pair unless
+    ``ridge_on_failure`` requests the explicit ridge retry.
     """
     stats = _stats(data, stats)
-    system = assemble_system(data, prototypes, centroids, hp, stats)
+    L, M = _normal_equation(stats, prototypes, centroids, hp)
     g, v = stats.gram_eig
-    w = solve_sylvester(system, pivot_floor=pivot_floor,
-                        ridge_on_failure=ridge_on_failure,
-                        r_eig=((hp.alpha + hp.beta) * g, v))
-    return MappingModel(w)
+    return MappingModel(_eig_solve(sym_eig(L), ((hp.alpha + hp.beta) * g, v),
+                                   M, ridge_on_failure))

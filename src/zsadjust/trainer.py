@@ -34,9 +34,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .adjustment import adjust_seen, adjust_unseen
-from .data import SynthSpec, split, synthesize
 from .errors import DataError, SolverError
-from .linalg import DEFAULT_PIVOT_FLOOR
 from .mapping import (
     class_mean_map,
     class_stats,
@@ -70,7 +68,7 @@ class TrainingTrace:
 
 
 def train(seen, table, hp, unseen_neighbors="adjusted",
-          pivot_floor=DEFAULT_PIVOT_FLOOR, ridge_on_failure=False):
+          ridge_on_failure=False):
     """Run the alternating loop on the seen-class dataset.
 
     Parameters
@@ -84,7 +82,7 @@ def train(seen, table, hp, unseen_neighbors="adjusted",
         Whether the unseen-prototype blend draws its seen neighbors from
         that iteration's adjusted seen prototypes (default) or from the
         original table.
-    pivot_floor, ridge_on_failure
+    ridge_on_failure : bool
         Passed through to the weight solver.
 
     Returns
@@ -108,7 +106,6 @@ def train(seen, table, hp, unseen_neighbors="adjusted",
     hp0 = replace(hp, alpha=0.0)
     try:
         model = solve_weights(seen, proto0, zeros, hp0,
-                              pivot_floor=pivot_floor,
                               ridge_on_failure=ridge_on_failure, stats=stats)
     except SolverError as exc:
         raise SolverError(f"initial solve failed: {exc}") from exc
@@ -127,7 +124,6 @@ def train(seen, table, hp, unseen_neighbors="adjusted",
             proto = expand_per_instance(adjusted, stats.class_ids)
             _, centroids = class_mean_map(model, seen, stats)
             new_model = solve_weights(seen, proto, centroids, hp,
-                                      pivot_floor=pivot_floor,
                                       ridge_on_failure=ridge_on_failure,
                                       stats=stats)
         except SolverError as exc:
@@ -172,18 +168,11 @@ class BenchmarkResult:
 
 
 def benchmark_training(data, hp, repeats=1, **train_kwargs):
-    """Median and max wall-clock of ``train`` over ``repeats`` runs.
-
-    ``data`` is either a SynthSpec (synthesized once, outside the timed
-    region) or a ``(seen_dataset, prototype_table)`` pair.
-    """
+    """Median and max wall-clock of ``train`` over ``repeats`` runs on
+    ``data``, a ``(seen_dataset, prototype_table)`` pair."""
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    if isinstance(data, SynthSpec):
-        dataset, table, _ = synthesize(data)
-        seen, _ = split(dataset, table)
-    else:
-        seen, table = data
+    seen, table = data
 
     runs = []
     for _ in range(repeats):

@@ -226,8 +226,9 @@ def test_bench_single_repeat(tmp_path):
     assert "median_ms" in text and "max_ms" in text
 
 
-def test_solver_failure_exit_code(tmp_path, capsys):
-    # one seen class, one instance: the normal equation is singular
+def _degenerate_files(tmp_path):
+    """File arguments of one seen class with one instance: the normal
+    equation is singular."""
     data_dir = tmp_path / "degenerate"
     data_dir.mkdir()
     save_matrix(data_dir / "features.zsm", np.array([[1.0], [0.0]]))
@@ -237,11 +238,14 @@ def test_solver_failure_exit_code(tmp_path, capsys):
                            np.array([True, False]))
     save_prototypes(table, data_dir / "prototypes.zsm",
                     data_dir / "partition.txt")
-    code = main(["train",
-                 "--features", str(data_dir / "features.zsm"),
-                 "--labels", str(data_dir / "labels.txt"),
-                 "--prototypes", str(data_dir / "prototypes.zsm"),
-                 "--partition", str(data_dir / "partition.txt"),
+    return ["--features", str(data_dir / "features.zsm"),
+            "--labels", str(data_dir / "labels.txt"),
+            "--prototypes", str(data_dir / "prototypes.zsm"),
+            "--partition", str(data_dir / "partition.txt")]
+
+
+def test_solver_failure_exit_code(tmp_path, capsys):
+    code = main(["train", *_degenerate_files(tmp_path),
                  "--k", "1", "--out", str(tmp_path / "out")])
     assert code == 3
     assert "singular" in capsys.readouterr().err
@@ -406,3 +410,50 @@ def test_zero_seen_blend_is_data_error(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "seen adjustment" in err and "[0]" in err and "zero vector" in err
+
+
+def test_bench_honours_normalize(tmp_path, monkeypatch):
+    import zsadjust.trainer
+
+    real_train = zsadjust.trainer.train
+    norms = []
+
+    def spy(seen, *args, **kwargs):
+        norms.append(np.linalg.norm(seen.features, axis=0))
+        return real_train(seen, *args, **kwargs)
+
+    monkeypatch.setattr(zsadjust.trainer, "train", spy)
+    assert main(["bench", *SYNTH, "--synth-noise", "1", "--normalize",
+                 "features", "--out", str(tmp_path / "bench")]) == 0
+    assert len(norms) == 1
+    assert np.allclose(norms[0], 1.0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("normalize, message", [
+    ("none", "rescale the features"), ("features", "feature column 5"),
+])
+def test_overflowing_features_are_data_error(tmp_path, capsys, normalize,
+                                             message):
+    # feature column 5 scaled by 1e300: every entry is finite, but its
+    # square is not
+    data_dir = tmp_path / "data"
+    assert main(["synth", "--synth-dv", "16", "--synth-ds", "6",
+                 "--synth-seen", "8", "--synth-unseen", "3",
+                 "--synth-per-class", "5", "--out", str(data_dir)]) == 0
+    feats = load_matrix(data_dir / "features.zsm").copy()
+    feats[:, 5] *= 1e300
+    save_matrix(data_dir / "features.zsm", feats)
+    assert main(["train", "--features", str(data_dir / "features.zsm"),
+                 "--labels", str(data_dir / "labels.txt"),
+                 "--prototypes", str(data_dir / "prototypes.zsm"),
+                 "--partition", str(data_dir / "partition.txt"),
+                 "--k", "3", "--iters", "1", "--normalize", normalize,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_bare_boolean_flag_means_true(tmp_path):
+    # the singular problem of test_solver_failure_exit_code trains once
+    # the ridge retry is on
+    assert main(["train", "--ridge-retry", *_degenerate_files(tmp_path),
+                 "--k", "1", "--out", str(tmp_path / "out")]) == 0

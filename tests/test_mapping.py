@@ -3,9 +3,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zsadjust.data import LabeledDataset, PrototypeTable, SynthSpec, split, synthesize
-from zsadjust.errors import DataError
+from zsadjust.errors import DataError, SolverError
 from zsadjust.mapping import (
     HyperParams,
     MappingModel,
@@ -231,6 +233,76 @@ def test_solve_weights_matches_kron_oracle():
     sys_ = assemble_system(data, p, o, hp)
     assert np.allclose(model.weights, kron_solve(sys_.L, sys_.R, sys_.M),
                        atol=1e-8)
+
+
+def _grouped(seed, d_v, d_s, sizes):
+    """Features in shuffled column order with ``sizes[c]`` instances of
+    class c, plus one prototype and one centroid column per class."""
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    data = LabeledDataset(rng.standard_normal((d_v, labels.size)), labels,
+                          len(sizes))
+    return (data, rng.standard_normal((d_s, len(sizes))),
+            rng.standard_normal((d_s, len(sizes))))
+
+
+ALPHA_BETA = (st.floats(0.0, 2.0), st.floats(0.1, 2.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 4),
+       st.lists(st.integers(1, 4), min_size=1, max_size=4), *ALPHA_BETA)
+def test_class_level_solve_matches_per_instance_kron_oracle(
+        seed, d_v, d_s, sizes, alpha, beta):
+    if sum(sizes) < d_v:         # keep G = X X^T nonsingular
+        sizes = [*sizes, d_v]
+    data, p, o = _grouped(seed, d_v, d_s, sizes)
+    hp = HyperParams(alpha=alpha, beta=beta)
+    model = solve_weights(data, p, o, hp, stats=class_stats(data))
+    # the per-instance system: one column of P and O per instance
+    sys_ = assemble_system(data, p[:, data.labels], o[:, data.labels], hp)
+    want = kron_solve(sys_.L, sys_.R, sys_.M)
+    lam = np.linalg.eigvalsh(sys_.L)
+    sig = np.linalg.eigvalsh(sys_.R)
+    cond = (lam[-1] + sig[-1]) / (lam[0] + sig[0])
+    assert np.linalg.norm(model.weights - want) <= \
+        1e-12 * cond * np.linalg.norm(want)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), *ALPHA_BETA)
+def test_ridge_retry_satisfies_the_ridged_system(seed, classes, alpha,
+                                                 beta):
+    # fewer classes than semantic dimensions and fewer instances than
+    # visual dimensions: L and G are both singular
+    data, p, o = _grouped(seed, 2 * classes + 1, classes + 1, [2] * classes)
+    hp = HyperParams(alpha=alpha, beta=beta)
+    stats = class_stats(data)
+    with pytest.raises(SolverError, match="singular"):
+        solve_weights(data, p, o, hp, stats=stats)
+    w = solve_weights(data, p, o, hp, ridge_on_failure=True,
+                      stats=stats).weights
+    sys_ = assemble_system(data, p, o, hp, stats=stats)
+    ridged = sys_.L + 1e-8 * np.trace(sys_.L) / p.shape[0] * np.eye(
+        p.shape[0])
+    residual = np.linalg.norm(ridged @ w + w @ sys_.R + sys_.M)
+    assert residual <= 1e-10 * (
+        (np.linalg.norm(ridged) + np.linalg.norm(sys_.R)) * np.linalg.norm(w)
+        + np.linalg.norm(sys_.M))
+
+
+def test_solve_from_cached_gram_eig_allocates_no_dv_square():
+    d_v = 256
+    data, p, o = _grouped(3, d_v, 6, [40] * 8)
+    stats = class_stats(data)
+    stats.gram_eig
+    tracemalloc.start()
+    try:
+        solve_weights(data, p, o, HyperParams(), stats=stats)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < d_v * d_v * 8
 
 
 def test_solution_depends_only_on_alpha_plus_beta_when_centroids_match():

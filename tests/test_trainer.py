@@ -223,17 +223,7 @@ def test_benchmark_single_repeat_echoes_measurement():
     assert result.median_ms == result.max_ms == result.runs_ms[0]
 
 
-def test_benchmark_accepts_synth_spec():
-    spec = SynthSpec(d_v=12, d_s=5, seen_count=6, unseen_count=2,
-                     per_class=4, seed=3)
-    result = benchmark_training(spec, HyperParams(iterations=1, k=3),
-                                repeats=2)
-    assert len(result.runs_ms) == 2
-    assert result.max_ms >= result.median_ms
-
-
 def test_benchmark_rejects_zero_repeats():
-    spec = SynthSpec(d_v=12, d_s=5, seen_count=6, unseen_count=2,
-                     per_class=4, seed=3)
+    seen, _, table = _synthetic()
     with pytest.raises(ValueError, match="repeats"):
-        benchmark_training(spec, HyperParams(k=3), repeats=0)
+        benchmark_training((seen, table), HyperParams(k=3), repeats=0)
