@@ -5,14 +5,14 @@ feature spaces is solved in closed form through a generalized
 Lyapunov/Sylvester equation; seen and unseen class prototypes are then
 iteratively adjusted, and instances of never-seen classes are classified
 by nearest-prototype cosine ranking.
+
+The package exports the pipeline; the lower-level functions (class
+statistics, the objective, the solver's building blocks) live in their
+modules: :mod:`zsadjust.mapping`, :mod:`zsadjust.linalg`,
+:mod:`zsadjust.adjustment` and :mod:`zsadjust.inference`.
 """
 
-from .adjustment import (
-    adjust_seen,
-    adjust_unseen,
-    cosine_similarity,
-    knn_seen,
-)
+from .adjustment import adjust_seen, adjust_unseen
 from .data import (
     LabeledDataset,
     PrototypeTable,
@@ -27,31 +27,14 @@ from .data import (
     synthesize,
 )
 from .errors import ConfigError, DataError, SolverError
-from .inference import EvalReport, evaluate, predict, skewness, sweep_k
-from .linalg import SylvesterSystem, solve_sylvester, sym_eig
-from .mapping import (
-    HyperParams,
-    MappingModel,
-    assemble_system,
-    class_centroids,
-    class_mean_map,
-    expand_per_instance,
-    objective,
-    objective_gradient,
-    solve_weights,
-)
-from .trainer import (
-    BenchmarkResult,
-    IterationRecord,
-    TrainingTrace,
-    benchmark_training,
-    train,
-)
+from .inference import EvalReport, evaluate, predict, sweep_k
+from .linalg import SylvesterSystem, solve_sylvester
+from .mapping import HyperParams, MappingModel
+from .trainer import IterationRecord, TrainingTrace, benchmark_training, train
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchmarkResult",
     "ConfigError",
     "DataError",
     "EvalReport",
@@ -66,29 +49,18 @@ __all__ = [
     "TrainingTrace",
     "adjust_seen",
     "adjust_unseen",
-    "assemble_system",
     "benchmark_training",
-    "class_centroids",
-    "class_mean_map",
-    "cosine_similarity",
     "evaluate",
-    "expand_per_instance",
-    "knn_seen",
     "load_labels",
     "load_matrix",
     "load_prototypes",
-    "objective",
-    "objective_gradient",
     "predict",
     "save_labels",
     "save_matrix",
     "save_prototypes",
-    "skewness",
     "solve_sylvester",
-    "solve_weights",
     "split",
     "sweep_k",
-    "sym_eig",
     "synthesize",
     "train",
 ]

@@ -35,17 +35,6 @@ from .errors import DataError
 from .mapping import class_mean_map
 
 
-def cosine_similarity(a, b):
-    """Cosine of the angle between two nonzero vectors, in [-1, 1]."""
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine similarity is undefined for the zero vector")
-    return float(np.dot(a, b) / (na * nb))
-
-
 # Unused by the package: kept only because perfbench/run.py traces it.
 def untouched_provenance(table):
     """Every class id mapped to a copy of its prototype column."""

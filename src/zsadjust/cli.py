@@ -16,6 +16,7 @@ with ``--config``; explicit flags win on conflict. Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -37,19 +38,7 @@ from .data import (
 )
 from .errors import ConfigError, DataError, SolverError
 from .inference import evaluate, sweep_k
-from .mapping import (
-    DEFAULT_ALPHA,
-    DEFAULT_BETA,
-    DEFAULT_GAMMA1,
-    DEFAULT_GAMMA2,
-    DEFAULT_ITERATIONS,
-    DEFAULT_K,
-    DEFAULT_LAMBDA1,
-    DEFAULT_LAMBDA2,
-    DEFAULT_TOL,
-    HyperParams,
-    MappingModel,
-)
+from .mapping import HyperParams, MappingModel
 from .trainer import benchmark_training, train
 
 EXIT_OK = 0
@@ -67,11 +56,7 @@ F_MODEL = "model.zsm"
 F_ADJ_PROTOTYPES = "prototypes_adjusted.zsm"
 F_ADJ_PARTITION = "partition_adjusted.txt"
 F_TRACE = "trace.jsonl"
-F_REPORT_TXT = "report.txt"
-F_REPORT_JSON = "report.json"
 F_SWEEP = "sweep.csv"
-F_BENCH_TXT = "bench.txt"
-F_BENCH_JSON = "bench.json"
 
 
 def _bool(text):
@@ -99,19 +84,33 @@ def _choice(*allowed):
     return convert
 
 
-# Option tables: (flag, type converter, default, help). All conversion
-# happens after config merging so that bad values from either source
-# report as configuration errors.
-HYPER_OPTS = [
-    ("--lambda1", float, DEFAULT_LAMBDA1, "seen-prototype anchor weight"),
-    ("--gamma1", float, DEFAULT_GAMMA1, "seen-prototype mapped-mean weight"),
-    ("--lambda2", float, DEFAULT_LAMBDA2, "unseen-prototype anchor weight"),
-    ("--gamma2", float, DEFAULT_GAMMA2, "unseen-neighbor blend weight"),
-    ("--alpha", float, DEFAULT_ALPHA, "centroid regularizer weight"),
-    ("--beta", float, DEFAULT_BETA, "mapping-constraint relaxation weight"),
-    ("--k", int, DEFAULT_K, "seen neighbors per unseen prototype"),
-    ("--iters", int, DEFAULT_ITERATIONS, "alternating iteration budget"),
-    ("--tol", float, DEFAULT_TOL, "relative weight-change stop threshold"),
+def _fields(cls, *rows):
+    """Option rows that set fields of the dataclass ``cls``, from
+    ``(flag, field name, help)``: the default is the field's and the
+    converter is the type of that default."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    return [(flag, type(defaults[name]), defaults[name], help_text, name)
+            for flag, name, help_text in rows]
+
+
+# Option tables: (flag, type converter, default, help), plus the field
+# name for rows made by _fields. All conversion happens after config
+# merging so that bad values from either source report as configuration
+# errors.
+HYPER_OPTS = _fields(
+    HyperParams,
+    ("--lambda1", "lambda1", "seen-prototype anchor weight"),
+    ("--gamma1", "gamma1", "seen-prototype mapped-mean weight"),
+    ("--lambda2", "lambda2", "unseen-prototype anchor weight"),
+    ("--gamma2", "gamma2", "unseen-neighbor blend weight"),
+    ("--alpha", "alpha", "centroid regularizer weight"),
+    ("--beta", "beta", "mapping-constraint relaxation weight"),
+    ("--k", "k", "seen neighbors per unseen prototype"),
+    ("--iters", "iterations", "alternating iteration budget"),
+    ("--tol", "tol", "relative weight-change stop threshold"),
+)
+
+TRAIN_OPTS = [
     ("--unseen-neighbors", _choice("adjusted", "original"), "adjusted",
      "seen prototypes used for the unseen-neighbor blend"),
     ("--ridge-retry", _bool, False,
@@ -125,18 +124,20 @@ FILE_OPTS = [
     ("--partition", str, None, "seen/unseen sidecar, '<id> <S|U>' lines"),
 ]
 
-SYNTH_OPTS = [
-    ("--synth-dv", int, 50, "synthetic visual dimension"),
-    ("--synth-ds", int, 20, "synthetic semantic dimension"),
-    ("--synth-seen", int, 40, "synthetic seen-class count"),
-    ("--synth-unseen", int, 10, "synthetic unseen-class count"),
-    ("--synth-per-class", int, 25, "synthetic instances per class"),
-    ("--synth-noise", float, 0.0, "instance noise sigma"),
-    ("--synth-shift", float, 0.0, "unseen-class generator perturbation sigma"),
-]
+SYNTH_OPTS = _fields(
+    SynthSpec,
+    ("--synth-dv", "d_v", "synthetic visual dimension"),
+    ("--synth-ds", "d_s", "synthetic semantic dimension"),
+    ("--synth-seen", "seen_count", "synthetic seen-class count"),
+    ("--synth-unseen", "unseen_count", "synthetic unseen-class count"),
+    ("--synth-per-class", "per_class", "synthetic instances per class"),
+    ("--synth-noise", "noise_sigma", "instance noise sigma"),
+    ("--synth-shift", "shift_sigma",
+     "unseen-class generator perturbation sigma"),
+)
 
 COMMON_OPTS = [
-    ("--seed", int, 0, "random seed for synthetic data"),
+    *_fields(SynthSpec, ("--seed", "seed", "random seed for synthetic data")),
     ("--normalize", _choice("none", "features", "prototypes", "both"), "none",
      "L2-normalize feature columns and/or prototypes before use"),
     ("--out", str, ".", "output directory"),
@@ -168,10 +169,10 @@ DATA_OPTS = [
 # resolver.
 COMMAND_OPTS = {
     "synth": [SYNTH_OPTS, COMMON_OPTS],
-    "train": [DATA_OPTS, HYPER_OPTS, COMMON_OPTS, EVAL_OPTS],
+    "train": [DATA_OPTS, HYPER_OPTS, TRAIN_OPTS, COMMON_OPTS, EVAL_OPTS],
     "eval": [MODEL_OPTS, DATA_OPTS, COMMON_OPTS, EVAL_OPTS],
-    "sweep-k": [SWEEP_OPTS, DATA_OPTS, HYPER_OPTS, COMMON_OPTS],
-    "bench": [BENCH_OPTS, DATA_OPTS, HYPER_OPTS, COMMON_OPTS],
+    "sweep-k": [SWEEP_OPTS, DATA_OPTS, HYPER_OPTS, TRAIN_OPTS, COMMON_OPTS],
+    "bench": [BENCH_OPTS, DATA_OPTS, HYPER_OPTS, TRAIN_OPTS, COMMON_OPTS],
 }
 
 
@@ -180,7 +181,7 @@ def _dest(flag):
 
 
 def _add_opts(parser, opts):
-    for flag, conv, default, help_text in opts:
+    for flag, conv, default, help_text, *_ in opts:
         # a bare boolean flag means true
         bare = {"nargs": "?", "const": "true"} if conv is _bool else {}
         parser.add_argument(flag, default=None, metavar="V", **bare,
@@ -205,7 +206,8 @@ def _read_config(path):
 
 def _resolve(args):
     """Merge flag values over config-file values over defaults for the
-    options of ``args.command``."""
+    options of ``args.command``. A row made by :func:`_fields` stores
+    its value under the field name, any other row under its flag."""
     config = {}
     if getattr(args, "config", None):
         config = _read_config(args.config)
@@ -218,7 +220,7 @@ def _resolve(args):
             raise ConfigError(f"unknown config key: {key}")
 
     out = argparse.Namespace()
-    for flag, conv, default, _help in tables:
+    for flag, conv, default, _help, *field in tables:
         dest = _dest(flag)
         raw = getattr(args, dest, None)
         if raw is None:
@@ -230,32 +232,17 @@ def _resolve(args):
                 value = conv(raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {flag}: {exc}") from exc
-        setattr(out, dest, value)
+        setattr(out, field[0] if field else dest, value)
     return out
 
 
-def _hyperparams(opts):
+def _build(cls, opts):
+    """``cls`` (HyperParams or SynthSpec) from the resolved options of its
+    fields; the dataclass's own validation error is a ConfigError."""
     try:
-        return HyperParams(
-            lambda1=opts.lambda1, gamma1=opts.gamma1,
-            lambda2=opts.lambda2, gamma2=opts.gamma2,
-            alpha=opts.alpha, beta=opts.beta,
-            k=opts.k, iterations=opts.iters, tol=opts.tol,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _synth_spec(opts):
-    try:
-        return SynthSpec(
-            d_v=opts.synth_dv, d_s=opts.synth_ds,
-            seen_count=opts.synth_seen, unseen_count=opts.synth_unseen,
-            per_class=opts.synth_per_class,
-            noise_sigma=opts.synth_noise, shift_sigma=opts.synth_shift,
-            seed=opts.seed,
-        )
-    except DataError as exc:
+        return cls(**{f.name: getattr(opts, f.name)
+                      for f in dataclasses.fields(cls)})
+    except (ValueError, DataError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -294,7 +281,7 @@ def _normalize(dataset, table, mode):
 def _load_run_data(opts):
     """Dataset and prototype table, synthetic or from files, normalized."""
     if opts.synth:
-        dataset, table, _ = synthesize(_synth_spec(opts))
+        dataset, table, _ = synthesize(_build(SynthSpec, opts))
     else:
         feats = load_matrix(_require_file(opts.features, "--features"))
         labels = load_labels(_require_file(opts.labels, "--labels"))
@@ -326,26 +313,31 @@ def _fmt(value):
     return f"{value:.12g}" if isinstance(value, float) else str(value)
 
 
+def _write_result(out_dir, name, pairs, payload):
+    """Write ``name.txt`` with one ``key value`` line per pair and
+    ``name.json`` with ``payload``; return the text lines for stdout."""
+    lines = [f"{key} {_fmt(value)}" for key, value in pairs]
+    with open(os.path.join(out_dir, name + ".txt"), "w") as fh:
+        fh.writelines(line + "\n" for line in lines)
+    with open(os.path.join(out_dir, name + ".json"), "w") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+    return lines
+
+
 def _write_report(report, out_dir):
-    lines = [
+    pairs = [
         ("instance_count", report.instance_count),
         ("zero_mapped", report.zero_mapped),
     ]
     for k in sorted(report.hit_at):
-        lines.append((f"hit_at_{k}", report.hit_at[k]))
+        pairs.append((f"hit_at_{k}", report.hit_at[k]))
     for cid in sorted(report.per_class_accuracy):
-        lines.append((f"per_class_accuracy_{cid}",
+        pairs.append((f"per_class_accuracy_{cid}",
                       report.per_class_accuracy[cid]))
-    lines.append(("hubness_skewness", report.hubness_skewness))
-    lines.append(("timing_ms", report.timing_ms))
-    with open(os.path.join(out_dir, F_REPORT_TXT), "w") as fh:
-        for key, value in lines:
-            fh.write(f"{key} {_fmt(value)}\n")
-    with open(os.path.join(out_dir, F_REPORT_JSON), "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-        fh.write("\n")
-    for key, value in lines:
-        print(f"{key} {_fmt(value)}")
+    pairs.append(("hubness_skewness", report.hubness_skewness))
+    pairs.append(("timing_ms", report.timing_ms))
+    return _write_result(out_dir, "report", pairs, report.to_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +347,7 @@ def _write_report(report, out_dir):
 def cmd_synth(args):
     opts = _resolve(args)
     out_dir = _out_dir(opts)
-    dataset, table, gmap = synthesize(_synth_spec(opts))
+    dataset, table, gmap = synthesize(_build(SynthSpec, opts))
     save_matrix(os.path.join(out_dir, F_FEATURES), dataset.features)
     save_labels(os.path.join(out_dir, F_LABELS), dataset.labels)
     save_prototypes(table, os.path.join(out_dir, F_PROTOTYPES),
@@ -368,7 +360,7 @@ def cmd_synth(args):
 
 def cmd_train(args):
     opts = _resolve(args)
-    hp = _hyperparams(opts)
+    hp = _build(HyperParams, opts)
     out_dir = _out_dir(opts)
     dataset, table = _load_run_data(opts)
     seen, unseen = split(dataset, table)
@@ -385,16 +377,18 @@ def cmd_train(args):
                     os.path.join(out_dir, F_ADJ_PARTITION))
     with open(os.path.join(out_dir, F_TRACE), "w") as fh:
         for record in trace.records:
-            fh.write(json.dumps(record.to_dict()))
+            fh.write(json.dumps(dataclasses.asdict(record)))
             fh.write("\n")
-    print(f"trained in {len(trace)} iteration(s); artifacts in {out_dir}")
 
+    lines = [f"trained in {len(trace)} iteration(s); artifacts in {out_dir}"]
     if unseen.instance_count > 0:
         report = evaluate(model, unseen, adjusted, ks=opts.ks,
                           direction=opts.direction)
-        _write_report(report, out_dir)
+        lines += _write_report(report, out_dir)
     else:
-        print("evaluation skipped: no unseen-class instances in the data")
+        lines.append("evaluation skipped: no unseen-class instances in the "
+                     "data")
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -419,7 +413,7 @@ def cmd_eval(args):
         raise DataError("no unseen-class instances to evaluate")
     report = evaluate(model, unseen, table, ks=opts.ks,
                       direction=opts.direction)
-    _write_report(report, out_dir)
+    print("\n".join(_write_report(report, out_dir)))
     return EXIT_OK
 
 
@@ -427,7 +421,7 @@ def cmd_sweep_k(args):
     opts = _resolve(args)
     if not opts.k_list:
         raise ConfigError("--k-list must name at least one k")
-    hp = _hyperparams(opts)
+    hp = _build(HyperParams, opts)
     out_dir = _out_dir(opts)
     dataset, table = _load_run_data(opts)
     seen, unseen = split(dataset, table)
@@ -451,7 +445,7 @@ def cmd_bench(args):
     opts = _resolve(args)
     if opts.repeats < 1:
         raise ConfigError("--repeats must be >= 1")
-    hp = _hyperparams(opts)
+    hp = _build(HyperParams, opts)
     out_dir = _out_dir(opts)
     dataset, table = _load_run_data(opts)
     seen, _ = split(dataset, table)
@@ -459,16 +453,10 @@ def cmd_bench(args):
     result = benchmark_training((seen, table), hp, repeats=opts.repeats,
                                 unseen_neighbors=opts.unseen_neighbors,
                                 ridge_on_failure=opts.ridge_retry)
-    with open(os.path.join(out_dir, F_BENCH_TXT), "w") as fh:
-        fh.write(f"repeats {result.repeats}\n")
-        fh.write(f"median_ms {_fmt(result.median_ms)}\n")
-        fh.write(f"max_ms {_fmt(result.max_ms)}\n")
-    with open(os.path.join(out_dir, F_BENCH_JSON), "w") as fh:
-        json.dump(result.to_dict(), fh, indent=2)
-        fh.write("\n")
-    print(f"repeats {result.repeats}")
-    print(f"median_ms {_fmt(result.median_ms)}")
-    print(f"max_ms {_fmt(result.max_ms)}")
+    pairs = [("repeats", result.repeats), ("median_ms", result.median_ms),
+             ("max_ms", result.max_ms)]
+    print("\n".join(_write_result(out_dir, "bench", pairs,
+                                  dataclasses.asdict(result))))
     return EXIT_OK
 
 
@@ -506,7 +494,18 @@ def main(argv=None):
         # and preserve 0 for --help.
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout was closed early (say, piped into head) after every
+        # artifact was written. Its descriptor now points at devnull, so
+        # the interpreter's final flush does not raise again.
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except OSError:     # a stdout without a descriptor
+            pass
+        return EXIT_OK
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -153,16 +153,6 @@ class PrototypeTable:
         """Copy of the table with replaced prototype columns."""
         return PrototypeTable(self.class_ids.copy(), vectors, self.seen.copy())
 
-    def restrict(self, keep_seen=None):
-        """Sub-table of only the seen (True) or unseen (False) classes."""
-        mask = self.seen if keep_seen else ~self.seen
-        if not mask.any():
-            kind = "seen" if keep_seen else "unseen"
-            raise DataError(f"prototype table has no {kind} classes")
-        return PrototypeTable(
-            self.class_ids[mask], self.vectors[:, mask], self.seen[mask]
-        )
-
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -193,6 +183,8 @@ class SynthSpec:
         for name in ("d_v", "d_s", "seen_count", "unseen_count", "per_class"):
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be a positive integer")
+        if self.seed < 0:
+            raise DataError("seed must be >= 0")
         for name in ("noise_sigma", "shift_sigma"):
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0:
@@ -317,7 +309,21 @@ def load_labels(path):
                 labels.append(int(line, 10))
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: not an integer label") from exc
-    return np.array(labels, dtype=np.int64)
+    return _int64_array(labels, path)
+
+
+def _int64_array(values, path):
+    """``values``, the integers of the non-blank lines of ``path`` in
+    order, as int64; a DataError names the first line that overflows."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        bad = next(i for i, v in enumerate(values) if not -2**63 <= v < 2**63)
+        with open(path) as fh:
+            lineno = [n for n, line in enumerate(fh, start=1)
+                      if line.strip()][bad]
+        raise DataError(f"{path}:{lineno}: {values[bad]} does not fit in "
+                        f"64 bits") from None
 
 
 def save_prototypes(table, matrix_path, partition_path, fmt="binary"):
@@ -354,7 +360,8 @@ def load_prototypes(matrix_path, partition_path):
             f"{partition_path}: {len(ids)} partition lines for "
             f"{vectors.shape[1]} prototype columns"
         )
-    return PrototypeTable(np.array(ids), vectors, np.array(seen))
+    return PrototypeTable(_int64_array(ids, partition_path), vectors,
+                          np.array(seen))
 
 
 # ---------------------------------------------------------------------------

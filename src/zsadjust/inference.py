@@ -35,11 +35,13 @@ def skewness(values):
 
 def _candidate_block(table):
     """Unseen candidates sorted by ascending class id, unit-normalized."""
-    cand = table.restrict(keep_seen=False)
-    order = np.argsort(cand.class_ids)
-    ids = cand.class_ids[order]
-    vecs = cand.vectors[:, order]
-    return ids, vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
+    unseen = np.flatnonzero(~table.seen)
+    if unseen.size == 0:
+        raise DataError("prototype table has no unseen classes")
+    cols = unseen[np.argsort(table.class_ids[unseen])]
+    vecs = table.vectors[:, cols]
+    return (table.class_ids[cols],
+            vecs / np.linalg.norm(vecs, axis=0, keepdims=True))
 
 
 def _rank_columns(model, features, table, direction="semantic"):
@@ -66,8 +68,6 @@ def _rank_columns(model, features, table, direction="semantic"):
         rhs = rhs / rhs_norm
     else:
         raise ValueError("direction must be 'semantic' or 'visual'")
-    if lhs.ndim == 1:
-        lhs = lhs[:, None]
     norms = np.linalg.norm(lhs, axis=0, keepdims=True)
     zero = norms[0] == 0.0
     safe = np.where(norms == 0.0, 1.0, norms)

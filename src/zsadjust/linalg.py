@@ -55,13 +55,15 @@ def as_matrix(a, name="matrix"):
     return out
 
 
-def is_symmetric(a, rtol=SYMMETRY_RTOL):
-    """True if ``a`` is square and symmetric within ``rtol`` relative to
-    its Frobenius norm (exactly symmetric zero matrices pass)."""
+def is_symmetric(a):
+    """True if ``a`` is square and symmetric within ``SYMMETRY_RTOL``
+    relative to its Frobenius norm (exactly symmetric zero matrices
+    pass)."""
     if a.shape[0] != a.shape[1]:
         return False
     scale = np.linalg.norm(a, "fro")
-    return float(np.linalg.norm(a - a.T, "fro")) <= rtol * max(scale, 1e-300)
+    return float(np.linalg.norm(a - a.T, "fro")) <= SYMMETRY_RTOL * max(
+        scale, 1e-300)
 
 
 def sym_eig(a):

@@ -34,7 +34,10 @@ each term of J is a sum of non-negative parts:
     ||W X - O||^2     = tr(W G_w W^T) + sum_c n_c ||W xbar_c - o_c||^2
     ||W X - P||^2     = tr(W G_w W^T) + sum_c n_c ||W xbar_c - p_c||^2
 
-:func:`class_stats` computes n, S, G and G_w once, and
+G_w itself is never formed: tr G_w = tr G - sum_c n_c ||xbar_c||^2 and
+tr(W G_w W^T) = <W, W G> - sum_c n_c ||W xbar_c||^2.
+
+:func:`class_stats` computes n, S and G once, and
 :attr:`ClassStats.gram_eig` the single eigendecomposition
 G = V diag(g) V^T that gives R's eigenpairs ((alpha + beta) g, V) in
 every solve. :func:`solve_weights` forms only L and M and never R. A
@@ -44,7 +47,7 @@ no solve or objective depends on m.
 The functions below take the LabeledDataset and optionally its
 ``class_stats``. With them, P and O hold one column per class; without
 them, one column per instance, and the same code runs with each instance
-as its own group of count 1 (S = X, G_w = 0).
+as its own group of count 1 (S = X).
 """
 
 from __future__ import annotations
@@ -58,19 +61,6 @@ import numpy as np
 from .errors import DataError
 from .linalg import SylvesterSystem, _eig_solve, as_matrix, sym_eig
 
-# Blend weights for prototype adjustment follow the reported grid-search
-# values; alpha and beta were fixed on the synthetic suite and are
-# package defaults, not externally reported numbers.
-DEFAULT_LAMBDA1 = 0.75
-DEFAULT_GAMMA1 = 0.25
-DEFAULT_LAMBDA2 = 0.8
-DEFAULT_GAMMA2 = 0.2
-DEFAULT_ALPHA = 0.5
-DEFAULT_BETA = 1.0
-DEFAULT_K = 12
-DEFAULT_ITERATIONS = 5
-DEFAULT_TOL = 1e-4
-
 
 @dataclass(frozen=True)
 class HyperParams:
@@ -83,15 +73,18 @@ class HyperParams:
     constraint disappears and the solve can become singular).
     """
 
-    lambda1: float = DEFAULT_LAMBDA1
-    gamma1: float = DEFAULT_GAMMA1
-    lambda2: float = DEFAULT_LAMBDA2
-    gamma2: float = DEFAULT_GAMMA2
-    alpha: float = DEFAULT_ALPHA
-    beta: float = DEFAULT_BETA
-    k: int = DEFAULT_K
-    iterations: int = DEFAULT_ITERATIONS
-    tol: float = DEFAULT_TOL
+    # The blend weights follow the reported grid-search values; alpha and
+    # beta were fixed on the synthetic suite and are package defaults, not
+    # externally reported numbers. The CLI takes every default from here.
+    lambda1: float = 0.75
+    gamma1: float = 0.25
+    lambda2: float = 0.8
+    gamma2: float = 0.2
+    alpha: float = 0.5
+    beta: float = 1.0
+    k: int = 12
+    iterations: int = 5
+    tol: float = 1e-4
 
     def __post_init__(self):
         for name in ("lambda1", "gamma1", "lambda2", "gamma2", "alpha",
@@ -156,14 +149,14 @@ def expand_per_instance(table, labels):
     ndarray, shape (d_s, m)
     """
     labels = np.asarray(labels, dtype=np.int64)
-    col = np.full(int(table.class_ids.max()) + 1, -1, dtype=np.int64)
-    col[table.class_ids] = np.arange(table.class_ids.size)
-    if labels.size and (labels.max() >= col.size or np.any(col[labels] < 0)):
-        missing = sorted(
-            set(labels.tolist()) - set(table.class_ids.tolist())
-        )
+    order = np.argsort(table.class_ids)
+    ids = table.class_ids[order]
+    pos = np.minimum(np.searchsorted(ids, labels), ids.size - 1)
+    found = ids[pos] == labels
+    if not found.all():
+        missing = np.unique(labels[~found]).tolist()
         raise DataError(f"labels without a prototype: {missing}")
-    return table.vectors[:, col[labels]]
+    return table.vectors[:, order[pos]]
 
 
 @dataclass(frozen=True)
@@ -180,15 +173,12 @@ class ClassStats:
         Feature sum of each group (S).
     gram : ndarray, shape (d_v, d_v)
         Gram matrix X X^T of all instances (G).
-    within : ndarray, shape (d_v, d_v)
-        Within-group scatter G - S diag(1/n) S^T (G_w).
     """
 
     class_ids: np.ndarray
     counts: np.ndarray
     sums: np.ndarray
     gram: np.ndarray
-    within: np.ndarray
 
     @cached_property
     def means(self):
@@ -222,7 +212,8 @@ def _class_sums(x, labels):
 
 
 def class_stats(data):
-    """Class-level statistics of a LabeledDataset: one Gram product.
+    """Class-level statistics n, S and G of a LabeledDataset: one Gram
+    product, and no within-class scatter G_w (nothing needs it formed).
 
     Raises DataError when finite features overflow in G.
     """
@@ -233,8 +224,7 @@ def class_stats(data):
     if not np.isfinite(gram).all():
         raise DataError("the feature Gram matrix X X^T overflows; rescale "
                         "the features")
-    scaled = sums / np.sqrt(counts)
-    return ClassStats(ids, counts, sums, gram, gram - scaled @ scaled.T)
+    return ClassStats(ids, counts, sums, gram)
 
 
 def _stats(data, stats):
@@ -242,9 +232,8 @@ def _stats(data, stats):
     of ``data`` with each instance its own group of count 1."""
     if stats is None:
         x = data.features
-        d_v, m = x.shape
-        return ClassStats(np.arange(m), np.ones(m), x, x @ x.T,
-                          np.zeros((d_v, d_v)))
+        m = x.shape[1]
+        return ClassStats(np.arange(m), np.ones(m), x, x @ x.T)
     if stats.sums.shape[0] != data.feature_dim or \
             stats.counts.sum() != data.instance_count:
         raise DataError("class statistics do not match the dataset")
@@ -299,9 +288,10 @@ def objective(model, data, prototypes, centroids, hp, stats=None):
     n = stats.counts
     means = stats.means
     mapped = w @ means
-    spread = float(np.sum(w * (w @ stats.within)))     # tr(W G_w W^T)
-    cycle = float(np.trace(stats.within)) + float(
-        n @ _sq_cols(means - w.T @ prototypes))
+    # tr(W G_w W^T) and tr G_w, from G and the class means
+    spread = float(np.sum(w * (w @ stats.gram))) - float(n @ _sq_cols(mapped))
+    within = float(np.trace(stats.gram)) - float(n @ _sq_cols(means))
+    cycle = within + float(n @ _sq_cols(means - w.T @ prototypes))
     centroid = spread + float(n @ _sq_cols(mapped - centroids))
     constraint = spread + float(n @ _sq_cols(mapped - prototypes))
     return 0.5 * (cycle + hp.alpha * centroid + hp.beta * constraint)

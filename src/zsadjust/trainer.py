@@ -29,7 +29,7 @@ changes the objective itself between solves.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,9 +54,6 @@ class IterationRecord:
     seen_shift: float       # ||seen prototypes - previous iterate||_F
     unseen_shift: float
     ms: float
-
-    def to_dict(self):
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -157,14 +154,6 @@ class BenchmarkResult:
     median_ms: float
     max_ms: float
     runs_ms: tuple
-
-    def to_dict(self):
-        return {
-            "repeats": self.repeats,
-            "median_ms": self.median_ms,
-            "max_ms": self.max_ms,
-            "runs_ms": list(self.runs_ms),
-        }
 
 
 def benchmark_training(data, hp, repeats=1, **train_kwargs):

@@ -31,6 +31,17 @@ def random_psd(rng, n, rank=None):
     return b @ b.T
 
 
+def cosine_similarity(a, b):
+    """Cosine of the angle between two nonzero vectors, in [-1, 1]."""
+    a = np.asarray(a, dtype=np.float64).ravel()
+    b = np.asarray(b, dtype=np.float64).ravel()
+    na = np.linalg.norm(a)
+    nb = np.linalg.norm(b)
+    if na == 0.0 or nb == 0.0:
+        raise ValueError("cosine similarity is undefined for the zero vector")
+    return float(np.dot(a, b) / (na * nb))
+
+
 # ---------------------------------------------------------------------------
 # per-class unseen adjustment: one matrix-vector product and one lexsort
 # per unseen class

@@ -1,10 +1,13 @@
+import io
 import json
 
 import numpy as np
 import pytest
 
-from zsadjust.cli import main
+from zsadjust.cli import COMMAND_OPTS, HYPER_OPTS, _build, _resolve, \
+    build_parser, main
 from zsadjust.data import (
+    SynthSpec,
     load_labels,
     load_matrix,
     load_prototypes,
@@ -12,6 +15,7 @@ from zsadjust.data import (
     save_matrix,
     save_prototypes,
 )
+from zsadjust.mapping import HyperParams
 
 SYNTH_DATA = ["--synth", "--synth-dv", "16", "--synth-ds", "6",
               "--synth-seen", "8", "--synth-unseen", "3",
@@ -457,3 +461,63 @@ def test_bare_boolean_flag_means_true(tmp_path):
     # the ridge retry is on
     assert main(["train", "--ridge-retry", *_degenerate_files(tmp_path),
                  "--k", "1", "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("command", ["synth", "train"])
+def test_negative_seed_is_config_error(tmp_path, capsys, command):
+    code = main([command, *(SYNTH if command == "train" else []),
+                 "--seed", "-1", "--out", str(tmp_path)])
+    assert code == 1
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["labels.txt", "partition.txt"])
+def test_int64_overflow_in_file_is_data_error(tmp_path, capsys, name):
+    data_dir, _, _ = _train_on_files(tmp_path)
+    path = data_dir / name
+    lines = path.read_text().splitlines()
+    lines[1] = " ".join([str(2**63), *lines[1].split()[1:]])
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["train", "--features", str(data_dir / "features.zsm"),
+                 "--labels", str(data_dir / "labels.txt"),
+                 "--prototypes", str(data_dir / "prototypes.zsm"),
+                 "--partition", str(data_dir / "partition.txt"),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{name}:2: {2**63} does not fit in 64 bits" in err
+
+
+class _ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv, artifacts", [
+    (["synth"], ["features.zsm", "labels.txt", "prototypes.zsm",
+                 "partition.txt", "ground_truth_map.zsm"]),
+    (["train", *SYNTH], ["model.zsm", "prototypes_adjusted.zsm",
+                         "partition_adjusted.txt", "trace.jsonl",
+                         "report.txt", "report.json"]),
+    (["sweep-k", *SYNTH, "--k-list", "1,2"], ["sweep.csv"]),
+    (["bench", *SYNTH], ["bench.txt", "bench.json"]),
+])
+def test_closed_stdout_ends_quietly(tmp_path, monkeypatch, capsys, argv,
+                                    artifacts):
+    monkeypatch.setattr("sys.stdout", _ClosedStdout())
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    for name in artifacts:
+        assert (tmp_path / name).is_file(), name
+    assert capsys.readouterr().err == ""
+
+
+def test_default_options_build_default_dataclasses():
+    # every option default comes from the dataclass field it sets
+    parser = build_parser()
+    for command, tables in COMMAND_OPTS.items():
+        opts = _resolve(parser.parse_args([command]))
+        assert _build(SynthSpec, opts) == SynthSpec(), command
+        if HYPER_OPTS in tables:
+            assert _build(HyperParams, opts) == HyperParams(), command

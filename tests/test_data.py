@@ -130,6 +130,14 @@ def test_labels_reject_garbage(tmp_path):
         load_labels(path)
 
 
+@pytest.mark.parametrize("value", [2**63, 2**64 + 5, -2**63 - 1])
+def test_labels_reject_int64_overflow(tmp_path, value):
+    path = tmp_path / "labels.txt"
+    path.write_text(f"1\n\n{value}\n")
+    with pytest.raises(DataError, match=f"labels.txt:3: {value} does not fit"):
+        load_labels(path)
+
+
 def _small_table():
     vecs = np.array([[1.0, 0.0, 0.5],
                      [0.0, 1.0, 0.5]])
@@ -153,6 +161,16 @@ def test_partition_bad_tag(tmp_path):
     save_prototypes(table, mp, pp)
     pp.write_text("0 S\n1 X\n2 U\n")
     with pytest.raises(DataError, match="S|U"):
+        load_prototypes(mp, pp)
+
+
+@pytest.mark.parametrize("value", [2**63, 10**30])
+def test_partition_rejects_int64_overflow(tmp_path, value):
+    table = _small_table()
+    mp, pp = tmp_path / "p.zsm", tmp_path / "p.txt"
+    save_prototypes(table, mp, pp)
+    pp.write_text(f"0 S\n{value} S\n2 U\n")
+    with pytest.raises(DataError, match=f"p.txt:2: {value} does not fit"):
         load_prototypes(mp, pp)
 
 
@@ -260,6 +278,11 @@ def test_synth_spec_validation():
         SynthSpec(per_class=0)
     with pytest.raises(DataError, match=">= 0"):
         SynthSpec(noise_sigma=-0.1)
+
+
+def test_synth_spec_rejects_negative_seed():
+    with pytest.raises(DataError, match="seed must be >= 0"):
+        SynthSpec(seed=-1)
 
 
 def test_synth_spec_warns_when_semantic_exceeds_visual():

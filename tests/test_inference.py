@@ -3,11 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from zsadjust.adjustment import cosine_similarity
 from zsadjust.data import LabeledDataset, PrototypeTable, SynthSpec, split, synthesize
 from zsadjust.errors import DataError
 from zsadjust.inference import EvalReport, evaluate, predict, skewness, sweep_k
 from zsadjust.mapping import HyperParams, MappingModel
+
+from oracles import cosine_similarity
 
 
 def _table(vectors, seen):

@@ -88,6 +88,12 @@ def test_expand_missing_class():
         expand_per_instance(table, np.array([0, 3]))
 
 
+def test_expand_names_every_missing_class_once():
+    table = PrototypeTable(np.array([7, 3]), np.eye(2), np.ones(2, bool))
+    with pytest.raises(DataError, match=r"prototype: \[1, 5, 9\]"):
+        expand_per_instance(table, np.array([9, 3, 1, 7, 5, 9, 1]))
+
+
 def test_centroids_single_instance_classes():
     data = LabeledDataset(np.arange(6.0).reshape(2, 3),
                           np.array([0, 1, 2]), 3)
@@ -131,6 +137,22 @@ def test_class_stats_of_grouped_columns_copy_no_features():
     assert peak < data.features.nbytes / 10
     assert np.allclose(stats.sums[:, 3],
                        data.features[:, labels == 3].sum(axis=1))
+
+
+def test_class_stats_allocates_one_gram():
+    # G itself and little else: no within-class scatter is formed
+    d_v = 512
+    rng = np.random.default_rng(6)
+    labels = np.repeat(np.arange(8), 128)
+    data = LabeledDataset(rng.standard_normal((d_v, labels.size)), labels, 8)
+    tracemalloc.start()
+    try:
+        stats = class_stats(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * d_v * d_v * 8
+    assert np.allclose(stats.gram, data.features @ data.features.T)
 
 
 def test_class_mean_map_ids_sorted():

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -179,6 +180,28 @@ def test_train_deterministic():
     assert np.array_equal(a[1].vectors, b[1].vectors)
     assert [r.objective for r in a[2].records] == \
         [r.objective for r in b[2].records]
+
+
+def test_large_class_id_costs_no_memory():
+    # class 7, the largest seen id, renamed 10**7: same order, same result
+    seen, _, table = _synthetic(noise=0.05, shift=0.1)
+    ids = table.class_ids.copy()
+    ids[7] = 10**7
+    big_table = PrototypeTable(ids, table.vectors, table.seen)
+    big_seen = LabeledDataset(seen.features,
+                              np.where(seen.labels == 7, 10**7, seen.labels),
+                              10**7 + 1)
+    hp = HyperParams(iterations=2, k=3)
+    tracemalloc.start()
+    try:
+        model, adjusted, _ = train(big_seen, big_table, hp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    want_model, want_adjusted, _ = train(seen, table, hp)
+    assert np.array_equal(model.weights, want_model.weights)
+    assert np.array_equal(adjusted.vectors, want_adjusted.vectors)
 
 
 def test_unseen_neighbor_source_flag_changes_result():
