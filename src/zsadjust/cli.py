@@ -26,6 +26,7 @@ import numpy as np
 from .data import (
     LabeledDataset,
     SynthSpec,
+    _read_lines,
     _unseen_partition,
     load_labels,
     load_matrix,
@@ -38,6 +39,7 @@ from .data import (
 )
 from .errors import ConfigError, DataError, SolverError
 from .inference import evaluate, sweep_k
+from .linalg import as_number
 from .mapping import HyperParams, MappingModel
 from .trainer import benchmark_training, train
 
@@ -69,10 +71,8 @@ def _bool(text):
 
 
 def _int_list(text):
-    values = tuple(int(tok) for tok in str(text).split(",") if tok.strip())
-    if any(v < 1 for v in values):
-        raise ValueError("every k must be >= 1")
-    return values
+    return tuple(as_number(int(tok), "k", 1, int)
+                 for tok in str(text).split(",") if tok.strip())
 
 
 def _choice(*allowed):
@@ -156,7 +156,8 @@ SWEEP_OPTS = [
     ("--k-list", _int_list, (1, 5, 10), "comma-separated k values to sweep"),
 ]
 
-BENCH_OPTS = [("--repeats", int, 1, "number of timed runs")]
+BENCH_OPTS = [("--repeats", lambda t: as_number(int(t), "repeats", 1, int),
+               1, "number of timed runs")]
 
 DATA_OPTS = [
     ("--synth", _bool, False,
@@ -192,15 +193,14 @@ def _read_config(path):
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
     values = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, val = line.split("=", 1)
-            values[_dest(key.strip())] = val.strip()
+    for lineno, line in enumerate(_read_lines(path, ConfigError), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, val = line.split("=", 1)
+        values[_dest(key.strip())] = val.strip()
     return values
 
 
@@ -304,7 +304,7 @@ def _out_dir(opts):
         with open(probe, "w"):
             pass
         os.remove(probe)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:   # ValueError: NUL or unencodable
         raise ConfigError(f"output directory not writable: {path}") from exc
     return path
 
@@ -443,8 +443,6 @@ def cmd_sweep_k(args):
 
 def cmd_bench(args):
     opts = _resolve(args)
-    if opts.repeats < 1:
-        raise ConfigError("--repeats must be >= 1")
     hp = _build(HyperParams, opts)
     out_dir = _out_dir(opts)
     dataset, table = _load_run_data(opts)

@@ -14,23 +14,34 @@ On-disk formats
 * Labels: one base-10 integer per line, line i = class of column i.
 * Prototypes: a binary matrix (d_s, n_classes) plus a sidecar text file
   with one ``<class id> <S|U>`` line per column.
+* Text files are UTF-8 whatever the locale; blank lines are skipped.
 """
 
 from __future__ import annotations
 
-import math
 import os
+import re
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import DataError
-from .linalg import as_matrix
+from .linalg import as_matrix, as_number
 
 MAGIC = b"ZSRM"
 _HEADER = struct.Struct("<4sII")
+
+
+def _ids(values, name):
+    """``values`` as int64; a non-integer is a DataError naming ``name``."""
+    a = np.asarray(values)
+    with np.errstate(invalid="ignore"):     # checked on the next line
+        ids = a.astype(np.int64, copy=False) if a.dtype.kind in "iuf" else None
+    if ids is None or not np.array_equal(ids, a):
+        raise DataError(f"{name} must be integers")
+    return ids
 
 
 @dataclass(frozen=True)
@@ -64,19 +75,16 @@ class LabeledDataset:
         return dataset
 
     def _set_columns(self, feats, labels):
-        labels = np.asarray(labels, dtype=np.int64)
+        labels = _ids(labels, "labels")
         if labels.ndim != 1 or labels.shape[0] != feats.shape[1]:
             raise DataError(
                 f"expected one label per instance column: "
                 f"{labels.shape[0]} labels for {feats.shape[1]} columns"
             )
-        if labels.size and labels.min() < 0:
-            raise DataError("labels must be non-negative class ids")
-        if labels.size and labels.max() >= self.class_count:
-            raise DataError(
-                f"label {labels.max()} out of range for "
-                f"class_count={self.class_count}"
-            )
+        bad = labels[(labels < 0) | (labels >= self.class_count)]
+        if bad.size:
+            raise DataError(f"label {bad[0]} out of range for "
+                            f"class_count={self.class_count}")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
 
@@ -107,7 +115,7 @@ class PrototypeTable:
     seen: np.ndarray
 
     def __post_init__(self):
-        ids = np.asarray(self.class_ids, dtype=np.int64)
+        ids = _ids(self.class_ids, "class ids")
         vecs = as_matrix(self.vectors, "prototypes")
         seen = np.asarray(self.seen, dtype=bool)
         if ids.ndim != 1 or seen.shape != ids.shape or vecs.shape[1] != ids.shape[0]:
@@ -180,15 +188,10 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("d_v", "d_s", "seen_count", "unseen_count", "per_class"):
-            if getattr(self, name) < 1:
-                raise DataError(f"{name} must be a positive integer")
-        if self.seed < 0:
-            raise DataError("seed must be >= 0")
-        for name in ("noise_sigma", "shift_sigma"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0:
-                raise DataError(f"{name} must be finite and >= 0")
+        for f in fields(self):
+            zero_ok = f.name in ("seed", "noise_sigma", "shift_sigma")
+            as_number(getattr(self, f.name), f.name, 0 if zero_ok else 1,
+                      type(f.default), DataError)
         if self.d_s > self.d_v:
             warnings.warn(
                 "semantic dimension exceeds visual dimension; the linear "
@@ -228,11 +231,13 @@ def load_matrix(path, fmt=None):
         with open(path, "rb") as fh:
             head = fh.read(4)
         fmt = "binary" if head == MAGIC else "csv"
-    if fmt == "binary":
-        return _load_binary(path)
-    if fmt == "csv":
-        return _load_csv(path)
-    raise ValueError(f"unknown matrix format: {fmt!r}")
+    if fmt not in ("binary", "csv"):
+        raise ValueError(f"unknown matrix format: {fmt!r}")
+    a = _load_binary(path) if fmt == "binary" else _load_csv(path)
+    try:
+        return as_matrix(a, path)
+    except ValueError as exc:   # the row and column of a non-finite entry
+        raise DataError(str(exc)) from None
 
 
 def _load_binary(path):
@@ -256,40 +261,55 @@ def _load_binary(path):
             f"{path}: payload is {size} bytes but header declares "
             f"{rows}x{cols} ({expected} bytes)"
         )
-    return _check_finite(a, path)
+    return a
 
 
 def _load_csv(path):
     rows = []
-    width = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = [float(tok) for tok in line.split(",")]
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: unparsable value") from exc
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise DataError(
-                    f"{path}:{lineno}: expected {width} columns, got {len(row)}"
-                )
-            rows.append(row)
+    for lineno, line in enumerate(_read_lines(path), start=1):
+        if not line:
+            continue
+        try:
+            row = [float(tok) for tok in line.split(",")]
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: unparsable value") from exc
+        if rows and len(row) != len(rows[0]):
+            raise DataError(f"{path}:{lineno}: expected {len(rows[0])} "
+                            f"columns, got {len(row)}")
+        rows.append(row)
     if not rows:
         raise DataError(f"{path}: empty matrix file")
-    return _check_finite(np.array(rows, dtype=np.float64), path)
+    return rows
 
 
-def _check_finite(a, path):
-    if not np.isfinite(a).all():
-        bad = np.argwhere(~np.isfinite(a))[0]
-        raise DataError(
-            f"{path}: non-finite entry at row {bad[0]}, col {bad[1]}"
-        )
-    return np.ascontiguousarray(a)
+def _read_lines(path, error=DataError):
+    """The stripped lines of the UTF-8 text file ``path``, blank ones
+    included, so that line n of the file is item n - 1. A byte that is
+    not UTF-8, whatever the locale, is an ``error`` naming its line."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        text = fh.read()    # newlines as in text mode: \r\n and \r become \n
+    # surrogateescape decodes each byte that is not UTF-8 to a lone surrogate
+    bad = re.search("[\udc80-\udcff]", text)
+    if bad:
+        lineno = text.count("\n", 0, bad.start()) + 1
+        raise error(f"{path}:{lineno}: not valid UTF-8")
+    return [line.strip() for line in text.split("\n")]
+
+
+def _int64s(path, tokens, what):
+    """The base-10 integers ``tokens`` (blank ones skipped) as int64; token
+    n - 1 is from line n of ``path``, named in a DataError when it is not
+    an integer (``what``) or does not fit in 64 bits."""
+    try:
+        return np.array([int(t, 10) for t in tokens if t], dtype=np.int64)
+    except (ValueError, OverflowError):
+        for lineno, token in enumerate(tokens, start=1):
+            try:
+                if token and not -2**63 <= int(token, 10) < 2**63:
+                    raise DataError(f"{path}:{lineno}: {token} does not "
+                                    f"fit in 64 bits") from None
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: {what}") from None
 
 
 def save_labels(path, labels):
@@ -299,31 +319,7 @@ def save_labels(path, labels):
 
 
 def load_labels(path):
-    labels = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                labels.append(int(line, 10))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: not an integer label") from exc
-    return _int64_array(labels, path)
-
-
-def _int64_array(values, path):
-    """``values``, the integers of the non-blank lines of ``path`` in
-    order, as int64; a DataError names the first line that overflows."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        bad = next(i for i, v in enumerate(values) if not -2**63 <= v < 2**63)
-        with open(path) as fh:
-            lineno = [n for n, line in enumerate(fh, start=1)
-                      if line.strip()][bad]
-        raise DataError(f"{path}:{lineno}: {values[bad]} does not fit in "
-                        f"64 bits") from None
+    return _int64s(path, _read_lines(path), "not an integer label")
 
 
 def save_prototypes(table, matrix_path, partition_path, fmt="binary"):
@@ -336,32 +332,18 @@ def save_prototypes(table, matrix_path, partition_path, fmt="binary"):
 
 def load_prototypes(matrix_path, partition_path):
     vectors = load_matrix(matrix_path)
-    ids = []
-    seen = []
-    with open(partition_path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2 or parts[1] not in ("S", "U"):
-                raise DataError(
-                    f"{partition_path}:{lineno}: expected '<id> <S|U>'"
-                )
-            try:
-                ids.append(int(parts[0], 10))
-            except ValueError as exc:
-                raise DataError(
-                    f"{partition_path}:{lineno}: bad class id"
-                ) from exc
-            seen.append(parts[1] == "S")
-    if len(ids) != vectors.shape[1]:
-        raise DataError(
-            f"{partition_path}: {len(ids)} partition lines for "
-            f"{vectors.shape[1]} prototype columns"
-        )
-    return PrototypeTable(_int64_array(ids, partition_path), vectors,
-                          np.array(seen))
+    rows = [line.split() for line in _read_lines(partition_path)]
+    bad = next((n for n, row in enumerate(rows) if row and (
+        len(row) != 2 or row[1] not in ("S", "U"))), None)
+    # ids up to the first malformed line, so that an earlier bad id wins
+    heads = [row[0] if row else "" for row in rows[:bad]]
+    ids = _int64s(partition_path, heads, "bad class id")
+    if bad is not None:
+        raise DataError(f"{partition_path}:{bad + 1}: expected '<id> <S|U>'")
+    if ids.size != vectors.shape[1]:
+        raise DataError(f"{partition_path}: {ids.size} partition lines for "
+                        f"{vectors.shape[1]} prototype columns")
+    return PrototypeTable(ids, vectors, [row[1] == "S" for row in rows if row])
 
 
 # ---------------------------------------------------------------------------

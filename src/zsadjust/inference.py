@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError
+from .linalg import as_number
 from .trainer import train
 
 
@@ -156,6 +157,7 @@ def evaluate(model, unseen, table, ks=(1, 5), direction="semantic"):
         ``per_class_accuracy`` is Hit@1 per class.
     """
     tic = time.perf_counter()
+    ks = sorted({int(as_number(k, "k", 1, int)) for k in ks})
     if unseen.instance_count == 0:
         raise DataError("cannot evaluate an empty dataset")
     ids, sims = _rank_columns(model, unseen.features, table, direction)
@@ -173,12 +175,7 @@ def evaluate(model, unseen, table, ks=(1, 5), direction="semantic"):
     rank_of = np.count_nonzero(
         (sims > true) | ((sims == true) & (cand < true_idx)), axis=0)
 
-    hit_at = {}
-    for k in sorted(set(int(k) for k in ks)):
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        hits = (rank_of < k) & ~zero
-        hit_at[k] = float(np.mean(hits))
+    hit_at = {k: float(np.mean((rank_of < k) & ~zero)) for k in ks}
 
     # Hit@1 per class: exact hit counts over instance counts, one division
     # per class as np.mean would do
@@ -206,13 +203,12 @@ def sweep_k(seen, unseen, table, hp, k_values, direction="semantic",
     """Hit@1 as a function of the neighbor count k.
 
     Trains and evaluates from scratch for each k with everything else
-    held fixed; returns ``{k: hit_at_1}``.
+    held fixed; returns ``{k: hit_at_1}``. Every k is checked first.
     """
     out = {}
-    for k in k_values:
-        hp_k = replace(hp, k=int(k))
+    for hp_k in [replace(hp, k=k) for k in k_values]:
         model, adjusted, _ = train(seen, table, hp_k, **train_kwargs)
         report = evaluate(model, unseen, adjusted, ks=(1,),
                           direction=direction)
-        out[int(k)] = report.hit_at[1]
+        out[int(hp_k.k)] = report.hit_at[1]
     return out

@@ -1,8 +1,8 @@
 """Dense real-matrix operations and the closed-form mapping-equation solver.
 
 Objective assembly and training are built on the operations here:
-finite-matrix coercion, the symmetry check, symmetric
-eigendecomposition, and the solver for
+finite-matrix coercion, the check of every scalar parameter, the
+symmetry check, symmetric eigendecomposition, and the solver for
 
     L W + W R + M = 0
 
@@ -25,6 +25,8 @@ functions of their inputs and hold no shared state.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +55,23 @@ def as_matrix(a, name="matrix"):
             f"{name} contains a non-finite entry at row {bad[0]}, col {bad[1]}"
         )
     return out
+
+
+def as_number(value, name, low=0, kind=float, error=ValueError):
+    """``value`` if it is an integer (``kind`` int) or a finite real
+    (``kind`` float), not a bool, and at least ``low``; else ``error``
+    naming the parameter ``name``."""
+    integer = kind is int
+    if isinstance(value, bool) or not isinstance(
+            value, numbers.Integral if integer else numbers.Real):
+        what = "an integer" if integer else "a real number"
+        raise error(f"{name} must be {what}, got {value!r}")
+    if not (isinstance(value, numbers.Integral) or math.isfinite(value)):
+        raise error(f"{name} must be finite")
+    if value < low:
+        bound = "a positive integer" if integer and low == 1 else f">= {low}"
+        raise error(f"{name} must be {bound}")
+    return value
 
 
 def is_symmetric(a):

@@ -52,14 +52,13 @@ as its own group of count 1 (S = X).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DataError
-from .linalg import SylvesterSystem, _eig_solve, as_matrix, sym_eig
+from .linalg import SylvesterSystem, _eig_solve, as_matrix, as_number, sym_eig
 
 
 @dataclass(frozen=True)
@@ -87,24 +86,13 @@ class HyperParams:
     tol: float = 1e-4
 
     def __post_init__(self):
-        for name in ("lambda1", "gamma1", "lambda2", "gamma2", "alpha",
-                     "beta", "tol"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        lows = {"k": 1, "beta": float("-inf")}  # beta > 0 is checked below
+        for f in fields(self):
+            as_number(getattr(self, f.name), f.name, lows.get(f.name, 0),
+                      type(f.default))
         if self.beta <= 0:
             raise ValueError("beta must be > 0 (the mapping constraint "
                              "vanishes at 0 and the solve can go singular)")
-        for name in ("lambda1", "gamma1", "lambda2", "gamma2"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
-        if self.tol < 0:
-            raise ValueError("tol must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ import numpy as np
 
 from .adjustment import adjust_seen, adjust_unseen
 from .errors import DataError, SolverError
+from .linalg import as_number
 from .mapping import (
     class_mean_map,
     class_stats,
@@ -159,8 +160,7 @@ class BenchmarkResult:
 def benchmark_training(data, hp, repeats=1, **train_kwargs):
     """Median and max wall-clock of ``train`` over ``repeats`` runs on
     ``data``, a ``(seen_dataset, prototype_table)`` pair."""
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
+    as_number(repeats, "repeats", 1, int)
     seen, table = data
 
     runs = []
