@@ -1,9 +1,12 @@
 """Sensitivity of zero-shot accuracy to the neighbor count k.
 
 Each unseen prototype is blended with its k nearest seen prototypes, so
-k controls how local that pull is. This sweep retrains from scratch for
-every k with everything else fixed and prints a plot-ready table (the
-CLI equivalent is ``zsadjust sweep-k``, which writes sweep.csv).
+k controls how local that pull is. The sweep holds everything else fixed
+and prints a plot-ready table (the CLI equivalent is ``zsadjust
+sweep-k``, which writes sweep.csv). It trains once: the unseen
+prototypes never reach a weight solve, so the weights and the seen
+prototypes are the same for every k, and re-blending the unseen
+prototypes per k gives exactly what retraining with that k would.
 """
 
 from zsadjust import HyperParams, SynthSpec, split, sweep_k, synthesize

@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError
-from .mapping import class_mean_map
+from .mapping import _sq_cols, class_mean_map
 
 
 # Unused by the package: kept only because perfbench/run.py traces it.
@@ -55,27 +55,43 @@ def adjust_seen(table, model, seen_data, hp, stats=None):
     DataError
         If a seen class has no instances, or if a blend is the zero
         vector (for example ``lambda1 = 0`` and a class whose mapped
-        features average to 0); the message names the classes.
+        features average to 0) or its norm overflows (a huge
+        ``lambda1`` or ``gamma1``); the message names the classes.
     """
     if hp.gamma1 == 0.0:
         return table
-    present_ids, means = class_mean_map(model, seen_data, stats)
+    return _blend_seen(table, *class_mean_map(model, seen_data, stats), hp)
+
+
+def _blend_seen(table, present_ids, means, hp):
+    """:func:`adjust_seen` from the mapped means (d_s, c) of the sorted
+    classes ``present_ids``, as :func:`class_mean_map` returns them."""
+    if hp.gamma1 == 0.0:
+        return table
     seen_ids = table.seen_ids
     missing = seen_ids[~np.isin(seen_ids, present_ids)]
     if missing.size:
         raise DataError(f"seen classes without instances: {missing.tolist()}")
     seen = np.flatnonzero(table.seen)
     vectors = table.vectors.copy()
-    vectors[:, seen] = (hp.lambda1 * table.vectors[:, seen] + hp.gamma1
-                        * means[:, np.searchsorted(present_ids, seen_ids)])
-    zero = np.linalg.norm(vectors[:, seen], axis=0) == 0.0
-    if zero.any():
-        raise DataError(
-            f"seen adjustment blends the prototypes of classes "
-            f"{seen_ids[zero].tolist()} to the zero vector "
-            f"(similarity would be undefined)"
-        )
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        vectors[:, seen] = (hp.lambda1 * table.vectors[:, seen] + hp.gamma1
+                            * means[:, np.searchsorted(present_ids, seen_ids)])
+    _check_blend("seen", seen_ids, vectors[:, seen], "lambda1 and gamma1")
     return table.with_vectors(vectors)
+
+
+def _check_blend(kind, ids, vectors, weights):
+    """DataError naming the classes whose blended prototype column of
+    ``vectors`` is the zero vector or has no finite norm."""
+    sq = _sq_cols(vectors)      # squared norms; einsum does not warn
+    for bad, what in ((sq == 0.0, "to the zero vector (similarity would be "
+                                  "undefined)"),
+                      (~np.isfinite(sq), f"beyond the float range; lower "
+                                         f"{weights}")):
+        if bad.any():
+            raise DataError(f"{kind} adjustment blends the prototypes of "
+                            f"classes {ids[bad].tolist()} {what}")
 
 
 def _knn(source, queries, k):
@@ -132,6 +148,13 @@ def adjust_unseen(table, hp, neighbors=None):
     by :func:`adjust_seen`, so neighbors reflect that round's seen
     adjustment. Seen prototypes are untouched, and ``gamma2 = 0``
     returns ``table`` itself.
+
+    Raises
+    ------
+    DataError
+        If k exceeds the number of seen classes, or if a blend's norm
+        overflows (a huge ``lambda2`` or ``gamma2``); the message names
+        the classes.
     """
     if hp.gamma2 == 0.0:
         return table
@@ -147,6 +170,9 @@ def adjust_unseen(table, hp, neighbors=None):
     # instead of d_s x k x q
     blend = sum(vecs[:, top[j]] * weights[j] for j in range(hp.k))
     vectors = table.vectors.copy()
-    vectors[:, unseen[cols]] = (hp.lambda2 * table.vectors[:, unseen[cols]]
-                                + hp.gamma2 * blend)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        vectors[:, unseen[cols]] = (
+            hp.lambda2 * table.vectors[:, unseen[cols]] + hp.gamma2 * blend)
+    _check_blend("unseen", table.class_ids[unseen[cols]],
+                 vectors[:, unseen[cols]], "lambda2 and gamma2")
     return table.with_vectors(vectors)

@@ -386,6 +386,7 @@ def _columns(dataset, mask):
                                       dataset.class_count)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the features are checked
 def synthesize(spec):
     """Generate (LabeledDataset, PrototypeTable, ground_truth_map).
 
@@ -415,6 +416,9 @@ def synthesize(spec):
                 (spec.d_v, spec.per_class)
             )
         features[:, block] = clean[:, None] + noise
+    if not np.isfinite(features).all():
+        raise DataError(f"{spec} generates features beyond the float "
+                        f"range; lower noise_sigma or shift_sigma")
 
     table = PrototypeTable(
         np.arange(n_classes),

@@ -18,9 +18,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .adjustment import adjust_unseen
 from .errors import DataError
 from .linalg import as_number
-from .trainer import train
+from .trainer import _alternate
 
 
 def skewness(values):
@@ -200,14 +201,26 @@ def evaluate(model, unseen, table, ks=(1, 5), direction="semantic"):
 
 def sweep_k(seen, unseen, table, hp, k_values, direction="semantic",
             **train_kwargs):
-    """Hit@1 as a function of the neighbor count k.
+    """Hit@1 as a function of the neighbor count k; returns
+    ``{k: hit_at_1}``. Every k is checked first.
 
-    Trains and evaluates from scratch for each k with everything else
-    held fixed; returns ``{k: hit_at_1}``. Every k is checked first.
+    Trains once: only the seen prototypes reach the weight solves, so
+    the weights, the seen-adjusted prototypes and the stopping iteration
+    do not depend on k. Each k then blends the unseen prototypes of the
+    last seen-adjusted table, which gives exactly the table ``train``
+    returns with that k, and evaluates on it.
     """
+    hps = [replace(hp, k=k) for k in k_values]
+    if not hps:
+        return {}
+    # the first k's blends run in the loop, so an oversized first k
+    # fails there, as in train
+    model, _, _, seen_adjusted, neighbors = _alternate(seen, table, hps[0],
+                                                      **train_kwargs)
     out = {}
-    for hp_k in [replace(hp, k=k) for k in k_values]:
-        model, adjusted, _ = train(seen, table, hp_k, **train_kwargs)
+    for hp_k in hps:
+        adjusted = table if seen_adjusted is None else adjust_unseen(
+            seen_adjusted, hp_k, neighbors=neighbors)
         report = evaluate(model, unseen, adjusted, ks=(1,),
                           direction=direction)
         out[int(hp_k.k)] = report.hit_at[1]

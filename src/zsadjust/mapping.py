@@ -207,7 +207,7 @@ def class_stats(data):
     """
     x = data.features
     ids, counts, sums = _class_sums(x, data.labels)
-    with np.errstate(over="ignore"):    # checked on the next line
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
         gram = x @ x.T
     if not np.isfinite(gram).all():
         raise DataError("the feature Gram matrix X X^T overflows; rescale "
@@ -294,7 +294,8 @@ def objective_gradient(model, data, prototypes, centroids, hp):
 
 def _normal_equation(stats, prototypes, centroids, hp):
     """L = P diag(n) P^T and M = -[(1 + beta) P + alpha O] S^T, with one
-    column per group of ``stats`` in P and O."""
+    column per group of ``stats`` in P and O; DataError where they
+    overflow."""
     p = as_matrix(prototypes, "prototypes")
     o = as_matrix(centroids, "centroids")
     groups = stats.counts.size
@@ -304,7 +305,13 @@ def _normal_equation(stats, prototypes, centroids, hp):
             f"column per group; got {p.shape} and {o.shape}"
         )
     b = p * np.sqrt(stats.counts)
-    return b @ b.T, -((1.0 + hp.beta) * p + hp.alpha * o) @ stats.sums.T
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        L = b @ b.T
+        M = -((1.0 + hp.beta) * p + hp.alpha * o) @ stats.sums.T
+    if not (np.isfinite(L).all() and np.isfinite(M).all()):
+        raise DataError("the normal equation overflows; lower the blend "
+                        "weights, alpha or beta, or rescale the features")
+    return L, M
 
 
 def assemble_system(data, prototypes, centroids, hp, stats=None):

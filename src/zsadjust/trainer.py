@@ -6,12 +6,14 @@ The schedule is:
 1. Initial solve with ``alpha = 0`` and the original prototypes (class
    centroids depend on W and are undefined before a first weight
    estimate exists).
-2. Per iteration: adjust seen prototypes, adjust unseen prototypes,
-   recompute the class centroids W xbar_c from the current W, then
-   re-solve the full objective with the adjusted seen prototypes.
-   Both adjustments anchor on the original table, and the last
-   iteration's adjusted prototypes are returned as a plain
-   :class:`~zsadjust.data.PrototypeTable`.
+2. Per iteration: map the class means W xbar_c once from the current
+   W (they pull the seen prototypes and are the class centroids),
+   adjust seen prototypes, adjust unseen prototypes, then re-solve the
+   full objective with the adjusted seen prototypes. Both adjustments
+   anchor on the original table, and the last iteration's adjusted
+   prototypes are returned as a plain
+   :class:`~zsadjust.data.PrototypeTable`. The unseen prototypes never
+   reach a solve, so the weights do not depend on the unseen blend.
 
 Every solve and objective runs from the class statistics of the seen
 data (:func:`zsadjust.mapping.class_stats`), built once per call: one
@@ -33,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adjustment import adjust_seen, adjust_unseen
+from .adjustment import _blend_seen, adjust_unseen
 from .errors import DataError, SolverError
 from .linalg import as_number
 from .mapping import (
@@ -90,6 +92,23 @@ def train(seen, table, hp, unseen_neighbors="adjusted",
         input table itself after zero iterations) and one trace record
         per completed iteration.
     """
+    return _alternate(seen, table, hp, unseen_neighbors,
+                      ridge_on_failure)[:3]
+
+
+def _alternate(seen, table, hp, unseen_neighbors="adjusted",
+               ridge_on_failure=False):
+    """The loop of :func:`train`.
+
+    Returns ``(model, adjusted, trace, seen_adjusted, neighbors)``:
+    train's three results, the last iteration's seen-adjusted table
+    (``None`` after zero iterations) and the neighbor source of its
+    unseen blend (``table`` for ``"original"``, else ``None``), so that
+    ``adjusted`` is ``adjust_unseen(seen_adjusted, hp, neighbors)``.
+    Only the seen columns reach the solves: everything but ``adjusted``
+    and the ``unseen_shift`` records is independent of k, lambda2 and
+    gamma2.
+    """
     if seen.instance_count == 0:
         raise DataError("cannot train on an empty seen dataset")
     if unseen_neighbors not in ("adjusted", "original"):
@@ -110,17 +129,17 @@ def train(seen, table, hp, unseen_neighbors="adjusted",
 
     neighbors = table if unseen_neighbors == "original" else None
     adjusted = table
+    seen_adjusted = None
     records = []
 
     for it in range(1, hp.iterations + 1):
         prev_vectors = adjusted.vectors
         tic = time.perf_counter()
         try:
-            adjusted = adjust_unseen(
-                adjust_seen(table, model, seen, hp, stats=stats), hp,
-                neighbors=neighbors)
+            ids, centroids = class_mean_map(model, seen, stats)
+            seen_adjusted = _blend_seen(table, ids, centroids, hp)
+            adjusted = adjust_unseen(seen_adjusted, hp, neighbors=neighbors)
             proto = expand_per_instance(adjusted, stats.class_ids)
-            _, centroids = class_mean_map(model, seen, stats)
             new_model = solve_weights(seen, proto, centroids, hp,
                                       ridge_on_failure=ridge_on_failure,
                                       stats=stats)
@@ -146,7 +165,8 @@ def train(seen, table, hp, unseen_neighbors="adjusted",
         if delta < hp.tol:
             break
 
-    return model, adjusted, TrainingTrace(tuple(records))
+    return (model, adjusted, TrainingTrace(tuple(records)), seen_adjusted,
+            neighbors)
 
 
 @dataclass(frozen=True)

@@ -521,3 +521,28 @@ def test_default_options_build_default_dataclasses():
         assert _build(SynthSpec, opts) == SynthSpec(), command
         if HYPER_OPTS in tables:
             assert _build(HyperParams, opts) == HyperParams(), command
+
+
+@pytest.mark.parametrize("option, message", [
+    ("--lambda1=1e308", "seen adjustment blends the prototypes of classes "
+                        "[0, 1, 2, 3, 4, 5, 6, 7] beyond the float range; "
+                        "lower lambda1 and gamma1"),
+    ("--gamma1=1e300", "seen adjustment blends the prototypes of classes "
+                       "[0, 1, 2, 3, 4, 5, 6, 7] beyond the float range"),
+    ("--lambda2=1e308", "unseen adjustment blends the prototypes of classes "
+                        "[8, 9, 10] beyond the float range; lower lambda2 "
+                        "and gamma2"),
+    # every blended prototype has a finite norm, but L = P diag(n) P^T
+    # overflows
+    ("--lambda1=1e154", "the normal equation overflows"),
+    ("--synth-noise=1e308", "SynthSpec(d_v=16, d_s=6, seen_count=8, "
+                            "unseen_count=3, per_class=5, noise_sigma=1e+308,"
+                            " shift_sigma=0.1, seed=0) generates features "
+                            "beyond the float range"),
+], ids=["lambda1", "gamma1", "lambda2", "normal-equation", "synth-noise"])
+# and no numpy overflow warning on the way
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_finite_option_is_data_error(tmp_path, capsys, option, message):
+    code = main(["train", *SYNTH, option, "--out", str(tmp_path)])
+    assert code == 2
+    assert message in capsys.readouterr().err

@@ -182,6 +182,26 @@ def test_train_deterministic():
         [r.objective for r in b[2].records]
 
 
+@pytest.mark.parametrize("gamma1", [0.0, 0.25])
+def test_class_means_mapped_once_per_iteration(monkeypatch, gamma1):
+    import zsadjust.adjustment
+    import zsadjust.trainer
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return class_mean_map(*args, **kwargs)
+
+    for module in (zsadjust.adjustment, zsadjust.trainer):
+        monkeypatch.setattr(module, "class_mean_map", counting)
+    seen, _, table = _synthetic(noise=0.05, shift=0.1)
+    _, _, trace = train(seen, table, HyperParams(iterations=3, tol=0.0, k=3,
+                                                 gamma1=gamma1))
+    assert len(trace) == 3
+    assert len(calls) == 3
+
+
 def test_large_class_id_costs_no_memory():
     # class 7, the largest seen id, renamed 10**7: same order, same result
     seen, _, table = _synthetic(noise=0.05, shift=0.1)
