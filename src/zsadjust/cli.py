@@ -26,21 +26,24 @@ import numpy as np
 from .data import (
     LabeledDataset,
     SynthSpec,
+    _check_labels,
+    _matrix_columns,
     _read_lines,
-    _unseen_partition,
+    _seen_mask,
+    _stream_columns,
+    _unit_columns,
     load_labels,
     load_matrix,
     load_prototypes,
     save_labels,
     save_matrix,
     save_prototypes,
-    split,
     synthesize,
 )
 from .errors import ConfigError, DataError, SolverError
 from .inference import evaluate, sweep_k
 from .linalg import as_number
-from .mapping import HyperParams, MappingModel
+from .mapping import HyperParams, MappingModel, _stats_of_blocks
 from .trainer import benchmark_training, train
 
 EXIT_OK = 0
@@ -254,46 +257,52 @@ def _require_file(path, flag):
     return path
 
 
-def _column_norms(a, what):
-    """L2 norm of each column of ``a``; DataError where it overflows."""
-    with np.errstate(over="ignore"):    # checked on the next line
-        norms = np.linalg.norm(a, axis=0, keepdims=True)
-    if not np.isfinite(norms).all():
-        col = int(np.flatnonzero(~np.isfinite(norms))[0])
-        raise DataError(f"cannot normalize {what} column {col}: its norm "
-                        f"overflows; rescale the input")
-    return norms
+def _load_run_data(opts, stats=False, keep_seen=False):
+    """``(table, seen_stats, kept)`` of a run, synthetic or from files,
+    normalized as ``--normalize`` asks.
 
-
-def _normalize(dataset, table, mode):
-    if mode in ("features", "both"):
-        norms = _column_norms(dataset.features, "feature")
-        if np.any(norms == 0.0):
-            raise DataError("cannot normalize a zero feature column")
-        dataset = LabeledDataset(dataset.features / norms, dataset.labels,
-                                 dataset.class_count)
-    if mode in ("prototypes", "both"):
-        norms = _column_norms(table.vectors, "prototype")
-        table = table.with_vectors(table.vectors / norms)
-    return dataset, table
-
-
-def _load_run_data(opts):
-    """Dataset and prototype table, synthetic or from files, normalized."""
+    The features are streamed through one block buffer (see
+    :func:`zsadjust.data._stream_columns`), so that no features file is
+    held whole. ``seen_stats`` is the ``class_stats`` of the seen
+    columns when ``stats`` is set, else None. ``kept`` is a
+    LabeledDataset of the seen columns with ``keep_seen``, else of the
+    unseen ones; every column is checked either way.
+    """
     if opts.synth:
         dataset, table, _ = synthesize(_build(SynthSpec, opts))
+        name, labels = "features", dataset.labels
+        columns = _matrix_columns(dataset.features)
     else:
-        feats = load_matrix(_require_file(opts.features, "--features"))
+        name = _require_file(opts.features, "--features")
+        columns = _matrix_columns(name)
         labels = load_labels(_require_file(opts.labels, "--labels"))
         table = load_prototypes(
             _require_file(opts.prototypes, "--prototypes"),
             _require_file(opts.partition, "--partition"),
         )
-        class_count = int(max(labels.max(initial=0),
-                              table.class_ids.max())) + 1
-        # load_matrix has already rejected non-finite entries
-        dataset = LabeledDataset._of_checked(feats, labels, class_count)
-    return _normalize(dataset, table, opts.normalize)
+    class_count = int(max(labels.max(initial=0), table.class_ids.max())) + 1
+    (rows, cols), _ = columns
+    labels = _check_labels(labels, cols, class_count)
+    if opts.normalize in ("prototypes", "both"):
+        vectors = table.vectors.copy()
+        _unit_columns(vectors, "prototype")
+        table = table.with_vectors(vectors)
+    seen = _seen_mask(labels, table)
+    if (stats or keep_seen) and not seen.any():
+        raise DataError("seen partition is empty: nothing to train on")
+    keep = seen if keep_seen else ~seen
+    kept = np.empty((rows, np.count_nonzero(keep)))
+    take = seen if stats else np.zeros_like(seen)
+    blocks = _stream_columns(columns, name, take, keep, kept,
+                             unit=opts.normalize in ("features", "both"))
+    seen_stats = None
+    if stats:
+        seen_stats = _stats_of_blocks(labels[seen], blocks, rows)
+    else:
+        for _ in blocks:    # nothing is taken: this reads every column
+            pass
+    return (table, seen_stats,
+            LabeledDataset._of_checked(kept, labels[keep], class_count))
 
 
 def _out_dir(opts):
@@ -362,8 +371,7 @@ def cmd_train(args):
     opts = _resolve(args)
     hp = _build(HyperParams, opts)
     out_dir = _out_dir(opts)
-    dataset, table = _load_run_data(opts)
-    seen, unseen = split(dataset, table)
+    table, seen, unseen = _load_run_data(opts, stats=True)
 
     model, adjusted, trace = train(
         seen, table, hp,
@@ -397,18 +405,17 @@ def cmd_eval(args):
     out_dir = _out_dir(opts)
     weights = load_matrix(_require_file(opts.model, "--model"))
     model = MappingModel(weights)
-    dataset, table = _load_run_data(opts)
-    if model.visual_dim != dataset.feature_dim:
+    table, _, unseen = _load_run_data(opts)
+    if model.visual_dim != unseen.feature_dim:
         raise DataError(
             f"model expects {model.visual_dim}-dimensional features, "
-            f"data has {dataset.feature_dim}"
+            f"data has {unseen.feature_dim}"
         )
     if model.semantic_dim != table.semantic_dim:
         raise DataError(
             f"model maps into {model.semantic_dim} semantic dimensions, "
             f"prototypes have {table.semantic_dim}"
         )
-    unseen = _unseen_partition(dataset, table)
     if unseen.instance_count == 0:
         raise DataError("no unseen-class instances to evaluate")
     report = evaluate(model, unseen, table, ks=opts.ks,
@@ -423,8 +430,7 @@ def cmd_sweep_k(args):
         raise ConfigError("--k-list must name at least one k")
     hp = _build(HyperParams, opts)
     out_dir = _out_dir(opts)
-    dataset, table = _load_run_data(opts)
-    seen, unseen = split(dataset, table)
+    table, seen, unseen = _load_run_data(opts, stats=True)
     if unseen.instance_count == 0:
         raise DataError("no unseen-class instances to evaluate")
 
@@ -445,8 +451,9 @@ def cmd_bench(args):
     opts = _resolve(args)
     hp = _build(HyperParams, opts)
     out_dir = _out_dir(opts)
-    dataset, table = _load_run_data(opts)
-    seen, _ = split(dataset, table)
+    # in memory: benchmark_training times train from the dataset, its
+    # class statistics included
+    table, _, seen = _load_run_data(opts, keep_seen=True)
 
     result = benchmark_training((seen, table), hp, repeats=opts.repeats,
                                 unseen_neighbors=opts.unseen_neighbors,

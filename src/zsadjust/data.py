@@ -15,6 +15,18 @@ On-disk formats
 * Prototypes: a binary matrix (d_s, n_classes) plus a sidecar text file
   with one ``<class id> <S|U>`` line per column.
 * Text files are UTF-8 whatever the locale; blank lines are skipped.
+
+Streaming
+---------
+The commands read a features file through :func:`_stream_columns`, one
+buffer of about :func:`block_width` columns (``BLOCK_BYTES`` of float64)
+at a time, and never hold a binary one whole: each row segment of the
+payload is read straight into the buffer, checked, optionally scaled to
+unit norm, and then copied into the partition the command keeps or
+handed on in blocks to the accumulator of
+:func:`zsadjust.mapping.class_stats`, which blocks an in-memory dataset
+the same way. An OSError while an input file is opened or read is a
+DataError that names the file.
 """
 
 from __future__ import annotations
@@ -23,7 +35,9 @@ import os
 import re
 import struct
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -32,6 +46,15 @@ from .linalg import as_matrix, as_number
 
 MAGIC = b"ZSRM"
 _HEADER = struct.Struct("<4sII")
+
+# Bytes of float64 per column block: a features file is read, and any
+# feature matrix reduced, this many bytes at a time.
+BLOCK_BYTES = 32 * 2**20
+
+
+def block_width(rows):
+    """Columns per block of a matrix with ``rows`` rows."""
+    return max(1, BLOCK_BYTES // (8 * max(1, rows)))
 
 
 def _ids(values, name):
@@ -42,6 +65,24 @@ def _ids(values, name):
     if ids is None or not np.array_equal(ids, a):
         raise DataError(f"{name} must be integers")
     return ids
+
+
+def _check_labels(labels, columns, class_count):
+    """``labels`` as int64: one per column of a matrix with ``columns``
+    columns, each in ``[0, class_count)``."""
+    labels = _ids(labels, "labels")
+    if labels.ndim != 1:
+        raise DataError(f"labels must be 1-D, got shape {labels.shape}")
+    if labels.shape[0] != columns:
+        raise DataError(
+            f"expected one label per instance column: "
+            f"{labels.shape[0]} labels for {columns} columns"
+        )
+    bad = labels[(labels < 0) | (labels >= class_count)]
+    if bad.size:
+        raise DataError(f"label {bad[0]} out of range for "
+                        f"class_count={class_count}")
+    return labels
 
 
 @dataclass(frozen=True)
@@ -75,16 +116,7 @@ class LabeledDataset:
         return dataset
 
     def _set_columns(self, feats, labels):
-        labels = _ids(labels, "labels")
-        if labels.ndim != 1 or labels.shape[0] != feats.shape[1]:
-            raise DataError(
-                f"expected one label per instance column: "
-                f"{labels.shape[0]} labels for {feats.shape[1]} columns"
-            )
-        bad = labels[(labels < 0) | (labels >= self.class_count)]
-        if bad.size:
-            raise DataError(f"label {bad[0]} out of range for "
-                            f"class_count={self.class_count}")
+        labels = _check_labels(labels, feats.shape[1], self.class_count)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
 
@@ -210,7 +242,8 @@ def save_matrix(path, a, fmt="binary"):
     if fmt == "binary":
         with open(path, "wb") as fh:
             fh.write(_HEADER.pack(MAGIC, a.shape[0], a.shape[1]))
-            fh.write(a.astype("<f8", copy=False).tobytes(order="C"))
+            # straight from the array's buffer, with no bytes copy
+            fh.write(memoryview(a.astype("<f8", copy=False)))
     elif fmt == "csv":
         # %.17g round-trips float64 exactly through decimal text.
         with open(path, "w") as fh:
@@ -221,46 +254,64 @@ def save_matrix(path, a, fmt="binary"):
         raise ValueError(f"unknown matrix format: {fmt!r}")
 
 
+@contextmanager
+def _reading(path, error=DataError):
+    """An OSError raised while ``path`` is opened or read, as an ``error``
+    that names the file."""
+    try:
+        yield
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
 def load_matrix(path, fmt=None):
     """Read a matrix written by :func:`save_matrix`.
 
     ``fmt`` is ``"binary"``, ``"csv"``, or None to sniff the magic bytes.
     Non-finite entries are rejected with their location.
     """
-    if fmt is None:
-        with open(path, "rb") as fh:
-            head = fh.read(4)
-        fmt = "binary" if head == MAGIC else "csv"
-    if fmt not in ("binary", "csv"):
+    if fmt not in (None, "binary", "csv"):
         raise ValueError(f"unknown matrix format: {fmt!r}")
-    a = _load_binary(path) if fmt == "binary" else _load_csv(path)
+    with _reading(path):
+        if fmt is None:
+            with open(path, "rb") as fh:
+                fmt = "binary" if fh.read(len(MAGIC)) == MAGIC else "csv"
+        a = _load_binary(path) if fmt == "binary" else _load_csv(path)
     try:
         return as_matrix(a, path)
     except ValueError as exc:   # the row and column of a non-finite entry
         raise DataError(str(exc)) from None
 
 
+def _payload_error(path, rows, cols, size):
+    return DataError(f"{path}: payload is {size} bytes but header declares "
+                     f"{rows}x{cols} ({rows * cols * 8} bytes)")
+
+
+def _binary_shape(fh, path):
+    """``(rows, cols)`` from the header of the open binary matrix ``fh``,
+    checked against the file size before anything is allocated, so that
+    a corrupt header cannot ask for a huge array."""
+    header = fh.read(_HEADER.size)
+    if len(header) < _HEADER.size:
+        raise DataError(f"{path}: truncated header")
+    magic, rows, cols = _HEADER.unpack(header)
+    if magic != MAGIC:
+        raise DataError(f"{path}: bad magic bytes {magic!r}")
+    size = os.fstat(fh.fileno()).st_size - _HEADER.size
+    if size != rows * cols * 8:
+        raise _payload_error(path, rows, cols, size)
+    return rows, cols
+
+
 def _load_binary(path):
     with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) < _HEADER.size:
-            raise DataError(f"{path}: truncated header")
-        magic, rows, cols = _HEADER.unpack(header)
-        if magic != MAGIC:
-            raise DataError(f"{path}: bad magic bytes {magic!r}")
-        expected = rows * cols * 8
-        # sized from the file before anything is allocated, so a corrupt
-        # header cannot ask for a huge array
-        size = os.fstat(fh.fileno()).st_size - _HEADER.size
-        if size == expected:
-            # the payload goes straight into its array, with no bytes copy
-            a = np.empty((rows, cols), dtype="<f8")
-            size = fh.readinto(a)
-    if size != expected:
-        raise DataError(
-            f"{path}: payload is {size} bytes but header declares "
-            f"{rows}x{cols} ({expected} bytes)"
-        )
+        rows, cols = _binary_shape(fh, path)
+        # the payload goes straight into its array, with no bytes copy
+        a = np.empty((rows, cols), dtype="<f8")
+        size = fh.readinto(a)
+    if size != a.nbytes:
+        raise _payload_error(path, rows, cols, size)
     return a
 
 
@@ -286,7 +337,8 @@ def _read_lines(path, error=DataError):
     """The stripped lines of the UTF-8 text file ``path``, blank ones
     included, so that line n of the file is item n - 1. A byte that is
     not UTF-8, whatever the locale, is an ``error`` naming its line."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with _reading(path, error), open(path, encoding="utf-8",
+                                     errors="surrogateescape") as fh:
         text = fh.read()    # newlines as in text mode: \r\n and \r become \n
     # surrogateescape decodes each byte that is not UTF-8 to a lone surrogate
     bad = re.search("[\udc80-\udcff]", text)
@@ -347,6 +399,143 @@ def load_prototypes(matrix_path, partition_path):
 
 
 # ---------------------------------------------------------------------------
+# streaming column blocks
+
+
+def _matrix_columns(source):
+    """``(shape, read)`` of a matrix for :func:`_stream_columns`, where
+    ``read(start, out)`` fills ``out`` (rows, w) with the columns
+    ``start`` to ``start + w - 1``.
+
+    ``source`` is an array, or the path of a matrix file. A binary
+    payload is then read straight into ``out``, one row segment at a
+    time, and never whole; a CSV file is parsed whole first. The header
+    of a binary file is checked here, before anything is read.
+    """
+    if isinstance(source, np.ndarray):
+        return source.shape, partial(_copy_block, source)
+    with _reading(source), open(source, "rb") as fh:
+        binary = fh.read(len(MAGIC)) == MAGIC
+        if binary:
+            fh.seek(0)
+            shape = _binary_shape(fh, source)
+    if binary:
+        return shape, partial(_read_block, source, shape)
+    matrix = load_matrix(source, "csv")
+    return matrix.shape, partial(_copy_block, matrix)
+
+
+def _copy_block(matrix, start, out):
+    out[...] = matrix[:, start:start + out.shape[1]]
+
+
+def _read_block(path, shape, start, out):
+    rows, cols = shape
+    with _reading(path), open(path, "rb", buffering=0) as fh:
+        for r, row in enumerate(out):
+            fh.seek(_HEADER.size + 8 * (r * cols + start))
+            if fh.readinto(row) != row.nbytes:    # cut short since checked
+                raise _payload_error(path, rows, cols,
+                                     fh.seek(0, os.SEEK_END) - _HEADER.size)
+
+
+def _stream_columns(columns, name, take, keep, kept, unit=False):
+    """Pass the columns of a matrix through one buffer of about
+    ``block_width(rows)`` columns, and yield its ``take`` columns in
+    blocks.
+
+    ``columns`` is ``(shape, read)`` from :func:`_matrix_columns`. Each
+    column is checked to be finite and, with ``unit``, scaled to unit L2
+    norm. The columns where the mask ``keep`` is set are copied, in
+    order, into ``kept`` (rows, ``keep.sum()``). The columns where the
+    mask ``take`` is set are yielded in order, in blocks of
+    ``block_width(rows)`` columns and a last narrower one, as
+    :func:`zsadjust.mapping.class_stats` blocks a dataset of them; each
+    block is overwritten by the next. No copy of the matrix is made.
+
+    A non-finite entry is a DataError that names the first one in
+    row-major order, as :func:`load_matrix` reports it: the rest of the
+    matrix is still read for that, and no block from there on is
+    yielded.
+    """
+    (rows, cols), read = columns
+    width = block_width(rows)
+    # an eighth of a block to spare, so that no read is narrower than that
+    buf = np.empty((rows, min(width + max(1, width // 8), cols)), dtype="<f8")
+    fill = used = 0     # taken columns waiting in buf; columns kept so far
+    bad = None          # (row, col) of the first non-finite entry
+    start = 0
+    while start < cols:
+        new = buf[:, fill:fill + min(buf.shape[1] - fill, cols - start)]
+        w = new.shape[1]
+        read(start, new)
+        finite = np.isfinite(new)
+        if not finite.all():
+            row, col = divmod(int(np.argmin(finite)), w)
+            bad = min(bad or (row, start + col), (row, start + col))
+        if bad is None:
+            if unit:
+                _unit_columns(new, "feature", start)
+            idx = np.flatnonzero(keep[start:start + w])
+            _take_columns(kept[:, used:used + idx.size], new, idx)
+            used += idx.size
+            idx = np.flatnonzero(take[start:start + w])
+            if idx.size and idx[-1] >= idx.size:     # not in place already
+                _take_columns(new, new, idx)
+            fill += idx.size
+            if fill >= width:
+                yield buf[:, :width]
+                fill -= width   # at most the spare columns, moved to the front
+                buf[:, :fill] = buf[:, width:width + fill]
+        else:
+            fill = 0
+        start += w
+    if bad is not None:
+        raise DataError(f"{name} contains a non-finite entry at row "
+                        f"{bad[0]}, col {bad[1]}")
+    if fill:
+        yield buf[:, :fill]
+
+
+def _take_columns(dst, src, idx):
+    """``dst[:, j] = src[:, idx[j]]`` for each j, an eighth of a block at
+    a time, so that no temporary is larger. ``dst`` may be ``src``
+    itself, since ``idx[j] >= j`` shifts each column left."""
+    step = max(1, block_width(src.shape[0]) // 8)
+    for j in range(0, idx.size, step):
+        part = idx[j:j + step]
+        if part[-1] - part[0] == part.size - 1:     # one run: a slice
+            dst[:, j:j + part.size] = src[:, part[0]:part[-1] + 1]
+        else:
+            dst[:, j:j + part.size] = np.take(src, part, axis=1)
+
+
+def _unit_columns(a, what, first=0):
+    """Scale each column of ``a`` to unit L2 norm, in place. A DataError
+    names the column (``first`` plus its index in ``a``) whose norm
+    overflows or is zero.
+
+    Each norm sums its squares in row order, as ``np.linalg.norm(x,
+    axis=0)`` does on a matrix of two or more columns, so that a column
+    gets the same bits whichever block it is in.
+    """
+    squares = np.zeros(a.shape[1])
+    with np.errstate(over="ignore"):    # checked below
+        for row in a:
+            squares += row * row
+    norms = np.sqrt(squares)
+    if not np.isfinite(norms).all():
+        col = first + int(np.argmin(np.isfinite(norms)))
+        raise DataError(f"cannot normalize {what} column {col}: its norm "
+                        f"overflows; rescale the input")
+    if not norms.all():
+        col = first + int(np.argmin(norms != 0.0))
+        raise DataError(f"cannot normalize a zero {what} column "
+                        f"(column {col})")
+    a /= norms
+
+
+# ---------------------------------------------------------------------------
 # splitting and synthesis
 
 
@@ -356,26 +545,20 @@ def split(dataset, table):
     Every label must have a prototype, and the seen side must be
     nonempty (there is nothing to train on otherwise).
     """
-    seen_mask = _seen_mask(dataset, table)
+    seen_mask = _seen_mask(dataset.labels, table)
     if not seen_mask.any():
         raise DataError("seen partition is empty: nothing to train on")
     return _columns(dataset, seen_mask), _columns(dataset, ~seen_mask)
 
 
-def _unseen_partition(dataset, table):
-    """The unseen side of :func:`split` alone: the seen columns are not
-    copied, and there need not be any."""
-    return _columns(dataset, ~_seen_mask(dataset, table))
-
-
-def _seen_mask(dataset, table):
-    """Per instance, whether its class is seen; every label must have a
-    prototype."""
-    present = np.unique(dataset.labels)
+def _seen_mask(labels, table):
+    """Per instance label, whether its class is seen; every label must
+    have a prototype."""
+    present = np.unique(labels)
     missing = present[~np.isin(present, table.class_ids)]
     if missing.size:
         raise DataError(f"labels without a prototype: {missing.tolist()}")
-    return np.isin(dataset.labels, table.seen_ids)
+    return np.isin(labels, table.seen_ids)
 
 
 def _columns(dataset, mask):

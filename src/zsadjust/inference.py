@@ -208,7 +208,8 @@ def sweep_k(seen, unseen, table, hp, k_values, direction="semantic",
     the weights, the seen-adjusted prototypes and the stopping iteration
     do not depend on k. Each k then blends the unseen prototypes of the
     last seen-adjusted table, which gives exactly the table ``train``
-    returns with that k, and evaluates on it.
+    returns with that k, and evaluates on it. ``seen`` is what ``train``
+    takes: the seen-class dataset or its class statistics.
     """
     hps = [replace(hp, k=k) for k in k_values]
     if not hps:

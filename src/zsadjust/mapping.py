@@ -37,17 +37,20 @@ each term of J is a sum of non-negative parts:
 G_w itself is never formed: tr G_w = tr G - sum_c n_c ||xbar_c||^2 and
 tr(W G_w W^T) = <W, W G> - sum_c n_c ||W xbar_c||^2.
 
-:func:`class_stats` computes n, S and G once, and
-:attr:`ClassStats.gram_eig` the single eigendecomposition
-G = V diag(g) V^T that gives R's eigenpairs ((alpha + beta) g, V) in
-every solve. :func:`solve_weights` forms only L and M and never R. A
-training call thus costs one Gram product and one eigh(d_v); after that
-no solve or objective depends on m.
+:func:`class_stats` computes n, S and G once, summed over column blocks
+of a fixed byte size, so that a features file can be reduced without
+ever being whole in memory; :attr:`ClassStats.gram_eig` is the single
+eigendecomposition G = V diag(g) V^T that gives R's eigenpairs
+((alpha + beta) g, V) in every solve. :func:`solve_weights` forms only L
+and M and never R. A training call thus costs one Gram product and one
+eigh(d_v); after that no solve or objective depends on m.
 
 The functions below take the LabeledDataset and optionally its
 ``class_stats``. With them, P and O hold one column per class; without
 them, one column per instance, and the same code runs with each instance
-as its own group of count 1 (S = X).
+as its own group of count 1 (S = X). Given the statistics, the mean map
+and the solve need no dataset (None); :func:`_objective` is the
+objective from the statistics alone.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .data import block_width
 from .errors import DataError
 from .linalg import SylvesterSystem, _eig_solve, as_matrix, as_number, sym_eig
 
@@ -200,15 +204,50 @@ def _class_sums(x, labels):
 
 
 def class_stats(data):
-    """Class-level statistics n, S and G of a LabeledDataset: one Gram
-    product, and no within-class scatter G_w (nothing needs it formed).
+    """Class-level statistics n, S and G of a LabeledDataset, with no
+    within-class scatter G_w (nothing needs it formed).
+
+    The columns are reduced in blocks of ``block_width(d_v)`` views of
+    the features, with no copy: one Gram product per block, added up.
+    ``zsadjust train`` feeds the same accumulator the seen columns of a
+    features file in blocks of the same width, so the library and the
+    command give the same bits; a dataset of one block gives those of a
+    single product over all columns.
 
     Raises DataError when finite features overflow in G.
     """
     x = data.features
-    ids, counts, sums = _class_sums(x, data.labels)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        gram = x @ x.T
+    width = block_width(x.shape[0])
+    blocks = (x[:, s:s + width] for s in range(0, x.shape[1], width))
+    return _stats_of_blocks(data.labels, blocks, x.shape[0])
+
+
+def _stats_of_blocks(labels, blocks, rows):
+    """n, S and G of the columns that ``blocks`` yields in order, column
+    i of them labeled ``labels[i]``; each block is used only until the
+    next one is asked for."""
+    ids = counts = sums = gram = None
+    start = 0
+    for x in blocks:
+        block_ids, block_counts, block_sums = _class_sums(
+            x, labels[start:start + x.shape[1]])
+        start += x.shape[1]
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            if gram is None:
+                gram = x @ x.T
+            else:
+                gram += x @ x.T
+        if sums is None and start == labels.size:   # one block: as it is
+            ids, counts, sums = block_ids, block_counts, block_sums
+            continue
+        if sums is None:
+            ids, counts = np.unique(labels, return_counts=True)
+            counts = counts.astype(np.float64)
+            sums = np.zeros((rows, ids.size))
+        sums[:, np.searchsorted(ids, block_ids)] += block_sums
+    if gram is None:    # no columns
+        ids, counts = labels, np.zeros(0)
+        sums, gram = np.zeros((rows, 0)), np.zeros((rows, rows))
     if not np.isfinite(gram).all():
         raise DataError("the feature Gram matrix X X^T overflows; rescale "
                         "the features")
@@ -216,14 +255,16 @@ def class_stats(data):
 
 
 def _stats(data, stats):
-    """``stats`` checked against ``data``, or by default the statistics
-    of ``data`` with each instance its own group of count 1."""
+    """``stats`` checked against ``data`` (taken as is when ``data`` is
+    None), or by default the statistics of ``data`` with each instance
+    its own group of count 1."""
     if stats is None:
         x = data.features
         m = x.shape[1]
         return ClassStats(np.arange(m), np.ones(m), x, x @ x.T)
-    if stats.sums.shape[0] != data.feature_dim or \
-            stats.counts.sum() != data.instance_count:
+    if data is not None and (
+            stats.sums.shape[0] != data.feature_dim
+            or stats.counts.sum() != data.instance_count):
         raise DataError("class statistics do not match the dataset")
     return stats
 
@@ -232,7 +273,8 @@ def class_mean_map(model, data, stats=None):
     """Mean of ``W @ x`` per class present in ``data``, computed as
     ``W @ mean(x)`` without encoding each instance.
 
-    ``stats`` is ``class_stats(data)`` when the caller has it.
+    ``stats`` is ``class_stats(data)`` when the caller has it; with it,
+    ``data`` may be None.
 
     Returns
     -------
@@ -271,8 +313,12 @@ def objective(model, data, prototypes, centroids, hp, stats=None):
     hold one column per class of ``stats.class_ids``, and nothing is
     computed over the instances.
     """
-    stats = _stats(data, stats)
-    w = model.weights
+    return _objective(model.weights, _stats(data, stats), prototypes,
+                      centroids, hp)
+
+
+def _objective(w, stats, prototypes, centroids, hp):
+    """J(W) from the class statistics alone."""
     n = stats.counts
     means = stats.means
     mapped = w @ means
@@ -330,10 +376,11 @@ def solve_weights(data, prototypes, centroids, hp, ridge_on_failure=False,
                   stats=None):
     """Minimize J(W) in closed form; returns a MappingModel.
 
-    ``stats`` as in :func:`objective`. Only L and M are formed: R's
-    eigenpairs ((alpha + beta) g, V) come from the one eigendecomposition
-    of G. Propagates SolverError from a singular eigenvalue pair unless
-    ``ridge_on_failure`` requests the explicit ridge retry.
+    ``stats`` as in :func:`objective`; with it, ``data`` may be None.
+    Only L and M are formed: R's eigenpairs ((alpha + beta) g, V) come
+    from the one eigendecomposition of G. Propagates SolverError from a
+    singular eigenvalue pair unless ``ridge_on_failure`` requests the
+    explicit ridge retry.
     """
     stats = _stats(data, stats)
     L, M = _normal_equation(stats, prototypes, centroids, hp)

@@ -16,8 +16,10 @@ The schedule is:
    reach a solve, so the weights do not depend on the unseen blend.
 
 Every solve and objective runs from the class statistics of the seen
-data (:func:`zsadjust.mapping.class_stats`), built once per call: one
-Gram product X X^T and one eigh(d_v). Each iteration then costs
+data (:func:`zsadjust.mapping.class_stats`) alone: the counts, the class
+feature sums and the Gram product X X^T, built once per call, or given
+instead of the dataset (as ``zsadjust train`` streams them from a
+features file), and one eigh(d_v). Each iteration then costs
 O(d_s d_v^2 + d_v d_s c) for c seen classes, independent of the
 instance count m.
 
@@ -39,6 +41,8 @@ from .adjustment import _blend_seen, adjust_unseen
 from .errors import DataError, SolverError
 from .linalg import as_number
 from .mapping import (
+    ClassStats,
+    _objective,
     class_mean_map,
     class_stats,
     expand_per_instance,
@@ -73,8 +77,9 @@ def train(seen, table, hp, unseen_neighbors="adjusted",
 
     Parameters
     ----------
-    seen : LabeledDataset
-        Seen-class instances only (see :func:`zsadjust.data.split`).
+    seen : LabeledDataset or ClassStats
+        Seen-class instances only (see :func:`zsadjust.data.split`), or
+        their :func:`zsadjust.mapping.class_stats`.
     table : PrototypeTable
         Original prototypes for all classes, seen and unseen.
     hp : HyperParams
@@ -107,14 +112,16 @@ def _alternate(seen, table, hp, unseen_neighbors="adjusted",
     ``adjusted`` is ``adjust_unseen(seen_adjusted, hp, neighbors)``.
     Only the seen columns reach the solves: everything but ``adjusted``
     and the ``unseen_shift`` records is independent of k, lambda2 and
-    gamma2.
+    gamma2. Given the class statistics alone, it reads nothing else of
+    the data; given the dataset, it checks the statistics against it.
     """
-    if seen.instance_count == 0:
+    stats = seen if isinstance(seen, ClassStats) else class_stats(seen)
+    data = None if seen is stats else seen
+    if stats.counts.size == 0:
         raise DataError("cannot train on an empty seen dataset")
     if unseen_neighbors not in ("adjusted", "original"):
         raise ValueError("unseen_neighbors must be 'adjusted' or 'original'")
 
-    stats = class_stats(seen)
     proto0 = expand_per_instance(table, stats.class_ids)
     zeros = np.zeros_like(proto0)
 
@@ -122,7 +129,7 @@ def _alternate(seen, table, hp, unseen_neighbors="adjusted",
     # no centroid term yet.
     hp0 = replace(hp, alpha=0.0)
     try:
-        model = solve_weights(seen, proto0, zeros, hp0,
+        model = solve_weights(data, proto0, zeros, hp0,
                               ridge_on_failure=ridge_on_failure, stats=stats)
     except SolverError as exc:
         raise SolverError(f"initial solve failed: {exc}") from exc
@@ -136,17 +143,20 @@ def _alternate(seen, table, hp, unseen_neighbors="adjusted",
         prev_vectors = adjusted.vectors
         tic = time.perf_counter()
         try:
-            ids, centroids = class_mean_map(model, seen, stats)
+            ids, centroids = class_mean_map(model, data, stats)
             seen_adjusted = _blend_seen(table, ids, centroids, hp)
             adjusted = adjust_unseen(seen_adjusted, hp, neighbors=neighbors)
             proto = expand_per_instance(adjusted, stats.class_ids)
-            new_model = solve_weights(seen, proto, centroids, hp,
+            new_model = solve_weights(data, proto, centroids, hp,
                                       ridge_on_failure=ridge_on_failure,
                                       stats=stats)
         except SolverError as exc:
             raise SolverError(f"iteration {it}: {exc}") from exc
 
-        obj = objective(new_model, seen, proto, centroids, hp, stats=stats)
+        if data is None:
+            obj = _objective(new_model.weights, stats, proto, centroids, hp)
+        else:   # perfbench sizes the objective's work from the dataset
+            obj = objective(new_model, data, proto, centroids, hp, stats=stats)
         delta = float(
             np.linalg.norm(new_model.weights - model.weights, "fro")
             / max(np.linalg.norm(new_model.weights, "fro"), 1e-300)

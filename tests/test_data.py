@@ -288,3 +288,10 @@ def test_synth_spec_rejects_negative_seed():
 def test_synth_spec_warns_when_semantic_exceeds_visual():
     with pytest.warns(UserWarning, match="semantic dimension"):
         SynthSpec(d_v=4, d_s=8)
+
+
+@pytest.mark.parametrize("labels", [5, [[0, 0]]])
+def test_labels_must_be_one_dimensional(labels):
+    # a scalar label used to end in an IndexError
+    with pytest.raises(DataError, match=r"labels must be 1-D, got shape"):
+        LabeledDataset(np.ones((2, 2)), labels, 1)
