@@ -211,8 +211,8 @@ def class_stats(data):
     the features, with no copy: one Gram product per block, added up.
     ``zsadjust train`` feeds the same accumulator the seen columns of a
     features file in blocks of the same width, so the library and the
-    command give the same bits; a dataset of one block gives those of a
-    single product over all columns.
+    command give the same bits at one BLAS thread count; a dataset of
+    one block gives those of a single product over all columns.
 
     Raises DataError when finite features overflow in G.
     """
