@@ -283,10 +283,6 @@ def _load_run_data(opts, stats=False, keep_seen=False):
     class_count = int(max(labels.max(initial=0), table.class_ids.max())) + 1
     (rows, cols), _ = columns
     labels = _check_labels(labels, cols, class_count)
-    if opts.normalize in ("prototypes", "both"):
-        vectors = table.vectors.copy()
-        _unit_columns(vectors, "prototype")
-        table = table.with_vectors(vectors)
     seen = _seen_mask(labels, table)
     if (stats or keep_seen) and not seen.any():
         raise DataError("seen partition is empty: nothing to train on")
@@ -301,6 +297,10 @@ def _load_run_data(opts, stats=False, keep_seen=False):
     else:
         for _ in blocks:    # nothing is taken: this reads every column
             pass
+    if opts.normalize in ("prototypes", "both"):
+        vectors = table.vectors.copy()
+        _unit_columns(vectors, "prototype")
+        table = table.with_vectors(vectors)
     return (table, seen_stats,
             LabeledDataset._of_checked(kept, labels[keep], class_count))
 

@@ -156,7 +156,8 @@ class PrototypeTable:
             raise DataError("prototype table must contain at least one class")
         if np.unique(ids).size != ids.size:
             raise DataError("duplicate class id in prototype table")
-        norms = np.linalg.norm(vecs, axis=0)
+        with np.errstate(over="ignore"):    # only a zero norm matters here
+            norms = np.linalg.norm(vecs, axis=0)
         if np.any(norms == 0.0):
             zero_id = ids[int(np.argmin(norms))]
             raise DataError(
@@ -456,7 +457,10 @@ def _stream_columns(columns, name, take, keep, kept, unit=False):
     A non-finite entry is a DataError that names the first one in
     row-major order, as :func:`load_matrix` reports it: the rest of the
     matrix is still read for that, and no block from there on is
-    yielded.
+    yielded. So is a column that ``unit`` cannot scale, reported only
+    if every entry is finite: the first whose norm overflows, else the
+    first zero column, as if the whole matrix were checked and then
+    normalized.
     """
     (rows, cols), read = columns
     width = block_width(rows)
@@ -464,6 +468,7 @@ def _stream_columns(columns, name, take, keep, kept, unit=False):
     buf = np.empty((rows, min(width + max(1, width // 8), cols)), dtype="<f8")
     fill = used = 0     # taken columns waiting in buf; columns kept so far
     bad = None          # (row, col) of the first non-finite entry
+    faults = (None, None)   # first columns whose norm overflows, is zero
     start = 0
     while start < cols:
         new = buf[:, fill:fill + min(buf.shape[1] - fill, cols - start)]
@@ -473,9 +478,13 @@ def _stream_columns(columns, name, take, keep, kept, unit=False):
         if not finite.all():
             row, col = divmod(int(np.argmin(finite)), w)
             bad = min(bad or (row, start + col), (row, start + col))
-        if bad is None:
+        if bad is None and unit:
+            norms = _column_norms(new)
+            faults = tuple(old if old is not None else found for old, found
+                           in zip(faults, _norm_faults(norms, start)))
+        if bad is None and faults == (None, None):
             if unit:
-                _unit_columns(new, "feature", start)
+                new /= norms
             idx = np.flatnonzero(keep[start:start + w])
             _take_columns(kept[:, used:used + idx.size], new, idx)
             used += idx.size
@@ -493,6 +502,7 @@ def _stream_columns(columns, name, take, keep, kept, unit=False):
     if bad is not None:
         raise DataError(f"{name} contains a non-finite entry at row "
                         f"{bad[0]}, col {bad[1]}")
+    _raise_norm_fault("feature", *faults)
     if fill:
         yield buf[:, :fill]
 
@@ -510,29 +520,45 @@ def _take_columns(dst, src, idx):
             dst[:, j:j + part.size] = np.take(src, part, axis=1)
 
 
-def _unit_columns(a, what, first=0):
-    """Scale each column of ``a`` to unit L2 norm, in place. A DataError
-    names the column (``first`` plus its index in ``a``) whose norm
-    overflows or is zero.
+def _unit_columns(a, what):
+    """Scale each column of ``a`` to unit L2 norm, in place; a DataError
+    names a column whose norm overflows or is zero."""
+    norms = _column_norms(a)
+    _raise_norm_fault(what, *_norm_faults(norms))
+    a /= norms
+
+
+def _column_norms(a):
+    """L2 norm of each column of ``a``.
 
     Each norm sums its squares in row order, as ``np.linalg.norm(x,
     axis=0)`` does on a matrix of two or more columns, so that a column
     gets the same bits whichever block it is in.
     """
     squares = np.zeros(a.shape[1])
-    with np.errstate(over="ignore"):    # checked below
+    with np.errstate(over="ignore"):    # checked by _norm_faults
         for row in a:
             squares += row * row
-    norms = np.sqrt(squares)
-    if not np.isfinite(norms).all():
-        col = first + int(np.argmin(np.isfinite(norms)))
-        raise DataError(f"cannot normalize {what} column {col}: its norm "
-                        f"overflows; rescale the input")
-    if not norms.all():
-        col = first + int(np.argmin(norms != 0.0))
+    return np.sqrt(squares)
+
+
+def _norm_faults(norms, first=0):
+    """``(overflow, zero)``: the first column, counted from ``first``,
+    whose norm overflows, and the first whose norm is zero; None where
+    there is none."""
+    return tuple(first + int(bad.argmax()) if bad.any() else None
+                 for bad in (~np.isfinite(norms), norms == 0.0))
+
+
+def _raise_norm_fault(what, overflow, zero):
+    """A DataError for a column whose norm overflows, else for a zero
+    column, if either is given."""
+    if overflow is not None:
+        raise DataError(f"cannot normalize {what} column {overflow}: its "
+                        f"norm overflows; rescale the input")
+    if zero is not None:
         raise DataError(f"cannot normalize a zero {what} column "
-                        f"(column {col})")
-    a /= norms
+                        f"(column {zero})")
 
 
 # ---------------------------------------------------------------------------

@@ -49,17 +49,15 @@ def as_matrix(a, name="matrix"):
     out = np.ascontiguousarray(a, dtype=np.float64)
     if out.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {out.shape}")
-    # a large matrix is scanned a band of rows at a time, so that no mask
-    # of its size is made
-    band = 2**18
-    if out.size > band or not np.isfinite(out).all():
-        step = max(1, band // max(1, out.shape[1]))
-        for top in range(0, out.shape[0], step):
-            finite = np.isfinite(out[top:top + step])
-            if not finite.all():
-                row, col = np.argwhere(~finite)[0]
-                raise ValueError(f"{name} contains a non-finite entry at "
-                                 f"row {top + row}, col {col}")
+    # scanned a band of rows (about 2**18 entries) at a time, so that no
+    # mask the size of a large matrix is made
+    step = max(1, 2**18 // max(1, out.shape[1]))
+    for top in range(0, out.shape[0], step):
+        finite = np.isfinite(out[top:top + step])
+        if not finite.all():
+            row, col = np.argwhere(~finite)[0]
+            raise ValueError(f"{name} contains a non-finite entry at "
+                             f"row {top + row}, col {col}")
     return out
 
 

@@ -226,10 +226,14 @@ def _stats_of_blocks(labels, blocks, rows):
     """n, S and G of the columns that ``blocks`` yields in order, column
     i of them labeled ``labels[i]``; each block is used only until the
     next one is asked for."""
-    ids = counts = sums = gram = None
+    ids, counts = np.unique(labels, return_counts=True)
+    # column-major, as _class_sums returns its sums: BLAS rounds the
+    # products of S by layout, so a dataset of one block keeps its bits
+    sums = np.zeros((rows, ids.size), order="F")
+    gram = None
     start = 0
     for x in blocks:
-        block_ids, block_counts, block_sums = _class_sums(
+        block_ids, _, block_sums = _class_sums(
             x, labels[start:start + x.shape[1]])
         start += x.shape[1]
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
@@ -237,21 +241,13 @@ def _stats_of_blocks(labels, blocks, rows):
                 gram = x @ x.T
             else:
                 gram += x @ x.T
-        if sums is None and start == labels.size:   # one block: as it is
-            ids, counts, sums = block_ids, block_counts, block_sums
-            continue
-        if sums is None:
-            ids, counts = np.unique(labels, return_counts=True)
-            counts = counts.astype(np.float64)
-            sums = np.zeros((rows, ids.size))
         sums[:, np.searchsorted(ids, block_ids)] += block_sums
     if gram is None:    # no columns
-        ids, counts = labels, np.zeros(0)
-        sums, gram = np.zeros((rows, 0)), np.zeros((rows, rows))
+        gram = np.zeros((rows, rows))
     if not np.isfinite(gram).all():
         raise DataError("the feature Gram matrix X X^T overflows; rescale "
                         "the features")
-    return ClassStats(ids, counts, sums, gram)
+    return ClassStats(ids, counts.astype(np.float64), sums, gram)
 
 
 def _stats(data, stats):

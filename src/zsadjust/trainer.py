@@ -153,9 +153,13 @@ def _alternate(seen, table, hp, unseen_neighbors="adjusted",
         except SolverError as exc:
             raise SolverError(f"iteration {it}: {exc}") from exc
 
+        # perfbench/run.py sizes the work of mapping.objective from its
+        # dataset argument. Once it sizes it from the ClassStats shapes
+        # (ROADMAP item 1), this loop calls one objective on ``stats``
+        # alone and the branch goes.
         if data is None:
             obj = _objective(new_model.weights, stats, proto, centroids, hp)
-        else:   # perfbench sizes the objective's work from the dataset
+        else:
             obj = objective(new_model, data, proto, centroids, hp, stats=stats)
         delta = float(
             np.linalg.norm(new_model.weights - model.weights, "fro")

@@ -25,7 +25,11 @@ from zsadjust.data import (
     synthesize,
 )
 from zsadjust.inference import evaluate
-from zsadjust.mapping import HyperParams
+from zsadjust.mapping import (
+    HyperParams,
+    class_mean_map,
+    class_stats,
+)
 from zsadjust.trainer import train
 
 D_V = 8
@@ -110,6 +114,22 @@ def test_cli_train_matches_library_bit_for_bit(tmp_path, blocks, order):
         str(c): v for c, v in report.per_class_accuracy.items()}
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_one_block_class_means_keep_their_bits(seed):
+    # in one block the accumulated sums are those of _class_sums alone,
+    # layout included, so the class means map to the same bits with or
+    # without the statistics (at these sizes BLAS rounds W S by layout)
+    dataset, table, _ = synthesize(SynthSpec(
+        d_v=100, d_s=85, seen_count=20, unseen_count=20, per_class=20,
+        noise_sigma=0.05, shift_sigma=0.1, seed=seed))
+    seen, _ = split(dataset, table)
+    model, _, _ = train(seen, table, HyperParams(iterations=1))
+    ids, means = class_mean_map(model, seen)
+    stats_ids, stats_means = class_mean_map(model, None, class_stats(seen))
+    assert np.array_equal(stats_ids, ids)
+    assert np.array_equal(stats_means, means)
+
+
 def test_normalized_features_match_numpy_norms(tmp_path, blocks):
     # each column is scaled by the norm np.linalg.norm gives it over the
     # whole matrix, whichever block and whichever width of read it is in
@@ -134,7 +154,7 @@ def test_unit_columns_bits_do_not_depend_on_the_block():
     whole = x / np.linalg.norm(x, axis=0, keepdims=True)
     for j in range(x.shape[1]):
         column = x[:, j:j + 1].copy()
-        _unit_columns(column, "feature", j)
+        _unit_columns(column, "feature")
         assert np.array_equal(column[:, 0], whole[:, j])
 
 
@@ -224,6 +244,32 @@ def test_normalize_error_names_the_global_column(tmp_path, blocks, capsys,
     x[:, 25] *= scale       # column 5 of block 2
     paths = _write(tmp_path / "data", x, dataset.labels, table)
     assert main(["train", *_file_args(paths), *HP, "--normalize", "features",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("nan", "non-finite entry at row 0, col 80"),
+    ("overflow", "cannot normalize feature column 65: its norm overflows"),
+    ("prototype", "cannot normalize a zero feature column (column 25)"),
+])
+def test_normalize_error_comes_after_non_finite_entries(tmp_path, blocks,
+                                                        capsys, fault,
+                                                        message):
+    # as when the whole matrix was read, checked and then normalized: a
+    # later block's NaN or overflowing column wins over an earlier zero
+    # column, and a feature fault over a prototype fault
+    dataset, table = _dataset("grouped")
+    x = dataset.features.copy()
+    x[:, 25] = 0.0          # block 2
+    if fault == "nan":
+        x[0, 80] = np.nan   # block 8, the last
+    elif fault == "overflow":
+        x[:, 65] *= 1e300   # block 6
+    else:
+        table = table.with_vectors(table.vectors * 1e300)
+    paths = _write(tmp_path / "data", _raw(x), dataset.labels, table)
+    assert main(["train", *_file_args(paths), *HP, "--normalize", "both",
                  "--out", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
 
