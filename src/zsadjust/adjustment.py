@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .data import PrototypeTable
 from .errors import DataError
 from .mapping import _sq_cols, class_mean_map
 
@@ -78,7 +79,8 @@ def _blend_seen(table, present_ids, means, hp):
         vectors[:, seen] = (hp.lambda1 * table.vectors[:, seen] + hp.gamma1
                             * means[:, np.searchsorted(present_ids, seen_ids)])
     _check_blend("seen", seen_ids, vectors[:, seen], "lambda1 and gamma1")
-    return table.with_vectors(vectors)
+    return PrototypeTable._of_checked(table.class_ids.copy(), vectors,
+                                      table.seen.copy())
 
 
 def _check_blend(kind, ids, vectors, weights):
@@ -175,4 +177,5 @@ def adjust_unseen(table, hp, neighbors=None):
             hp.lambda2 * table.vectors[:, unseen[cols]] + hp.gamma2 * blend)
     _check_blend("unseen", table.class_ids[unseen[cols]],
                  vectors[:, unseen[cols]], "lambda2 and gamma2")
-    return table.with_vectors(vectors)
+    return PrototypeTable._of_checked(table.class_ids.copy(), vectors,
+                                      table.seen.copy())

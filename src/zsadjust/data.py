@@ -164,9 +164,14 @@ class PrototypeTable:
                 f"prototype of class {zero_id} is the zero vector "
                 f"(similarity would be undefined)"
             )
-        object.__setattr__(self, "class_ids", ids)
-        object.__setattr__(self, "vectors", vecs)
-        object.__setattr__(self, "seen", seen)
+        self.__dict__.update(class_ids=ids, vectors=vecs, seen=seen)
+
+    @classmethod
+    def _of_checked(cls, class_ids, vectors, seen):
+        """Table over fields known to be valid: nothing is scanned again."""
+        table = object.__new__(cls)
+        table.__dict__.update(class_ids=class_ids, vectors=vectors, seen=seen)
+        return table
 
     @property
     def semantic_dim(self):
@@ -334,19 +339,23 @@ def _load_csv(path):
     return rows
 
 
-def _read_lines(path, error=DataError):
-    """The stripped lines of the UTF-8 text file ``path``, blank ones
-    included, so that line n of the file is item n - 1. A byte that is
-    not UTF-8, whatever the locale, is an ``error`` naming its line."""
+def _read_text(path, error=DataError):
+    """The text of the UTF-8 file ``path``. A byte that is not UTF-8,
+    whatever the locale, is an ``error`` naming its line."""
     with _reading(path, error), open(path, encoding="utf-8",
                                      errors="surrogateescape") as fh:
         text = fh.read()    # newlines as in text mode: \r\n and \r become \n
     # surrogateescape decodes each byte that is not UTF-8 to a lone surrogate
-    bad = re.search("[\udc80-\udcff]", text)
+    bad = not text.isascii() and re.search("[\udc80-\udcff]", text)
     if bad:
         lineno = text.count("\n", 0, bad.start()) + 1
         raise error(f"{path}:{lineno}: not valid UTF-8")
-    return [line.strip() for line in text.split("\n")]
+    return text
+
+
+def _read_lines(path, error=DataError):
+    """The stripped lines of :func:`_read_text`; item n - 1 is line n."""
+    return [line.strip() for line in _read_text(path, error).split("\n")]
 
 
 def _int64s(path, tokens, what):
@@ -372,7 +381,14 @@ def save_labels(path, labels):
 
 
 def load_labels(path):
-    return _int64s(path, _read_lines(path), "not an integer label")
+    text = _read_text(path)
+    # numpy parses digit lines as int() does, but saturates past int64
+    if text.isascii() and text.replace("\n", "").isdigit():
+        labels = np.fromstring(text, dtype=np.int64, sep=" ")
+        if not (labels == np.iinfo(np.int64).max).any():
+            return labels
+    return _int64s(path, [line.strip() for line in text.split("\n")],
+                   "not an integer label")
 
 
 def save_prototypes(table, matrix_path, partition_path, fmt="binary"):

@@ -13,11 +13,11 @@ method: with L = U diag(lam) U^T and R = V diag(sig) V^T,
 
     W = U Wt V^T,   Wt[i, j] = -(U^T M V)[i, j] / (lam[i] + sig[j]).
 
-That closed form is written once, in ``_eig_solve``, which takes the two
-eigenpairs and M. :func:`solve_sylvester` feeds it the eigenpairs of a
-full :class:`SylvesterSystem`; training feeds it R's eigenpairs straight
-from the one eigendecomposition of the feature Gram matrix and so never
-forms R.
+That closed form is written once, in ``_eig_solve``, in R's eigenbasis:
+from L's eigenpairs (or r of them, the others being 0), R's eigenvalues
+and M V it returns W V = U Wt with no q x q product. Around it,
+:func:`solve_sylvester` forms M V and W = (W V) V^T; training takes R's
+eigenpairs from the one eigendecomposition of the Gram matrix.
 
 All matrices are dense, row-major, double precision. Operations are pure
 functions of their inputs and hold no shared state.
@@ -160,20 +160,22 @@ class SylvesterSystem:
         return float(np.linalg.norm(self.L @ w + w @ self.R + self.M, "fro"))
 
 
-def _eig_solve(l_eig, r_eig, m, ridge_on_failure):
-    """``W = U [(U^T M V) ./ -(lam_i + sig_j)] V^T`` from the eigenpairs
-    ``(lam, U)`` of L and ``(sig, V)`` of R, both ascending; pivot floor
-    and ridge retry as in :func:`solve_sylvester`. The ridge shifts lam
-    by ``eps = 1e-8 * trace(L) / p``, which gives the eigenpairs of
-    ``L + eps*I``."""
+def _eig_solve(l_eig, sig, m_hat, ridge_on_failure, null=0.0):
+    """``W V = U [(U^T M V) ./ -(lam_i + sig_j)]`` from the eigenpairs
+    ``(lam, U)`` of L and the eigenvalues ``sig`` of R = V diag(sig) V^T,
+    all ascending, and ``m_hat = M V``. A thin U (p x r, r < p) leaves
+    L's other eigenvalues at ``null`` (0), which add
+    ``(I - U U^T) M V ./ -(null + sig_j)``. Pivot floor and ridge retry
+    as in :func:`solve_sylvester`; the ridge shifts lam and ``null`` by
+    ``eps = 1e-8 * trace(L) / p``, giving the eigenpairs of L + eps*I."""
     lam, u = l_eig
-    sig, v = r_eig
-    pair_min = lam[0] + sig[0]
+    thin = u.shape[1] < u.shape[0]
+    pair_min = (min(lam[0], null) if thin else lam[0]) + sig[0]
     floor = PIVOT_FLOOR * (np.abs(lam).max() + np.abs(sig).max())
     if not pair_min > floor:
         if ridge_on_failure:
-            eps = 1e-8 * float(lam.sum()) / lam.size
-            return _eig_solve((lam + eps, u), r_eig, m, False)
+            eps = 1e-8 * float(lam.sum()) / u.shape[0]
+            return _eig_solve((lam + eps, u), sig, m_hat, False, null + eps)
         raise SolverError(
             f"singular eigenvalue pair: min(lam_i + sig_j) = {pair_min:.3e} "
             f"<= pivot floor {floor:.3e} ({PIVOT_FLOOR:.0e} relative to "
@@ -181,8 +183,11 @@ def _eig_solve(l_eig, r_eig, m, ridge_on_failure):
             f"(rank-deficient data or vanishing constraint weight). "
             f"Retry with ridge_on_failure=True to regularize L."
         )
-    wt = -(u.T @ m @ v) / np.add.outer(lam, sig)
-    return u @ wt @ v.T
+    proj = u.T @ m_hat
+    w_hat = u @ (proj / np.add.outer(lam, sig))
+    if thin:
+        w_hat += (m_hat - u @ proj) / (null + sig)
+    return np.negative(w_hat, out=w_hat)
 
 
 def solve_sylvester(system, ridge_on_failure=False):
@@ -213,5 +218,6 @@ def solve_sylvester(system, ridge_on_failure=False):
     SolverError
         On a singular eigenvalue pair (after the optional ridge retry).
     """
-    return _eig_solve(sym_eig(system.L), sym_eig(system.R), system.M,
-                      ridge_on_failure)
+    sig, v = sym_eig(system.R)
+    return _eig_solve(sym_eig(system.L), sig, system.M @ v,
+                      ridge_on_failure) @ v.T

@@ -34,23 +34,24 @@ each term of J is a sum of non-negative parts:
     ||W X - O||^2     = tr(W G_w W^T) + sum_c n_c ||W xbar_c - o_c||^2
     ||W X - P||^2     = tr(W G_w W^T) + sum_c n_c ||W xbar_c - p_c||^2
 
-G_w itself is never formed: tr G_w = tr G - sum_c n_c ||xbar_c||^2 and
-tr(W G_w W^T) = <W, W G> - sum_c n_c ||W xbar_c||^2.
+G_w is never formed, and the objective makes no d_v x c array:
+tr(W G_w W^T) = tr(W G W^T) - sum_c n_c ||W xbar_c||^2, and the cycle
+term is tr G + sum_c n_c p_c^T (W W^T p_c - 2 W xbar_c).
 
-:func:`class_stats` computes n, S and G once, summed over column blocks
-of a fixed byte size, so that a features file can be reduced without
-ever being whole in memory; :attr:`ClassStats.gram_eig` is the single
-eigendecomposition G = V diag(g) V^T that gives R's eigenpairs
-((alpha + beta) g, V) in every solve. :func:`solve_weights` forms only L
-and M and never R. A training call thus costs one Gram product and one
-eigh(d_v); after that no solve or objective depends on m.
+:func:`class_stats` sums n, S and G over column blocks of a fixed byte
+size, so that a features file is never whole in memory. Given
+G = V diag(g) V^T (:attr:`ClassStats.gram_eig`) and V^T xbar_c
+(:attr:`ClassStats.rotated_means`), a solve returns W V
+(:func:`_solve_rotated`): M V costs d_s c d_v, L's eigenpairs come from
+a c x c problem when 2c <= d_s, W V maps the means as (W V)(V^T xbar_c),
+and tr(W G W^T) = sum_j g_j ||(W V)_:j||^2. So an iteration costs
+O(d_s d_v (c + d_s) + d_s^3), with no d_v^2 term and no m.
 
 The functions below take the LabeledDataset and optionally its
 ``class_stats``. With them, P and O hold one column per class; without
 them, one column per instance, and the same code runs with each instance
 as its own group of count 1 (S = X). Given the statistics, the mean map
-and the solve need no dataset (None); :func:`_objective` is the
-objective from the statistics alone.
+and the solve need no dataset (None).
 """
 
 from __future__ import annotations
@@ -173,14 +174,16 @@ class ClassStats:
     gram: np.ndarray
 
     @cached_property
-    def means(self):
-        """Group means S diag(1/n), shape (d_v, c)."""
-        return self.sums / self.counts
-
-    @cached_property
     def gram_eig(self):
         """``(g, V)`` with G = V diag(g) V^T, g ascending."""
         return sym_eig(self.gram)
+
+    @cached_property
+    def rotated_means(self):
+        """Group means in the eigenbasis of G, V^T S diag(1/n): (d_v, c)."""
+        out = self.gram_eig[1].T @ self.sums
+        out /= self.counts
+        return out
 
 
 def _class_sums(x, labels):
@@ -280,7 +283,7 @@ def class_mean_map(model, data, stats=None):
     """
     if stats is not None:
         stats = _stats(data, stats)
-        return stats.class_ids, model.weights @ stats.means
+        return stats.class_ids, model.weights @ (stats.sums / stats.counts)
     ids, counts, sums = _class_sums(data.features, data.labels)
     return ids, model.weights @ (sums / counts)
 
@@ -309,19 +312,22 @@ def objective(model, data, prototypes, centroids, hp, stats=None):
     hold one column per class of ``stats.class_ids``, and nothing is
     computed over the instances.
     """
-    return _objective(model.weights, _stats(data, stats), prototypes,
+    stats = _stats(data, stats)
+    w = model.weights
+    return _objective(stats, w @ w.T, float(np.sum(w * (w @ stats.gram))),
+                      (w @ stats.sums) / stats.counts, prototypes,
                       centroids, hp)
 
 
-def _objective(w, stats, prototypes, centroids, hp):
-    """J(W) from the class statistics alone."""
+def _objective(stats, wwt, spread, mapped, prototypes, centroids, hp):
+    """J(W) from the class statistics, W W^T, tr(W G W^T) (``spread``)
+    and the mapped class means W xbar_c, with no d_v-sized temporary:
+    the cycle term is tr G - 2 sum_c n_c p_c^T W xbar_c
+    + sum_c n_c p_c^T W W^T p_c."""
     n = stats.counts
-    means = stats.means
-    mapped = w @ means
-    # tr(W G_w W^T) and tr G_w, from G and the class means
-    spread = float(np.sum(w * (w @ stats.gram))) - float(n @ _sq_cols(mapped))
-    within = float(np.trace(stats.gram)) - float(n @ _sq_cols(means))
-    cycle = within + float(n @ _sq_cols(means - w.T @ prototypes))
+    spread -= float(n @ _sq_cols(mapped))      # tr(W G_w W^T)
+    cycle = float(np.trace(stats.gram)) + float(n @ np.einsum(
+        "ij,ij->j", prototypes, wwt @ prototypes - 2.0 * mapped))
     centroid = spread + float(n @ _sq_cols(mapped - centroids))
     constraint = spread + float(n @ _sq_cols(mapped - prototypes))
     return 0.5 * (cycle + hp.alpha * centroid + hp.beta * constraint)
@@ -335,9 +341,8 @@ def objective_gradient(model, data, prototypes, centroids, hp):
 
 
 def _normal_equation(stats, prototypes, centroids, hp):
-    """L = P diag(n) P^T and M = -[(1 + beta) P + alpha O] S^T, with one
-    column per group of ``stats`` in P and O; DataError where they
-    overflow."""
+    """``B = P diag(sqrt n)`` and ``A = (1 + beta) P + alpha O``, with one
+    column per group of ``stats`` in P and O: L = B B^T and M = -A S^T."""
     p = as_matrix(prototypes, "prototypes")
     o = as_matrix(centroids, "centroids")
     groups = stats.counts.size
@@ -346,14 +351,13 @@ def _normal_equation(stats, prototypes, centroids, hp):
             f"prototypes and centroids must both be (d_s, {groups}), one "
             f"column per group; got {p.shape} and {o.shape}"
         )
-    b = p * np.sqrt(stats.counts)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        L = b @ b.T
-        M = -((1.0 + hp.beta) * p + hp.alpha * o) @ stats.sums.T
-    if not (np.isfinite(L).all() and np.isfinite(M).all()):
+    return p * np.sqrt(stats.counts), (1.0 + hp.beta) * p + hp.alpha * o
+
+
+def _finite(*parts):
+    if not all(np.isfinite(a).all() for a in parts):
         raise DataError("the normal equation overflows; lower the blend "
                         "weights, alpha or beta, or rescale the features")
-    return L, M
 
 
 def assemble_system(data, prototypes, centroids, hp, stats=None):
@@ -364,8 +368,36 @@ def assemble_system(data, prototypes, centroids, hp, stats=None):
     :func:`objective` (n = 1 and S = X per instance without it).
     """
     stats = _stats(data, stats)
-    L, M = _normal_equation(stats, prototypes, centroids, hp)
+    b, a = _normal_equation(stats, prototypes, centroids, hp)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        L = b @ b.T
+        M = -a @ stats.sums.T
+    _finite(L, M)
     return SylvesterSystem(L, (hp.alpha + hp.beta) * stats.gram, M)
+
+
+def _l_eig(b, thin):
+    """Eigenpairs ``(lam, U)`` of L = B B^T, ascending: all d_s, or when
+    ``thin`` the c from the QR B = Q K, as L = Q (K K^T) Q^T: eigh(K K^T)
+    = (lam, Z) gives U = Q Z, and L's other eigenvalues are 0."""
+    q, k = np.linalg.qr(b) if thin else (None, b)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        kkt = k @ k.T
+    _finite(kkt)
+    lam, z = sym_eig(kkt)
+    return lam, (q @ z if thin else z)
+
+
+def _solve_rotated(stats, prototypes, centroids, hp, ridge_on_failure):
+    """W V of :func:`solve_weights`, for V the eigenvectors of G, with
+    M V = -(A diag(n)) (V^T Xbar)^T from the cached rotated means."""
+    b, a = _normal_equation(stats, prototypes, centroids, hp)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        m_hat = -(a * stats.counts) @ stats.rotated_means.T
+    _finite(m_hat)
+    return _eig_solve(_l_eig(b, 2 * b.shape[1] <= b.shape[0]),
+                      (hp.alpha + hp.beta) * stats.gram_eig[0], m_hat,
+                      ridge_on_failure)
 
 
 def solve_weights(data, prototypes, centroids, hp, ridge_on_failure=False,
@@ -373,13 +405,12 @@ def solve_weights(data, prototypes, centroids, hp, ridge_on_failure=False,
     """Minimize J(W) in closed form; returns a MappingModel.
 
     ``stats`` as in :func:`objective`; with it, ``data`` may be None.
-    Only L and M are formed: R's eigenpairs ((alpha + beta) g, V) come
-    from the one eigendecomposition of G. Propagates SolverError from a
-    singular eigenvalue pair unless ``ridge_on_failure`` requests the
-    explicit ridge retry.
+    The solve runs in the eigenbasis V of G (:func:`_solve_rotated`);
+    W = (W V) V^T is its one d_s d_v^2 product. Propagates SolverError
+    from a singular eigenvalue pair unless ``ridge_on_failure`` requests
+    the explicit ridge retry.
     """
     stats = _stats(data, stats)
-    L, M = _normal_equation(stats, prototypes, centroids, hp)
-    g, v = stats.gram_eig
-    return MappingModel(_eig_solve(sym_eig(L), ((hp.alpha + hp.beta) * g, v),
-                                   M, ridge_on_failure))
+    return MappingModel(_solve_rotated(stats, prototypes, centroids, hp,
+                                       ridge_on_failure)
+                        @ stats.gram_eig[1].T)

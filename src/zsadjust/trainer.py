@@ -19,9 +19,10 @@ Every solve and objective runs from the class statistics of the seen
 data (:func:`zsadjust.mapping.class_stats`) alone: the counts, the class
 feature sums and the Gram product X X^T, built once per call, or given
 instead of the dataset (as ``zsadjust train`` streams them from a
-features file), and one eigh(d_v). Each iteration then costs
-O(d_s d_v^2 + d_v d_s c) for c seen classes, independent of the
-instance count m.
+features file), one eigh(d_v) = V diag(g) V^T and V^T xbar_c. The loop
+keeps W V, not W: an iteration costs O(d_s d_v (c + d_s) + d_s^3) for c
+seen classes, with no d_v^2 term and no m. W = (W V) V^T is formed at
+the end; given a dataset, each objective also forms W and W G (d_s d_v^2).
 
 The loop stops after ``hp.iterations`` rounds or as soon as the relative
 weight change ``||dW||_F / ||W||_F`` drops below ``hp.tol``. Each
@@ -42,12 +43,13 @@ from .errors import DataError, SolverError
 from .linalg import as_number
 from .mapping import (
     ClassStats,
+    MappingModel,
     _objective,
-    class_mean_map,
+    _solve_rotated,
+    _sq_cols,
     class_stats,
     expand_per_instance,
     objective,
-    solve_weights,
 )
 
 
@@ -123,16 +125,17 @@ def _alternate(seen, table, hp, unseen_neighbors="adjusted",
         raise ValueError("unseen_neighbors must be 'adjusted' or 'original'")
 
     proto0 = expand_per_instance(table, stats.class_ids)
-    zeros = np.zeros_like(proto0)
+    (g, v), means = stats.gram_eig, stats.rotated_means
 
     # Initial weights: cycle objective only, hard constraint relaxed,
-    # no centroid term yet.
+    # no centroid term yet. Each solve's W V maps the class means once.
     hp0 = replace(hp, alpha=0.0)
     try:
-        model = solve_weights(data, proto0, zeros, hp0,
-                              ridge_on_failure=ridge_on_failure, stats=stats)
+        w_hat = _solve_rotated(stats, proto0, np.zeros_like(proto0), hp0,
+                               ridge_on_failure)
     except SolverError as exc:
         raise SolverError(f"initial solve failed: {exc}") from exc
+    centroids = w_hat @ means
 
     neighbors = table if unseen_neighbors == "original" else None
     adjusted = table
@@ -143,28 +146,29 @@ def _alternate(seen, table, hp, unseen_neighbors="adjusted",
         prev_vectors = adjusted.vectors
         tic = time.perf_counter()
         try:
-            ids, centroids = class_mean_map(model, data, stats)
-            seen_adjusted = _blend_seen(table, ids, centroids, hp)
+            seen_adjusted = _blend_seen(table, stats.class_ids, centroids, hp)
             adjusted = adjust_unseen(seen_adjusted, hp, neighbors=neighbors)
             proto = expand_per_instance(adjusted, stats.class_ids)
-            new_model = solve_weights(data, proto, centroids, hp,
-                                      ridge_on_failure=ridge_on_failure,
-                                      stats=stats)
+            new_hat = _solve_rotated(stats, proto, centroids, hp,
+                                     ridge_on_failure)
         except SolverError as exc:
             raise SolverError(f"iteration {it}: {exc}") from exc
+        mapped = new_hat @ means
 
         # perfbench/run.py sizes the work of mapping.objective from its
         # dataset argument. Once it sizes it from the ClassStats shapes
         # (ROADMAP item 1), this loop calls one objective on ``stats``
         # alone and the branch goes.
         if data is None:
-            obj = _objective(new_model.weights, stats, proto, centroids, hp)
+            obj = _objective(stats, new_hat @ new_hat.T,
+                             float(g @ _sq_cols(new_hat)), mapped, proto,
+                             centroids, hp)
         else:
-            obj = objective(new_model, data, proto, centroids, hp, stats=stats)
-        delta = float(
-            np.linalg.norm(new_model.weights - model.weights, "fro")
-            / max(np.linalg.norm(new_model.weights, "fro"), 1e-300)
-        )
+            obj = objective(MappingModel(new_hat @ v.T), data, proto,
+                            centroids, hp, stats=stats)
+        w_hat -= new_hat    # ||dW|| = ||dW V||; the old W V is done with
+        delta = float(np.linalg.norm(w_hat, "fro")
+                      / max(np.linalg.norm(new_hat, "fro"), 1e-300))
         vecs = adjusted.vectors
         seen_mask = table.seen
         seen_shift = float(np.linalg.norm(
@@ -175,12 +179,12 @@ def _alternate(seen, table, hp, unseen_neighbors="adjusted",
         records.append(IterationRecord(it, obj, delta, seen_shift,
                                        unseen_shift, ms))
 
-        model = new_model
+        w_hat, centroids = new_hat, mapped
         if delta < hp.tol:
             break
 
-    return (model, adjusted, TrainingTrace(tuple(records)), seen_adjusted,
-            neighbors)
+    return (MappingModel(w_hat @ v.T), adjusted,
+            TrainingTrace(tuple(records)), seen_adjusted, neighbors)
 
 
 @dataclass(frozen=True)

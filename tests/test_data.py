@@ -130,6 +130,18 @@ def test_labels_reject_garbage(tmp_path):
         load_labels(path)
 
 
+@pytest.mark.parametrize("text, want", [
+    ("\n\n", []), ("007\n\n0\n", [7, 0]),
+    (f"{2**63 - 1}\n1\n", [2**63 - 1, 1]), ("1_000\n", [1000]),
+    ("+5\n", [5]), (" 4\n", [4]), ("\u0663\n", [3])])
+def test_labels_parse_as_int_parses_each_line(tmp_path, text, want):
+    # digit-only files take a whole-text numpy parse; the others, and a
+    # value numpy saturates at the int64 maximum, the per-line parse
+    path = tmp_path / "labels.txt"
+    path.write_text(text, encoding="utf-8")
+    assert load_labels(path).tolist() == want
+
+
 @pytest.mark.parametrize("value", [2**63, 2**64 + 5, -2**63 - 1])
 def test_labels_reject_int64_overflow(tmp_path, value):
     path = tmp_path / "labels.txt"

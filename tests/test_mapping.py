@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from zsadjust.data import LabeledDataset, PrototypeTable, SynthSpec, split, synthesize
 from zsadjust.errors import DataError, SolverError
+from zsadjust.linalg import _eig_solve
 from zsadjust.mapping import (
     HyperParams,
     MappingModel,
+    _l_eig,
     assemble_system,
     class_centroids,
     class_mean_map,
@@ -325,6 +327,42 @@ def test_solve_from_cached_gram_eig_allocates_no_dv_square():
     finally:
         tracemalloc.stop()
     assert peak < d_v * d_v * 8
+
+
+@pytest.mark.parametrize("d_s, classes, duplicates", [
+    (12, 4, 0),     # random prototypes
+    (12, 5, 2),     # two prototype columns repeated: B is rank-deficient
+    (9, 1, 0),      # one class
+    (10, 5, 0),     # 2c = d_s, the largest c that takes the thin path
+    (10, 5, 1),
+])
+def test_thin_and_full_eigenpairs_of_l_solve_alike(d_s, classes, duplicates):
+    rng = np.random.default_rng(d_s * 10 + classes + duplicates)
+    p = rng.standard_normal((d_s, classes))
+    p[:, classes - duplicates:] = p[:, :duplicates]
+    b = p * np.sqrt(rng.integers(1, 9, size=classes).astype(float))
+    thin, full = _l_eig(b, True), _l_eig(b, False)
+    assert thin[1].shape == (d_s, classes) and full[1].shape == (d_s, d_s)
+    assert np.abs(thin[1].T @ thin[1] - np.eye(classes)).max() <= 1e-14
+    m_hat = rng.standard_normal((d_s, 7))
+    sig = np.sort(rng.uniform(0.5, 3.0, 7))
+    w_full = _eig_solve(full, sig, m_hat, False)
+    assert np.abs(_eig_solve(thin, sig, m_hat, False) - w_full).max() \
+        <= 1e-12 * np.abs(w_full).max()
+    # R singular (sig_0 = 0): the pivot floor stops both, and the ridge
+    # shifts both by the same eps = 1e-8 trace(L) / d_s. In the ridged
+    # null space W V = -M V / eps, so any change of eps shows at full
+    # size; the full pairs are compared with their roundoff-level zero
+    # eigenvalues (1e-16 max lam, 1e-8 of eps) set to 0.
+    sig[0] = 0.0
+    for pairs in (thin, full):
+        with pytest.raises(SolverError, match="singular"):
+            _eig_solve(pairs, sig, m_hat, False)
+    lam, u = full
+    exact = (np.where(np.abs(lam) <= 1e-12 * lam.max(), 0.0, lam), u)
+    w_exact = _eig_solve(exact, sig, m_hat, True)
+    assert np.abs(_eig_solve(thin, sig, m_hat, True) - w_exact).max() \
+        <= 1e-12 * np.abs(w_exact).max()
 
 
 def test_solution_depends_only_on_alpha_plus_beta_when_centroids_match():
