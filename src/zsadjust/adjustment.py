@@ -96,16 +96,20 @@ def _check_blend(kind, ids, vectors, weights):
                             f"classes {ids[bad].tolist()} {what}")
 
 
+def _check_k(k, seen_count):
+    if k > seen_count:
+        raise DataError(
+            f"k={k} exceeds the number of seen classes ({seen_count})")
+
+
 def _knn(source, queries, k):
     """The k seen prototypes of ``source`` most cosine-similar to each
     query column, best first with exact ties toward the smaller class
-    id: the seen ids and vectors sorted by id, and per query column the
-    rows (k, q) and similarities (k, q) of the k best."""
+    id and NaN similarities last: the seen ids and vectors sorted by id,
+    and per query column the rows (k, q) and similarities (k, q) of the
+    k best. The first j ranks are those of a search for j."""
     seen_ids = source.seen_ids
-    if k > seen_ids.size:
-        raise DataError(
-            f"k={k} exceeds the number of seen classes ({seen_ids.size})"
-        )
+    _check_k(k, seen_ids.size)
     order = np.argsort(seen_ids)
     ids = seen_ids[order]
     vecs = source.vectors[:, np.flatnonzero(source.seen)[order]]
@@ -149,7 +153,8 @@ def adjust_unseen(table, hp, neighbors=None):
     of ``table`` itself; in the training loop that is the table returned
     by :func:`adjust_seen`, so neighbors reflect that round's seen
     adjustment. Seen prototypes are untouched, and ``gamma2 = 0``
-    returns ``table`` itself.
+    returns ``table`` itself. It is a k-NN search (:func:`_unseen_knn`)
+    and a blend of its first k ranks (:func:`_blend_unseen`).
 
     Raises
     ------
@@ -160,14 +165,26 @@ def adjust_unseen(table, hp, neighbors=None):
     """
     if hp.gamma2 == 0.0:
         return table
+    return _blend_unseen(table, hp, _unseen_knn(table, hp.k, neighbors))
+
+
+def _unseen_knn(table, k, neighbors=None):
+    """:func:`_knn` of the unseen prototypes of ``table`` in ``neighbors``."""
     source = table if neighbors is None else neighbors
+    return _knn(source, table.vectors[:, np.flatnonzero(~table.seen)], k)
+
+
+def _blend_unseen(table, hp, found):
+    """The unseen blend of :func:`adjust_unseen` from the first ``hp.k``
+    ranks of ``found = _unseen_knn(table, K, neighbors)``, any K >= k."""
+    ids, vecs, top, sims = found
+    _check_k(hp.k, ids.size)
     unseen = np.flatnonzero(~table.seen)
-    _, vecs, top, sims = _knn(source, table.vectors[:, unseen], hp.k)
-    weights = np.maximum(sims, 0.0)
+    weights = np.maximum(sims[:hp.k], 0.0)
     total = weights.sum(axis=0)
     # no positive similarity: leave that column unchanged this round
     cols = total > 0.0
-    top, weights = top[:, cols], weights[:, cols] / total[cols]
+    top, weights = top[:hp.k, cols], weights[:, cols] / total[cols]
     # one neighbor rank at a time keeps the gathered block d_s x q
     # instead of d_s x k x q
     blend = sum(vecs[:, top[j]] * weights[j] for j in range(hp.k))

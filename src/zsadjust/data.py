@@ -641,14 +641,14 @@ def synthesize(spec):
                 (spec.d_v, spec.per_class)
             )
         features[:, block] = clean[:, None] + noise
-    if not np.isfinite(features).all():
-        raise DataError(f"{spec} generates features beyond the float "
-                        f"range; lower noise_sigma or shift_sigma")
+        # checked per class: no mask the size of all the features
+        if not np.isfinite(features[:, block]).all():
+            raise DataError(f"{spec} generates features beyond the float "
+                            f"range; lower noise_sigma or shift_sigma")
 
     table = PrototypeTable(
         np.arange(n_classes),
         protos,
         np.arange(n_classes) < spec.seen_count,
     )
-    dataset = LabeledDataset(features, labels, n_classes)
-    return dataset, table, gmap
+    return LabeledDataset._of_checked(features, labels, n_classes), table, gmap

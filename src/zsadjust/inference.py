@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adjustment import adjust_unseen
+from .adjustment import _blend_unseen, _unseen_knn
 from .errors import DataError
 from .linalg import as_number
 from .trainer import _alternate
@@ -46,8 +46,19 @@ def _candidate_block(table):
             vecs / np.linalg.norm(vecs, axis=0, keepdims=True))
 
 
-def _rank_columns(model, features, table, direction="semantic"):
-    """Similarity of every unseen candidate to every feature column.
+def _unit_instances(model, features, direction):
+    """The instance columns as compared, ``W x`` (or ``x`` for "visual"),
+    unit-normalized, and the mask of the zero ones (left at 0)."""
+    lhs = (model.encode(features) if direction == "semantic"
+           else np.asarray(features, dtype=np.float64))
+    norms = np.linalg.norm(lhs, axis=0, keepdims=True)
+    zero = norms[0] == 0.0
+    return lhs / np.where(norms == 0.0, 1.0, norms), zero
+
+
+def _ranked(model, instances, table, direction):
+    """The similarity of every unseen candidate of ``table`` to every
+    column of :func:`_unit_instances`.
 
     Returns
     -------
@@ -57,25 +68,37 @@ def _rank_columns(model, features, table, direction="semantic"):
         Cosine similarities (candidate row, instance column); NaN
         columns mark instances whose mapped feature was the zero vector.
     """
+    unit, zero = instances
+    if unit.shape[1] == 0:
+        raise DataError("cannot evaluate an empty dataset")
     ids, cand = _candidate_block(table)
     if direction == "semantic":
-        lhs = model.encode(features)          # compare W x to prototypes
-        rhs = cand
+        rhs = cand                            # compare W x to prototypes
     elif direction == "visual":
-        lhs = np.asarray(features, dtype=np.float64)  # compare x to W^T p
-        rhs = model.decode(cand)
+        rhs = model.decode(cand)              # compare x to W^T p
         rhs_norm = np.linalg.norm(rhs, axis=0, keepdims=True)
         if np.any(rhs_norm == 0.0):
             raise DataError("a decoded prototype is the zero vector")
         rhs = rhs / rhs_norm
     else:
         raise ValueError("direction must be 'semantic' or 'visual'")
-    norms = np.linalg.norm(lhs, axis=0, keepdims=True)
-    zero = norms[0] == 0.0
-    safe = np.where(norms == 0.0, 1.0, norms)
-    sims = rhs.T @ (lhs / safe)
+    sims = rhs.T @ unit
     sims[:, zero] = np.nan
     return ids, sims
+
+
+def _true_ranks(ids, sims, labels):
+    """Each instance's class row in ``sims``, its rank (the candidates
+    above it, plus tied ones of smaller id) and if its similarity is NaN."""
+    missing = sorted(set(labels.tolist()) - set(ids.tolist()))
+    if missing:
+        raise DataError(f"labels without an unseen prototype: {missing}")
+    true_idx = np.searchsorted(ids, labels)
+    true = sims[true_idx, np.arange(labels.size)]
+    cand = np.arange(ids.size)[:, None]
+    rank_of = np.count_nonzero(
+        (sims > true) | ((sims == true) & (cand < true_idx)), axis=0)
+    return true_idx, rank_of, np.isnan(true)
 
 
 def predict(model, x, table, direction="semantic"):
@@ -102,7 +125,8 @@ def predict(model, x, table, direction="semantic"):
         If the mapped instance is the zero vector (cosine undefined).
     """
     x = np.asarray(x, dtype=np.float64).ravel()
-    ids, sims = _rank_columns(model, x[:, None], table, direction)
+    ids, sims = _ranked(model, _unit_instances(model, x[:, None], direction),
+                        table, direction)
     sims = sims[:, 0]
     if np.isnan(sims[0]):
         raise DataError("mapped instance is the zero vector; cannot rank")
@@ -156,25 +180,15 @@ def evaluate(model, unseen, table, ks=(1, 5), direction="semantic"):
         Instances whose mapped feature is the zero vector are counted
         as misses at every k and reported in ``zero_mapped``;
         ``per_class_accuracy`` is Hit@1 per class.
+
+    The instances are mapped and normalized once (:func:`_unit_instances`),
+    then the candidates ranked (:func:`_ranked`, :func:`_true_ranks`).
     """
     tic = time.perf_counter()
     ks = sorted({int(as_number(k, "k", 1, int)) for k in ks})
-    if unseen.instance_count == 0:
-        raise DataError("cannot evaluate an empty dataset")
-    ids, sims = _rank_columns(model, unseen.features, table, direction)
-    missing = sorted(set(unseen.labels.tolist()) - set(ids.tolist()))
-    if missing:
-        raise DataError(f"labels without an unseen prototype: {missing}")
-
-    m = unseen.instance_count
-    true_idx = np.searchsorted(ids, unseen.labels)
-    true = sims[true_idx, np.arange(m)]
-    zero = np.isnan(true)
-    # rank_of[i] = position of the true class in instance i's ranking:
-    # the candidates above it, plus the tied ones with a smaller id
-    cand = np.arange(ids.size)[:, None]
-    rank_of = np.count_nonzero(
-        (sims > true) | ((sims == true) & (cand < true_idx)), axis=0)
+    ids, sims = _ranked(model, _unit_instances(model, unseen.features,
+                                               direction), table, direction)
+    true_idx, rank_of, zero = _true_ranks(ids, sims, unseen.labels)
 
     hit_at = {k: float(np.mean((rank_of < k) & ~zero)) for k in ks}
 
@@ -193,7 +207,7 @@ def evaluate(model, unseen, table, ks=(1, 5), direction="semantic"):
         hit_at=hit_at,
         per_class_accuracy=per_class,
         hubness_skewness=skewness(in_degree),
-        instance_count=m,
+        instance_count=unseen.instance_count,
         zero_mapped=int(np.count_nonzero(zero)),
         timing_ms=(time.perf_counter() - tic) * 1e3,
     )
@@ -204,25 +218,30 @@ def sweep_k(seen, unseen, table, hp, k_values, direction="semantic",
     """Hit@1 as a function of the neighbor count k; returns
     ``{k: hit_at_1}``. Every k is checked first.
 
-    Trains once: only the seen prototypes reach the weight solves, so
-    the weights, the seen-adjusted prototypes and the stopping iteration
-    do not depend on k. Each k then blends the unseen prototypes of the
-    last seen-adjusted table, which gives exactly the table ``train``
-    returns with that k, and evaluates on it. ``seen`` is what ``train``
-    takes: the seen-class dataset or its class statistics.
+    Trains once, with no trace: only the seen prototypes reach the
+    weight solves, so the weights, the seen-adjusted prototypes and the
+    stopping iteration do not depend on k. One k-NN search of the last
+    seen-adjusted table at the largest k that fits, and one mapping of
+    the instances, serve every k: each k blends the first k ranks, which
+    gives exactly the table ``train`` returns with that k, and scores
+    Hit@1 on it as ``evaluate`` does. ``seen`` is what ``train`` takes:
+    the seen-class dataset or its class statistics. A k beyond the seen
+    classes raises once the k before it are scored.
     """
     hps = [replace(hp, k=k) for k in k_values]
     if not hps:
         return {}
-    # the first k's blends run in the loop, so an oversized first k
-    # fails there, as in train
-    model, _, _, seen_adjusted, neighbors = _alternate(seen, table, hps[0],
-                                                      **train_kwargs)
+    model, _, _, seen_adjusted, neighbors = _alternate(
+        seen, table, hps[0], trace=False, **train_kwargs)
+    kmax = min(max(h.k for h in hps), table.seen_ids.size)
+    blends = seen_adjusted is not None and hp.gamma2 != 0.0
+    found = _unseen_knn(seen_adjusted, kmax, neighbors) if blends else None
+    instances = _unit_instances(model, unseen.features, direction)
     out = {}
     for hp_k in hps:
-        adjusted = table if seen_adjusted is None else adjust_unseen(
-            seen_adjusted, hp_k, neighbors=neighbors)
-        report = evaluate(model, unseen, adjusted, ks=(1,),
-                          direction=direction)
-        out[int(hp_k.k)] = report.hit_at[1]
+        adjusted = (_blend_unseen(seen_adjusted, hp_k, found) if blends
+                    else table if seen_adjusted is None else seen_adjusted)
+        _, rank_of, zero = _true_ranks(
+            *_ranked(model, instances, adjusted, direction), unseen.labels)
+        out[int(hp_k.k)] = float(np.mean((rank_of < 1) & ~zero))
     return out

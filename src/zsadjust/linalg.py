@@ -185,8 +185,10 @@ def _eig_solve(l_eig, sig, m_hat, ridge_on_failure, null=0.0):
         )
     proj = u.T @ m_hat
     w_hat = u @ (proj / np.add.outer(lam, sig))
-    if thin:
-        w_hat += (m_hat - u @ proj) / (null + sig)
+    if thin:    # the complement's term, in one p x q scratch array
+        rest = u @ proj
+        w_hat += np.divide(np.subtract(m_hat, rest, out=rest), null + sig,
+                           out=rest)
     return np.negative(w_hat, out=w_hat)
 
 

@@ -104,7 +104,7 @@ def train(seen, table, hp, unseen_neighbors="adjusted",
 
 
 def _alternate(seen, table, hp, unseen_neighbors="adjusted",
-               ridge_on_failure=False):
+               ridge_on_failure=False, trace=True):
     """The loop of :func:`train`.
 
     Returns ``(model, adjusted, trace, seen_adjusted, neighbors)``:
@@ -114,8 +114,10 @@ def _alternate(seen, table, hp, unseen_neighbors="adjusted",
     ``adjusted`` is ``adjust_unseen(seen_adjusted, hp, neighbors)``.
     Only the seen columns reach the solves: everything but ``adjusted``
     and the ``unseen_shift`` records is independent of k, lambda2 and
-    gamma2. Given the class statistics alone, it reads nothing else of
-    the data; given the dataset, it checks the statistics against it.
+    gamma2. ``trace=False`` skips what only ``adjusted`` and the trace
+    need (the unseen blend, the objective, the shifts): ``table`` and an
+    empty trace stand in for them. Given the class statistics alone, it
+    reads nothing else of the data; given the dataset, it checks them.
     """
     stats = seen if isinstance(seen, ClassStats) else class_stats(seen)
     data = None if seen is stats else seen
@@ -125,6 +127,9 @@ def _alternate(seen, table, hp, unseen_neighbors="adjusted",
         raise ValueError("unseen_neighbors must be 'adjusted' or 'original'")
 
     proto0 = expand_per_instance(table, stats.class_ids)
+    unseen = stats.class_ids[~np.isin(stats.class_ids, table.seen_ids)]
+    if unseen.size:
+        raise DataError(f"seen data of unseen classes {unseen.tolist()}")
     (g, v), means = stats.gram_eig, stats.rotated_means
 
     # Initial weights: cycle objective only, hard constraint relaxed,
@@ -143,41 +148,38 @@ def _alternate(seen, table, hp, unseen_neighbors="adjusted",
     records = []
 
     for it in range(1, hp.iterations + 1):
-        prev_vectors = adjusted.vectors
+        prev = adjusted
         tic = time.perf_counter()
         try:
             seen_adjusted = _blend_seen(table, stats.class_ids, centroids, hp)
-            adjusted = adjust_unseen(seen_adjusted, hp, neighbors=neighbors)
-            proto = expand_per_instance(adjusted, stats.class_ids)
+            if trace:   # before the solve: its errors come first
+                adjusted = adjust_unseen(seen_adjusted, hp, neighbors)
+            proto = expand_per_instance(seen_adjusted, stats.class_ids)
             new_hat = _solve_rotated(stats, proto, centroids, hp,
                                      ridge_on_failure)
         except SolverError as exc:
             raise SolverError(f"iteration {it}: {exc}") from exc
         mapped = new_hat @ means
-
-        # perfbench/run.py sizes the work of mapping.objective from its
-        # dataset argument. Once it sizes it from the ClassStats shapes
-        # (ROADMAP item 1), this loop calls one objective on ``stats``
-        # alone and the branch goes.
-        if data is None:
-            obj = _objective(stats, new_hat @ new_hat.T,
-                             float(g @ _sq_cols(new_hat)), mapped, proto,
-                             centroids, hp)
-        else:
-            obj = objective(MappingModel(new_hat @ v.T), data, proto,
-                            centroids, hp, stats=stats)
         w_hat -= new_hat    # ||dW|| = ||dW V||; the old W V is done with
         delta = float(np.linalg.norm(w_hat, "fro")
                       / max(np.linalg.norm(new_hat, "fro"), 1e-300))
-        vecs = adjusted.vectors
-        seen_mask = table.seen
-        seen_shift = float(np.linalg.norm(
-            vecs[:, seen_mask] - prev_vectors[:, seen_mask], "fro"))
-        unseen_shift = float(np.linalg.norm(
-            vecs[:, ~seen_mask] - prev_vectors[:, ~seen_mask], "fro"))
-        ms = (time.perf_counter() - tic) * 1e3
-        records.append(IterationRecord(it, obj, delta, seen_shift,
-                                       unseen_shift, ms))
+        if trace:
+            # perfbench/run.py sizes the work of mapping.objective from
+            # its dataset argument. Once it sizes it from the ClassStats
+            # shapes (ROADMAP item 1), this loop calls one objective on
+            # ``stats`` alone and the branch goes.
+            if data is None:
+                obj = _objective(stats, new_hat @ new_hat.T,
+                                 float(g @ _sq_cols(new_hat)), mapped, proto,
+                                 centroids, hp)
+            else:
+                obj = objective(MappingModel(new_hat @ v.T), data, proto,
+                                centroids, hp, stats=stats)
+            shifts = [float(np.linalg.norm(
+                adjusted.vectors[:, mask] - prev.vectors[:, mask], "fro"))
+                for mask in (table.seen, ~table.seen)]
+            records.append(IterationRecord(it, obj, delta, *shifts,
+                                           (time.perf_counter() - tic) * 1e3))
 
         w_hat, centroids = new_hat, mapped
         if delta < hp.tol:

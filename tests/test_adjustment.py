@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zsadjust.adjustment import adjust_seen, adjust_unseen, knn_seen
+from zsadjust.adjustment import _knn, adjust_seen, adjust_unseen, knn_seen
 from zsadjust.data import LabeledDataset, PrototypeTable
 from zsadjust.errors import DataError
 from zsadjust.mapping import HyperParams, MappingModel
@@ -143,6 +145,39 @@ def test_knn_undefined_similarity_ranked_last():
             got = knn_seen(table, 3, k)
             assert [c for c, _ in got] == [1, 2, 0][:k]
     assert np.isnan(got[-1][1])
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@given(seed=st.integers(0, 2**16), n_seen=st.integers(1, 8),
+       n_query=st.integers(1, 4), huge=st.sets(st.integers(0, 7)),
+       huge_queries=st.sets(st.integers(0, 3)))
+def test_knn_prefix_equals_smaller_search(seed, n_seen, n_query, huge,
+                                          huge_queries):
+    # the first k ranks of a search at any larger k are the search at k:
+    # ids, vectors, rows and similarities, exactly. Integer prototypes
+    # with copied columns tie exactly; entries of 1e200 overflow a norm
+    # (similarity 0) or, with an overflowing dot product, give NaN.
+    rng = np.random.default_rng(seed)
+    n = n_seen + 2                  # two unseen columns are never chosen
+    vecs = rng.integers(-2, 3, size=(3, n)).astype(float)
+    copied = rng.random(n) < 0.4
+    vecs[:, copied] = vecs[:, rng.integers(0, n, size=n)[copied]]
+    queries = rng.integers(-2, 3, size=(3, n_query)).astype(float)
+    vecs[:, [j for j in huge if j < n_seen]] *= 1e200
+    queries[:, [j for j in huge_queries if j < n_query]] *= 1e200
+    vecs[0, ~vecs.any(axis=0)] = 1.0
+    perm = rng.permutation(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        source = PrototypeTable(3 * rng.permutation(n) + 1, vecs[:, perm],
+                                (np.arange(n) < n_seen)[perm])
+        searches = [_knn(source, queries, k) for k in range(1, n_seen + 1)]
+    for k, (ids, found, top, sims) in enumerate(searches, 1):
+        assert top.shape == sims.shape == (k, n_query)
+        for big_ids, big_found, big_top, big_sims in searches[k - 1:]:
+            assert np.array_equal(big_ids, ids)
+            assert np.array_equal(big_found, found)
+            assert np.array_equal(big_top[:k], top)
+            assert np.array_equal(big_sims[:k], sims, equal_nan=True)
 
 
 def test_knn_rejects_oversized_k():

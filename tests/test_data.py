@@ -1,5 +1,6 @@
 import os
 import struct
+import tracemalloc
 import types
 
 import numpy as np
@@ -307,3 +308,20 @@ def test_labels_must_be_one_dimensional(labels):
     # a scalar label used to end in an IndexError
     with pytest.raises(DataError, match=r"labels must be 1-D, got shape"):
         LabeledDataset(np.ones((2, 2)), labels, 1)
+
+
+def test_synthesize_checks_features_without_a_full_mask():
+    # each class block is checked as it is made: the peak beyond the
+    # features holds no boolean mask of all of them (d_v x m bytes)
+    spec = SynthSpec(d_v=512, d_s=16, seen_count=60, unseen_count=20,
+                     per_class=50, noise_sigma=0.1, shift_sigma=0.1, seed=0)
+    synthesize(SynthSpec(d_v=4, d_s=2, seen_count=2, unseen_count=1,
+                         per_class=2))      # first-call allocations
+    tracemalloc.start()
+    try:
+        dataset, _, _ = synthesize(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    features = dataset.features
+    assert peak - features.nbytes < features.size / 2

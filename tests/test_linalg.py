@@ -1,8 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from zsadjust.errors import SolverError
-from zsadjust.linalg import SylvesterSystem, as_matrix, solve_sylvester, sym_eig
+from zsadjust.linalg import (
+    SylvesterSystem,
+    _eig_solve,
+    as_matrix,
+    solve_sylvester,
+    sym_eig,
+)
 
 from oracles import kron_solve, random_psd
 
@@ -139,3 +147,27 @@ def test_solve_is_deterministic():
     M = rng.standard_normal((5, 6))
     sys_ = SylvesterSystem(L, R, M)
     assert np.array_equal(solve_sylvester(sys_), solve_sylvester(sys_))
+
+
+def test_thin_solve_holds_one_scratch_array():
+    # a thin U (r < p) adds L's null-space term in one p x q scratch
+    # array: the peak is the result, that array and the r x q products
+    rng = np.random.default_rng(0)
+    p, q, r = 85, 1024, 20
+    u = np.linalg.qr(rng.standard_normal((p, r)))[0]
+    lam = np.sort(rng.uniform(1.0, 2.0, r))
+    sig = np.sort(rng.uniform(1.0, 2.0, q))
+    m_hat = rng.standard_normal((p, q))
+    tracemalloc.start()
+    try:
+        w_hat = _eig_solve((lam, u), sig, m_hat, False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.6 * w_hat.nbytes
+    # the same solve through full eigenpairs of L (its other ones 0)
+    full = np.linalg.qr(np.hstack([u, rng.standard_normal((p, p - r))]))[0]
+    lam_full = np.r_[lam, np.zeros(p - r)]
+    want = _eig_solve((lam_full, np.hstack([u, full[:, r:]])), sig, m_hat,
+                      False)
+    assert np.abs(w_hat - want).max() <= 1e-12 * np.abs(want).max()

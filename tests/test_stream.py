@@ -5,15 +5,21 @@ import builtins
 import errno
 import json
 import os
+import pathlib
+import tempfile
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zsadjust.data
 from zsadjust.cli import main
 from zsadjust.data import (
     LabeledDataset,
+    PrototypeTable,
     SynthSpec,
     _unit_columns,
     block_width,
@@ -31,6 +37,8 @@ from zsadjust.mapping import (
     class_stats,
 )
 from zsadjust.trainer import train
+
+from oracles import per_instance_train
 
 D_V = 8
 WIDTH = 10      # columns per block in these tests
@@ -112,6 +120,52 @@ def test_cli_train_matches_library_bit_for_bit(tmp_path, blocks, order):
     assert written["hit_at"] == {str(k): v for k, v in report.hit_at.items()}
     assert written["per_class_accuracy"] == {
         str(c): v for c, v in report.per_class_accuracy.items()}
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(sizes=st.lists(st.integers(1, 7), min_size=3, max_size=6).filter(
+           lambda sizes: sum(sizes) >= 10),
+       unseen_sizes=st.lists(st.integers(1, 4), min_size=1, max_size=2),
+       shuffle=st.booleans(), seed=st.integers(0, 2**16),
+       n_blocks=st.integers(1, 5))
+def test_multi_block_train_matches_oracle_and_cli(sizes, unseen_sizes,
+                                                  shuffle, seed, n_blocks):
+    # seen classes of any sizes (one instance included), in class order
+    # or shuffled, among unseen columns, the seen ones spanning 1 to 5
+    # blocks: library train matches the per-instance oracle within the
+    # tolerances of test_train_matches_per_instance_oracle, and the CLI,
+    # streaming the file, gives the library's bits
+    rng = np.random.default_rng(seed)
+    d_v, d_s, n_seen = 6, 4, len(sizes)
+    n = n_seen + len(unseen_sizes)
+    labels = np.repeat(np.arange(n), sizes + unseen_sizes)
+    if shuffle:
+        labels = rng.permutation(labels)
+    protos = rng.standard_normal((d_s, n))
+    features = (rng.standard_normal((d_v, d_s)) / np.sqrt(d_v)
+                @ protos[:, labels]
+                + 0.1 * rng.standard_normal((d_v, labels.size)))
+    table = PrototypeTable(np.arange(n), protos, np.arange(n) < n_seen)
+    dataset = LabeledDataset(features, labels, n)
+    seen, _ = split(dataset, table)
+    width = -(-seen.instance_count // n_blocks)
+    hp = HyperParams(k=2, iterations=3, tol=0.0)
+    with mock.patch.object(zsadjust.data, "BLOCK_BYTES", 8 * d_v * width), \
+            tempfile.TemporaryDirectory() as tmp:
+        assert -(-seen.instance_count // block_width(d_v)) <= 5
+        paths = _write(pathlib.Path(tmp) / "data", features, labels, table)
+        out = pathlib.Path(tmp) / "run"
+        assert main(["train", *_file_args(paths), *HP,
+                     "--out", str(out)]) == 0
+        model, adjusted, trace = train(seen, table, hp)
+        assert np.array_equal(load_matrix(out / "model.zsm"), model.weights)
+        assert np.array_equal(load_matrix(out / "prototypes_adjusted.zsm"),
+                              adjusted.vectors)
+    w, vectors, objectives = per_instance_train(seen, table, hp)
+    assert np.abs(model.weights - w).max() <= 1e-10 * np.abs(w).max()
+    assert np.abs(adjusted.vectors - vectors).max() <= 1e-12
+    for rec, want in zip(trace.records, objectives, strict=True):
+        assert abs(rec.objective - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("seed", [0, 1])

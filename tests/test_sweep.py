@@ -7,6 +7,8 @@ The property test requires that to equal one ``train`` per k: the same
 Hit@1, the same weights and prototypes scored, the same error.
 """
 
+from collections import Counter
+import contextlib
 from dataclasses import replace
 from functools import lru_cache
 from unittest import mock
@@ -16,12 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zsadjust import inference
+from zsadjust import adjustment, inference, trainer
+from zsadjust.adjustment import adjust_unseen
 from zsadjust.data import SynthSpec, split, synthesize
 from zsadjust.errors import DataError
-from zsadjust.inference import evaluate, sweep_k
-from zsadjust.mapping import HyperParams
-from zsadjust.trainer import train
+from zsadjust.inference import sweep_k
+from zsadjust.mapping import HyperParams, MappingModel, class_stats
+from zsadjust.trainer import _alternate, train
 
 SEEN = 6
 
@@ -38,14 +41,16 @@ def _data(seed):
 
 def _scored(run):
     """The result of ``run()`` (or the message of its DataError) and
-    the weights and prototypes of every ``evaluate`` call it made."""
+    the weights and prototypes of every table it ranked (the step that
+    ``evaluate`` and ``sweep_k`` share)."""
     calls = []
+    rank = inference._ranked
 
-    def spy(model, unseen, table, **kwargs):
+    def spy(model, instances, table, direction):
         calls.append((model.weights, table.vectors))
-        return evaluate(model, unseen, table, **kwargs)
+        return rank(model, instances, table, direction)
 
-    with mock.patch.object(inference, "evaluate", spy):
+    with mock.patch.object(inference, "_ranked", spy):
         try:
             return run(), calls
         except DataError as exc:
@@ -108,3 +113,63 @@ def test_weights_do_not_depend_on_k(tol, stops_at, neighbors):
             [r.objective for r in trace0.records]
     # the unseen blend, and only it, does depend on k
     assert not np.array_equal(runs[-1][1].vectors, adjusted0.vectors)
+
+
+def _counted(calls, owner, name):
+    """Patch ``owner.name`` with a wrapper that counts its calls."""
+    real = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+
+    return mock.patch.object(owner, name, spy)
+
+
+@pytest.mark.parametrize("k_values", [[3], [1, 2], [5, 1, 6, 2, 4, 3]])
+@pytest.mark.parametrize("statistics", [False, True])
+def test_sweep_searches_once_and_encodes_once(k_values, statistics):
+    seen, unseen, table = _data(1)
+    hp = HyperParams(iterations=3, tol=0.0)
+    calls = Counter()
+    spies = [(adjustment, "_knn"), (MappingModel, "encode"),
+             (trainer, "objective"), (trainer, "_objective"),
+             (trainer, "adjust_unseen"), (trainer, "_solve_rotated"),
+             (inference, "_ranked")]
+    with contextlib.ExitStack() as stack:
+        for owner, name in spies:
+            stack.enter_context(_counted(calls, owner, name))
+        got = sweep_k(class_stats(seen) if statistics else seen, unseen,
+                      table, hp, k_values)
+    # no objective and no unseen blend in the training: 4 solves only
+    assert calls == Counter(_knn=1, encode=1, _solve_rotated=4,
+                            _ranked=len(k_values))
+    assert got == _train_per_k(seen, unseen, table, hp, k_values)
+
+
+@pytest.mark.parametrize("tol, solves", [(0.0, 7), (1e-2, 4)])
+@pytest.mark.parametrize("neighbors", ["adjusted", "original"])
+@pytest.mark.parametrize("gamma1", [0.0, 0.25])
+def test_loop_without_trace_gives_trains_tables(tol, solves, neighbors,
+                                                gamma1):
+    # the same weights, seen-adjusted table and stopping iteration as the
+    # traced loop; train's adjusted table is one unseen blend of it
+    seen, _, table = _data(2)
+    hp = HyperParams(gamma1=gamma1, iterations=6, tol=tol, k=3)
+    runs = []
+    for trace in (True, False):
+        calls = Counter()
+        with _counted(calls, trainer, "_solve_rotated"):
+            runs.append((_alternate(seen, table, hp, neighbors,
+                                    trace=trace), calls["_solve_rotated"]))
+    (model, adjusted, records, seen_adjusted, source), traced = runs[0]
+    (bare, table_back, no_records, bare_seen, bare_source), untraced = runs[1]
+    assert traced == untraced == solves
+    assert len(records) == solves - 1 and len(no_records) == 0
+    assert table_back is table
+    assert bare_source is source
+    assert np.array_equal(bare.weights, model.weights)
+    assert np.array_equal(bare_seen.vectors, seen_adjusted.vectors)
+    assert np.array_equal(
+        adjust_unseen(bare_seen, hp, neighbors=bare_source).vectors,
+        adjusted.vectors)

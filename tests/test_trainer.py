@@ -22,6 +22,7 @@ from zsadjust.mapping import (
     objective,
     solve_weights,
 )
+from zsadjust.inference import sweep_k
 from zsadjust.trainer import benchmark_training, train
 
 from oracles import per_instance_train
@@ -314,6 +315,21 @@ def test_singular_data_reports_solver_error():
                            np.array([True, False]))
     with pytest.raises(SolverError, match="initial solve"):
         train(data, table, HyperParams(k=1))
+
+
+def test_train_rejects_instances_of_unseen_classes():
+    # only seen prototypes reach a solve, so instances of an unseen class
+    # have no prototype to be mapped to: refused, in train and sweep_k
+    dataset, table, _ = synthesize(SynthSpec(
+        d_v=16, d_s=6, seen_count=8, unseen_count=3, per_class=5, seed=0))
+    seen, unseen = split(dataset, table)
+    mixed = LabeledDataset(np.hstack([seen.features, unseen.features[:, :6]]),
+                           np.r_[seen.labels, unseen.labels[:6]],
+                           dataset.class_count)
+    for run in (lambda: train(mixed, table, HyperParams(k=3)),
+                lambda: sweep_k(mixed, unseen, table, HyperParams(), [3])):
+        with pytest.raises(DataError, match=r"unseen classes \[8, 9\]"):
+            run()
 
 
 def test_train_rejects_empty_seen():
