@@ -18,13 +18,19 @@ A zero blend weight (gamma) disables the corresponding adjustment
 outright: prototypes pass through untouched rather than being scaled by
 the lambda anchor alone.
 
-Both adjustments take a :class:`PrototypeTable` and return a new one,
-computed for all classes at once: one assignment for the seen columns;
-for the unseen columns one cosine matrix (seen x unseen), a partition
-to the k-th best similarity per column and a similarity-weighted gather
-of the k neighbors. Both anchor on the prototypes of the table passed
-in; the training loop always passes the original pre-training table, so
-blends never compound across iterations.
+Each rule is written once, on prototype blocks (d_s x n arrays):
+:func:`_blend` is a blend and its check, :func:`_nearest` the k-NN
+search among seen prototypes in id order (one cosine matrix, a partition
+to the k-th best similarity per column), and :func:`_blend_neighbors`
+the similarity-weighted blend of a search's first k ranks. The training
+loop (:mod:`zsadjust.trainer`) calls them on the blocks it carries and
+checks nothing else in an iteration; :func:`zsadjust.inference.sweep_k`
+searches once and blends once per k. The public functions are thin
+wrappers: they take a :class:`PrototypeTable`, gather its blocks and
+return a new table, computed for all classes at once. Both adjustments
+anchor on the prototypes of the table passed in; the training loop
+always anchors on the original pre-training table, so blends never
+compound across iterations.
 """
 
 from __future__ import annotations
@@ -70,30 +76,55 @@ def _blend_seen(table, present_ids, means, hp):
     if hp.gamma1 == 0.0:
         return table
     seen_ids = table.seen_ids
+    _check_present(seen_ids, present_ids)
+    seen = np.flatnonzero(table.seen)
+    return _with_columns(table, seen, _blend(
+        "seen", hp, table.vectors[:, seen],
+        means[:, np.searchsorted(present_ids, seen_ids)], table.class_ids,
+        seen))
+
+
+def _check_present(seen_ids, present_ids):
+    """DataError listing the ``seen_ids`` that ``present_ids`` lacks."""
     missing = seen_ids[~np.isin(seen_ids, present_ids)]
     if missing.size:
         raise DataError(f"seen classes without instances: {missing.tolist()}")
-    seen = np.flatnonzero(table.seen)
+
+
+def _with_columns(table, cols, block):
+    """``table`` with its columns ``cols`` replaced by those of ``block``,
+    which a blend has checked: nothing is scanned again."""
     vectors = table.vectors.copy()
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        vectors[:, seen] = (hp.lambda1 * table.vectors[:, seen] + hp.gamma1
-                            * means[:, np.searchsorted(present_ids, seen_ids)])
-    _check_blend("seen", seen_ids, vectors[:, seen], "lambda1 and gamma1")
+    vectors[:, cols] = block
     return PrototypeTable._of_checked(table.class_ids.copy(), vectors,
                                       table.seen.copy())
 
 
-def _check_blend(kind, ids, vectors, weights):
-    """DataError naming the classes whose blended prototype column of
-    ``vectors`` is the zero vector or has no finite norm."""
-    sq = _sq_cols(vectors)      # squared norms; einsum does not warn
+_WEIGHTS = {"seen": ("lambda1", "gamma1"), "unseen": ("lambda2", "gamma2")}
+
+
+def _blend(kind, hp, anchor, pull, class_ids, cols):
+    """``lambda * anchor + gamma * pull`` with the ``kind`` ("seen" or
+    "unseen") weights of ``hp``, in the layout of ``anchor``; column j
+    is the prototype of the class ``class_ids[cols[j]]``.
+
+    Raises DataError naming, in the order of ``class_ids``, the classes
+    whose blend is the zero vector or has no finite norm."""
+    names = _WEIGHTS[kind]
+    lam, gam = (getattr(hp, name) for name in names)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        out = lam * anchor
+        out += gam * pull
+    sq = _sq_cols(out)      # squared norms; einsum does not warn
     for bad, what in ((sq == 0.0, "to the zero vector (similarity would be "
                                   "undefined)"),
                       (~np.isfinite(sq), f"beyond the float range; lower "
-                                         f"{weights}")):
+                                         f"{' and '.join(names)}")):
         if bad.any():
             raise DataError(f"{kind} adjustment blends the prototypes of "
-                            f"classes {ids[bad].tolist()} {what}")
+                            f"classes {class_ids[np.sort(cols[bad])].tolist()}"
+                            f" {what}")
+    return out
 
 
 def _check_k(k, seen_count):
@@ -102,19 +133,24 @@ def _check_k(k, seen_count):
             f"k={k} exceeds the number of seen classes ({seen_count})")
 
 
-def _knn(source, queries, k):
-    """The k seen prototypes of ``source`` most cosine-similar to each
-    query column, best first with exact ties toward the smaller class
-    id and NaN similarities last: the seen ids and vectors sorted by id,
-    and per query column the rows (k, q) and similarities (k, q) of the
-    k best. The first j ranks are those of a search for j."""
-    seen_ids = source.seen_ids
-    _check_k(k, seen_ids.size)
-    order = np.argsort(seen_ids)
-    ids = seen_ids[order]
-    vecs = source.vectors[:, np.flatnonzero(source.seen)[order]]
+def _seen_block(table):
+    """The seen class ids of ``table`` in ascending order, their columns
+    and their prototypes (d_s, s), gathered in that order."""
+    seen = np.flatnonzero(table.seen)
+    cols = seen[np.argsort(table.class_ids[seen])]
+    return table.class_ids[cols], cols, table.vectors[:, cols]
+
+
+def _nearest(vecs, queries, query_norms, k):
+    """The k columns of ``vecs`` (seen prototypes in id order) most
+    cosine-similar to each column of ``queries`` (column norms
+    ``query_norms``), best first with exact ties toward the smaller
+    class id and NaN similarities last: per query column the rows (k, q)
+    and similarities (k, q) of the k best. The first j ranks are those
+    of a search for j."""
+    _check_k(k, vecs.shape[1])
     sims = (vecs.T @ queries) / np.outer(np.linalg.norm(vecs, axis=0),
-                                         np.linalg.norm(queries, axis=0))
+                                         query_norms)
     # Sort key: best first, a NaN similarity (overflowed norms) last.
     key = -sims
     key[np.isnan(key)] = np.inf
@@ -132,7 +168,16 @@ def _knn(source, queries, k):
     top = np.nonzero(keep.T)[1].reshape(-1, k).T
     cols = np.arange(top.shape[1])
     top = top[np.argsort(key[top, cols], axis=0, kind="stable"), cols]
-    return ids, vecs, top, sims[top, cols]
+    return top, sims[top, cols]
+
+
+def _knn(source, queries, k):
+    """:func:`_nearest` of the query columns among the seen prototypes
+    of the table ``source``: the seen ids and vectors sorted by id, and
+    the rows and similarities of the k best."""
+    ids, _, vecs = _seen_block(source)
+    return (ids, vecs,
+            *_nearest(vecs, queries, np.linalg.norm(queries, axis=0), k))
 
 
 def knn_seen(table, unseen_id, k):
@@ -153,8 +198,8 @@ def adjust_unseen(table, hp, neighbors=None):
     of ``table`` itself; in the training loop that is the table returned
     by :func:`adjust_seen`, so neighbors reflect that round's seen
     adjustment. Seen prototypes are untouched, and ``gamma2 = 0``
-    returns ``table`` itself. It is a k-NN search (:func:`_unseen_knn`)
-    and a blend of its first k ranks (:func:`_blend_unseen`).
+    returns ``table`` itself. It is a k-NN search (:func:`_knn`) and a
+    blend of its first k ranks (:func:`_blend_neighbors`).
 
     Raises
     ------
@@ -165,34 +210,29 @@ def adjust_unseen(table, hp, neighbors=None):
     """
     if hp.gamma2 == 0.0:
         return table
-    return _blend_unseen(table, hp, _unseen_knn(table, hp.k, neighbors))
-
-
-def _unseen_knn(table, k, neighbors=None):
-    """:func:`_knn` of the unseen prototypes of ``table`` in ``neighbors``."""
-    source = table if neighbors is None else neighbors
-    return _knn(source, table.vectors[:, np.flatnonzero(~table.seen)], k)
-
-
-def _blend_unseen(table, hp, found):
-    """The unseen blend of :func:`adjust_unseen` from the first ``hp.k``
-    ranks of ``found = _unseen_knn(table, K, neighbors)``, any K >= k."""
-    ids, vecs, top, sims = found
-    _check_k(hp.k, ids.size)
     unseen = np.flatnonzero(~table.seen)
+    queries = table.vectors[:, unseen]
+    _, vecs, top, sims = _knn(table if neighbors is None else neighbors,
+                              queries, hp.k)
+    return _with_columns(table, unseen, _blend_neighbors(
+        queries, vecs, top, sims, hp, table.class_ids, unseen))
+
+
+def _blend_neighbors(queries, vecs, top, sims, hp, class_ids, cols):
+    """The unseen blend of :func:`adjust_unseen` of the prototypes
+    ``queries`` (the classes ``class_ids[cols]``), from the first
+    ``hp.k`` ranks of their search ``top, sims`` among ``vecs`` at any
+    k >= ``hp.k`` (:func:`_nearest`); a new block."""
+    _check_k(hp.k, vecs.shape[1])
     weights = np.maximum(sims[:hp.k], 0.0)
     total = weights.sum(axis=0)
     # no positive similarity: leave that column unchanged this round
-    cols = total > 0.0
-    top, weights = top[:hp.k, cols], weights[:, cols] / total[cols]
+    live = total > 0.0
+    top, weights = top[:hp.k, live], weights[:, live] / total[live]
     # one neighbor rank at a time keeps the gathered block d_s x q
     # instead of d_s x k x q
-    blend = sum(vecs[:, top[j]] * weights[j] for j in range(hp.k))
-    vectors = table.vectors.copy()
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        vectors[:, unseen[cols]] = (
-            hp.lambda2 * table.vectors[:, unseen[cols]] + hp.gamma2 * blend)
-    _check_blend("unseen", table.class_ids[unseen[cols]],
-                 vectors[:, unseen[cols]], "lambda2 and gamma2")
-    return PrototypeTable._of_checked(table.class_ids.copy(), vectors,
-                                      table.seen.copy())
+    pull = sum(vecs[:, top[j]] * weights[j] for j in range(hp.k))
+    out = queries.copy(order="K")
+    out[:, live] = _blend("unseen", hp, queries[:, live], pull, class_ids,
+                          cols[live])
+    return out

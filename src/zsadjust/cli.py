@@ -74,8 +74,11 @@ def _bool(text):
 
 
 def _int_list(text):
-    return tuple(as_number(int(tok), "k", 1, int)
-                 for tok in str(text).split(",") if tok.strip())
+    values = tuple(as_number(int(tok), "k", 1, int)
+                   for tok in str(text).split(",") if tok.strip())
+    if not values:
+        raise ValueError("must name at least one k")
+    return values
 
 
 def _choice(*allowed):
@@ -426,8 +429,6 @@ def cmd_eval(args):
 
 def cmd_sweep_k(args):
     opts = _resolve(args)
-    if not opts.k_list:
-        raise ConfigError("--k-list must name at least one k")
     hp = _build(HyperParams, opts)
     out_dir = _out_dir(opts)
     table, seen, unseen = _load_run_data(opts, stats=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adjustment import _blend_unseen, _unseen_knn
+from .adjustment import _blend_neighbors, _knn, _with_columns
 from .errors import DataError
 from .linalg import as_number
 from .trainer import _alternate
@@ -44,6 +44,11 @@ def _candidate_block(table):
     vecs = table.vectors[:, cols]
     return (table.class_ids[cols],
             vecs / np.linalg.norm(vecs, axis=0, keepdims=True))
+
+
+def _check_direction(direction):
+    if direction not in ("semantic", "visual"):
+        raise ValueError("direction must be 'semantic' or 'visual'")
 
 
 def _unit_instances(model, features, direction):
@@ -72,16 +77,13 @@ def _ranked(model, instances, table, direction):
     if unit.shape[1] == 0:
         raise DataError("cannot evaluate an empty dataset")
     ids, cand = _candidate_block(table)
-    if direction == "semantic":
-        rhs = cand                            # compare W x to prototypes
-    elif direction == "visual":
+    rhs = cand                                # compare W x to prototypes
+    if direction == "visual":
         rhs = model.decode(cand)              # compare x to W^T p
         rhs_norm = np.linalg.norm(rhs, axis=0, keepdims=True)
         if np.any(rhs_norm == 0.0):
             raise DataError("a decoded prototype is the zero vector")
         rhs = rhs / rhs_norm
-    else:
-        raise ValueError("direction must be 'semantic' or 'visual'")
     sims = rhs.T @ unit
     sims[:, zero] = np.nan
     return ids, sims
@@ -124,6 +126,7 @@ def predict(model, x, table, direction="semantic"):
     DataError
         If the mapped instance is the zero vector (cosine undefined).
     """
+    _check_direction(direction)
     x = np.asarray(x, dtype=np.float64).ravel()
     ids, sims = _ranked(model, _unit_instances(model, x[:, None], direction),
                         table, direction)
@@ -185,6 +188,7 @@ def evaluate(model, unseen, table, ks=(1, 5), direction="semantic"):
     then the candidates ranked (:func:`_ranked`, :func:`_true_ranks`).
     """
     tic = time.perf_counter()
+    _check_direction(direction)
     ks = sorted({int(as_number(k, "k", 1, int)) for k in ks})
     ids, sims = _ranked(model, _unit_instances(model, unseen.features,
                                                direction), table, direction)
@@ -216,30 +220,40 @@ def evaluate(model, unseen, table, ks=(1, 5), direction="semantic"):
 def sweep_k(seen, unseen, table, hp, k_values, direction="semantic",
             **train_kwargs):
     """Hit@1 as a function of the neighbor count k; returns
-    ``{k: hit_at_1}``. Every k is checked first.
+    ``{k: hit_at_1}``. ``direction`` and every k are checked first.
 
     Trains once, with no trace: only the seen prototypes reach the
     weight solves, so the weights, the seen-adjusted prototypes and the
     stopping iteration do not depend on k. One k-NN search of the last
     seen-adjusted table at the largest k that fits, and one mapping of
-    the instances, serve every k: each k blends the first k ranks, which
-    gives exactly the table ``train`` returns with that k, and scores
-    Hit@1 on it as ``evaluate`` does. ``seen`` is what ``train`` takes:
-    the seen-class dataset or its class statistics. A k beyond the seen
-    classes raises once the k before it are scored.
+    the instances, serve every k: each k blends the first k ranks
+    (:func:`zsadjust.adjustment._blend_neighbors`), which gives exactly
+    the table ``train`` returns with that k, and scores Hit@1 on it as
+    ``evaluate`` does. ``seen`` is what ``train`` takes: the seen-class
+    dataset or its class statistics. A k beyond the seen classes raises
+    once the k before it are scored.
     """
+    _check_direction(direction)
     hps = [replace(hp, k=k) for k in k_values]
     if not hps:
         return {}
     model, _, _, seen_adjusted, neighbors = _alternate(
         seen, table, hps[0], trace=False, **train_kwargs)
-    kmax = min(max(h.k for h in hps), table.seen_ids.size)
     blends = seen_adjusted is not None and hp.gamma2 != 0.0
-    found = _unseen_knn(seen_adjusted, kmax, neighbors) if blends else None
+    if blends:
+        unseen_cols = np.flatnonzero(~table.seen)
+        queries = table.vectors[:, unseen_cols]
+        _, vecs, top, sims = _knn(
+            seen_adjusted if neighbors is None else neighbors, queries,
+            min(max(h.k for h in hps), table.seen_ids.size))
     instances = _unit_instances(model, unseen.features, direction)
     out = {}
     for hp_k in hps:
-        adjusted = (_blend_unseen(seen_adjusted, hp_k, found) if blends
+        adjusted = (_with_columns(seen_adjusted, unseen_cols,
+                                  _blend_neighbors(queries, vecs, top, sims,
+                                                   hp_k, table.class_ids,
+                                                   unseen_cols))
+                    if blends
                     else table if seen_adjusted is None else seen_adjusted)
         _, rank_of, zero = _true_ranks(
             *_ranked(model, instances, adjusted, direction), unseen.labels)

@@ -340,9 +340,10 @@ def objective_gradient(model, data, prototypes, centroids, hp):
     return sys_.L @ w + w @ sys_.R + sys_.M
 
 
-def _normal_equation(stats, prototypes, centroids, hp):
-    """``B = P diag(sqrt n)`` and ``A = (1 + beta) P + alpha O``, with one
-    column per group of ``stats`` in P and O: L = B B^T and M = -A S^T."""
+def _columns(stats, prototypes, centroids):
+    """P and O as finite C-order matrices of one column per group of
+    ``stats``: the check that :func:`solve_weights` and
+    :func:`assemble_system` run on their arguments."""
     p = as_matrix(prototypes, "prototypes")
     o = as_matrix(centroids, "centroids")
     groups = stats.counts.size
@@ -351,6 +352,12 @@ def _normal_equation(stats, prototypes, centroids, hp):
             f"prototypes and centroids must both be (d_s, {groups}), one "
             f"column per group; got {p.shape} and {o.shape}"
         )
+    return p, o
+
+
+def _normal_equation(stats, p, o, hp):
+    """``B = P diag(sqrt n)`` and ``A = (1 + beta) P + alpha O``, for P
+    and O as :func:`_columns` returns them: L = B B^T and M = -A S^T."""
     return p * np.sqrt(stats.counts), (1.0 + hp.beta) * p + hp.alpha * o
 
 
@@ -368,7 +375,8 @@ def assemble_system(data, prototypes, centroids, hp, stats=None):
     :func:`objective` (n = 1 and S = X per instance without it).
     """
     stats = _stats(data, stats)
-    b, a = _normal_equation(stats, prototypes, centroids, hp)
+    b, a = _normal_equation(stats, *_columns(stats, prototypes, centroids),
+                            hp)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         L = b @ b.T
         M = -a @ stats.sums.T
@@ -388,10 +396,11 @@ def _l_eig(b, thin):
     return lam, (q @ z if thin else z)
 
 
-def _solve_rotated(stats, prototypes, centroids, hp, ridge_on_failure):
+def _solve_rotated(stats, p, o, hp, ridge_on_failure):
     """W V of :func:`solve_weights`, for V the eigenvectors of G, with
-    M V = -(A diag(n)) (V^T Xbar)^T from the cached rotated means."""
-    b, a = _normal_equation(stats, prototypes, centroids, hp)
+    M V = -(A diag(n)) (V^T Xbar)^T from the cached rotated means. P and
+    O are taken as :func:`_columns` returns them, with no check."""
+    b, a = _normal_equation(stats, p, o, hp)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         m_hat = -(a * stats.counts) @ stats.rotated_means.T
     _finite(m_hat)
@@ -411,6 +420,6 @@ def solve_weights(data, prototypes, centroids, hp, ridge_on_failure=False,
     the explicit ridge retry.
     """
     stats = _stats(data, stats)
-    return MappingModel(_solve_rotated(stats, prototypes, centroids, hp,
-                                       ridge_on_failure)
-                        @ stats.gram_eig[1].T)
+    return MappingModel(_solve_rotated(
+        stats, *_columns(stats, prototypes, centroids), hp, ridge_on_failure)
+        @ stats.gram_eig[1].T)

@@ -24,6 +24,19 @@ keeps W V, not W: an iteration costs O(d_s d_v (c + d_s) + d_s^3) for c
 seen classes, with no d_v^2 term and no m. W = (W V) V^T is formed at
 the end; given a dataset, each objective also forms W and W G (d_s d_v^2).
 
+The loop carries arrays, not tables. It gathers two blocks of the
+original table once per call: the seen prototypes P0, their columns in
+class id order (the order of the class statistics and of the k-NN
+search), and the unseen prototypes Q with their column norms. An
+iteration forms P_t = lambda1 P0 + gamma1 O and checks it once, searches
+and blends Q against P_t (or P0 for ``unseen_neighbors="original"``),
+and solves on a C-order copy of P_t; the shifts come from the blocks.
+The arguments are validated once: the neighbor flag before any
+statistics are computed, the class ids before the first solve and, when
+the seen blend is on, each seen class's instances after it. No iteration copies a
+table, looks up an id or re-checks an array that the loop made itself;
+tables are built only for what the loop returns.
+
 The loop stops after ``hp.iterations`` rounds or as soon as the relative
 weight change ``||dW||_F / ||W||_F`` drops below ``hp.tol``. Each
 completed iteration appends a trace record. Note that the objective is
@@ -38,7 +51,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adjustment import _blend_seen, adjust_unseen
+from .adjustment import (
+    _blend,
+    _blend_neighbors,
+    _check_present,
+    _nearest,
+    _seen_block,
+    _with_columns,
+)
 from .errors import DataError, SolverError
 from .linalg import as_number
 from .mapping import (
@@ -118,14 +138,16 @@ def _alternate(seen, table, hp, unseen_neighbors="adjusted",
     need (the unseen blend, the objective, the shifts): ``table`` and an
     empty trace stand in for them. Given the class statistics alone, it
     reads nothing else of the data; given the dataset, it checks them.
+    It carries the blocks that the module docstring describes.
     """
+    if unseen_neighbors not in ("adjusted", "original"):
+        raise ValueError("unseen_neighbors must be 'adjusted' or 'original'")
     stats = seen if isinstance(seen, ClassStats) else class_stats(seen)
     data = None if seen is stats else seen
     if stats.counts.size == 0:
         raise DataError("cannot train on an empty seen dataset")
-    if unseen_neighbors not in ("adjusted", "original"):
-        raise ValueError("unseen_neighbors must be 'adjusted' or 'original'")
 
+    # the prototypes of the classes with data, gathered in id order
     proto0 = expand_per_instance(table, stats.class_ids)
     unseen = stats.class_ids[~np.isin(stats.class_ids, table.seen_ids)]
     if unseen.size:
@@ -134,28 +156,45 @@ def _alternate(seen, table, hp, unseen_neighbors="adjusted",
 
     # Initial weights: cycle objective only, hard constraint relaxed,
     # no centroid term yet. Each solve's W V maps the class means once.
-    hp0 = replace(hp, alpha=0.0)
+    # The solve takes P in C order, the objective and the search in the
+    # column-gather layout.
+    solve_p = np.ascontiguousarray(proto0)
     try:
-        w_hat = _solve_rotated(stats, proto0, np.zeros_like(proto0), hp0,
-                               ridge_on_failure)
+        w_hat = _solve_rotated(stats, solve_p, np.zeros(proto0.shape),
+                               replace(hp, alpha=0.0), ridge_on_failure)
     except SolverError as exc:
         raise SolverError(f"initial solve failed: {exc}") from exc
     centroids = w_hat @ means
 
     neighbors = table if unseen_neighbors == "original" else None
-    adjusted = table
-    seen_adjusted = None
+    if hp.iterations == 0:
+        return (MappingModel(w_hat @ v.T), table, TrainingTrace(()), None,
+                neighbors)
+    blends_seen = hp.gamma1 != 0.0
+    if blends_seen:     # then stats.class_ids are all seen ids, sorted
+        _check_present(table.seen_ids, stats.class_ids)
+    _, seen_cols, p0 = _seen_block(table)
+    unseen_cols = np.flatnonzero(~table.seen)
+    q = table.vectors[:, unseen_cols]
+    searches = trace and hp.gamma2 != 0.0
+    q_norms = np.linalg.norm(q, axis=0)
+    p_t, p_obj, u = p0, proto0, q
     records = []
 
     for it in range(1, hp.iterations + 1):
-        prev = adjusted
+        prev_p, prev_u = p_t, u
         tic = time.perf_counter()
         try:
-            seen_adjusted = _blend_seen(table, stats.class_ids, centroids, hp)
-            if trace:   # before the solve: its errors come first
-                adjusted = adjust_unseen(seen_adjusted, hp, neighbors)
-            proto = expand_per_instance(seen_adjusted, stats.class_ids)
-            new_hat = _solve_rotated(stats, proto, centroids, hp,
+            if blends_seen:
+                p_t = p_obj = _blend("seen", hp, p0, centroids,
+                                     table.class_ids, seen_cols)
+                solve_p = np.ascontiguousarray(p_t)
+            if searches:    # before the solve: its errors come first
+                source = p_t if neighbors is None else p0
+                top, sims = _nearest(source, q, q_norms, hp.k)
+                u = _blend_neighbors(q, source, top, sims, hp,
+                                     table.class_ids, unseen_cols)
+            new_hat = _solve_rotated(stats, solve_p, centroids, hp,
                                      ridge_on_failure)
         except SolverError as exc:
             raise SolverError(f"iteration {it}: {exc}") from exc
@@ -170,14 +209,13 @@ def _alternate(seen, table, hp, unseen_neighbors="adjusted",
             # ``stats`` alone and the branch goes.
             if data is None:
                 obj = _objective(stats, new_hat @ new_hat.T,
-                                 float(g @ _sq_cols(new_hat)), mapped, proto,
+                                 float(g @ _sq_cols(new_hat)), mapped, p_obj,
                                  centroids, hp)
             else:
-                obj = objective(MappingModel(new_hat @ v.T), data, proto,
+                obj = objective(MappingModel(new_hat @ v.T), data, p_obj,
                                 centroids, hp, stats=stats)
-            shifts = [float(np.linalg.norm(
-                adjusted.vectors[:, mask] - prev.vectors[:, mask], "fro"))
-                for mask in (table.seen, ~table.seen)]
+            shifts = [float(np.linalg.norm(now - before, "fro"))
+                      for now, before in ((p_t, prev_p), (u, prev_u))]
             records.append(IterationRecord(it, obj, delta, *shifts,
                                            (time.perf_counter() - tic) * 1e3))
 
@@ -185,6 +223,11 @@ def _alternate(seen, table, hp, unseen_neighbors="adjusted",
         if delta < hp.tol:
             break
 
+    seen_adjusted = (_with_columns(table, seen_cols, p_t) if blends_seen
+                     else table)
+    adjusted = (table if not trace
+                else _with_columns(seen_adjusted, unseen_cols, u) if searches
+                else seen_adjusted)
     return (MappingModel(w_hat @ v.T), adjusted,
             TrainingTrace(tuple(records)), seen_adjusted, neighbors)
 

@@ -4,13 +4,28 @@ These deliberately avoid the code paths they validate: the
 matrix-equation solve goes through Kronecker vectorization and a dense
 linear solve, the unseen-prototype blend runs one class at a time, and
 the per-instance training loop is the reference for the class-level
-statistics that the package trains from.
+statistics that the package trains from. The table-level training loop
+is the reference for the prototype blocks that the package's loop
+carries through its iterations.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
+from zsadjust.adjustment import _blend_seen, adjust_unseen
 from zsadjust.linalg import SylvesterSystem, solve_sylvester
-from zsadjust.mapping import MappingModel
+from zsadjust.mapping import (
+    ClassStats,
+    MappingModel,
+    _columns,
+    _objective,
+    _solve_rotated,
+    _sq_cols,
+    class_stats,
+    expand_per_instance,
+    objective,
+)
 
 
 def kron_solve(L, R, M):
@@ -144,3 +159,58 @@ def per_instance_train(seen, table, hp):
         if delta < hp.tol:
             break
     return w, current.vectors, objectives
+
+
+# ---------------------------------------------------------------------------
+# the training loop over whole prototype tables
+
+
+def table_loop(seen, table, hp, unseen_neighbors="adjusted", trace=True):
+    """The loop of :func:`zsadjust.trainer._alternate` written over
+    tables: each iteration blends the seen columns into a copy of the
+    whole table, searches and blends the unseen columns into another
+    copy, gathers the solve's prototypes by class id and checks them
+    again, and takes both shifts from the tables. The rules are the
+    package's table functions; what it checks is the block bookkeeping
+    of the package's loop. Returns ``(weights, adjusted, seen_adjusted,
+    records)`` with ``seen_adjusted`` None after zero iterations and
+    one ``(objective, w_delta, seen_shift, unseen_shift)`` per traced
+    iteration."""
+    stats = seen if isinstance(seen, ClassStats) else class_stats(seen)
+    data = None if seen is stats else seen
+    proto0 = expand_per_instance(table, stats.class_ids)
+    (g, v), means = stats.gram_eig, stats.rotated_means
+    w_hat = _solve_rotated(
+        stats, *_columns(stats, proto0, np.zeros_like(proto0)),
+        replace(hp, alpha=0.0), False)
+    centroids = w_hat @ means
+    neighbors = table if unseen_neighbors == "original" else None
+    adjusted, seen_adjusted, records = table, None, []
+    for _ in range(hp.iterations):
+        prev = adjusted
+        seen_adjusted = _blend_seen(table, stats.class_ids, centroids, hp)
+        if trace:
+            adjusted = adjust_unseen(seen_adjusted, hp, neighbors)
+        proto = expand_per_instance(seen_adjusted, stats.class_ids)
+        new_hat = _solve_rotated(stats, *_columns(stats, proto, centroids),
+                                 hp, False)
+        mapped = new_hat @ means
+        w_hat -= new_hat
+        delta = float(np.linalg.norm(w_hat, "fro")
+                      / max(np.linalg.norm(new_hat, "fro"), 1e-300))
+        if trace:
+            if data is None:
+                obj = _objective(stats, new_hat @ new_hat.T,
+                                 float(g @ _sq_cols(new_hat)), mapped, proto,
+                                 centroids, hp)
+            else:
+                obj = objective(MappingModel(new_hat @ v.T), data, proto,
+                                centroids, hp, stats=stats)
+            shifts = [float(np.linalg.norm(
+                adjusted.vectors[:, mask] - prev.vectors[:, mask], "fro"))
+                for mask in (table.seen, ~table.seen)]
+            records.append((obj, delta, *shifts))
+        w_hat, centroids = new_hat, mapped
+        if delta < hp.tol:
+            break
+    return MappingModel(w_hat @ v.T).weights, adjusted, seen_adjusted, records

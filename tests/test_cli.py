@@ -546,3 +546,23 @@ def test_huge_finite_option_is_data_error(tmp_path, capsys, option, message):
     code = main(["train", *SYNTH, option, "--out", str(tmp_path)])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [("train", "--ks"), ("eval", "--ks"),
+                                           ("sweep-k", "--k-list")])
+@pytest.mark.parametrize("text", ["", " , ", ","])
+@pytest.mark.parametrize("in_config", [False, True])
+def test_empty_k_list_is_config_error(tmp_path, capsys, command, flag, text,
+                                      in_config):
+    out = tmp_path / "run"
+    if in_config:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag[2:]} = {text}\n")
+        argv = ["--config", str(cfg)]
+    else:
+        argv = [f"{flag}={text}"]
+    code = main([command, *SYNTH_DATA, *argv, "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (f"configuration error: bad value for "
+                                       f"{flag}: must name at least one k\n")
+    assert not out.exists()

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from zsadjust import inference
 from zsadjust.data import LabeledDataset, PrototypeTable, SynthSpec, split, synthesize
 from zsadjust.errors import DataError
 from zsadjust.inference import EvalReport, evaluate, predict, skewness, sweep_k
@@ -255,3 +256,21 @@ def test_evaluate_exact_tie_goes_to_smaller_id():
     # ties toward the larger id would give (0, 1, 1)
     assert report.hubness_skewness == pytest.approx(skewness([2, 0, 0]))
     assert skewness([2, 0, 0]) != pytest.approx(skewness([0, 1, 1]))
+
+
+def test_evaluate_refuses_bad_direction_before_any_work(monkeypatch):
+    model, unseen, table = _eval_setup()
+    calls = []
+    real = inference._unit_instances
+    monkeypatch.setattr(inference, "_unit_instances",
+                        lambda *a: calls.append(1) or real(*a))
+    encodes = []
+    real_encode = MappingModel.encode
+    monkeypatch.setattr(MappingModel, "encode",
+                        lambda *a: encodes.append(1) or real_encode(*a))
+    for run in (lambda: evaluate(model, unseen, table, direction="bogus"),
+                lambda: predict(model, unseen.features[:, 0], table,
+                                direction="bogus")):
+        with pytest.raises(ValueError, match="direction"):
+            run()
+    assert calls == encodes == []

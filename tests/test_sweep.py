@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zsadjust import adjustment, inference, trainer
+from zsadjust import inference, trainer
 from zsadjust.adjustment import adjust_unseen
 from zsadjust.data import SynthSpec, split, synthesize
 from zsadjust.errors import DataError
@@ -132,10 +132,10 @@ def test_sweep_searches_once_and_encodes_once(k_values, statistics):
     seen, unseen, table = _data(1)
     hp = HyperParams(iterations=3, tol=0.0)
     calls = Counter()
-    spies = [(adjustment, "_knn"), (MappingModel, "encode"),
+    spies = [(inference, "_knn"), (MappingModel, "encode"),
              (trainer, "objective"), (trainer, "_objective"),
-             (trainer, "adjust_unseen"), (trainer, "_solve_rotated"),
-             (inference, "_ranked")]
+             (trainer, "_nearest"), (trainer, "_blend_neighbors"),
+             (trainer, "_solve_rotated"), (inference, "_ranked")]
     with contextlib.ExitStack() as stack:
         for owner, name in spies:
             stack.enter_context(_counted(calls, owner, name))
@@ -173,3 +173,14 @@ def test_loop_without_trace_gives_trains_tables(tol, solves, neighbors,
     assert np.array_equal(
         adjust_unseen(bare_seen, hp, neighbors=bare_source).vectors,
         adjusted.vectors)
+
+
+def test_bad_direction_is_refused_before_training():
+    seen, unseen, table = _data(0)
+    calls = Counter()
+    with _counted(calls, trainer, "_solve_rotated"), \
+            _counted(calls, trainer, "class_stats"):
+        with pytest.raises(ValueError, match="direction"):
+            sweep_k(seen, unseen, table, HyperParams(iterations=5), [1, 3],
+                    direction="bogus")
+    assert calls == Counter()

@@ -3,17 +3,20 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import zsadjust
+from zsadjust import trainer
 from zsadjust.adjustment import _blend_seen, adjust_seen, adjust_unseen
 from zsadjust.data import LabeledDataset, PrototypeTable, SynthSpec, split, synthesize
 from zsadjust.errors import DataError, SolverError
 from zsadjust.mapping import (
     HyperParams,
     MappingModel,
+    _columns,
     _solve_rotated,
     assemble_system,
     class_mean_map,
@@ -84,7 +87,7 @@ def test_first_iteration_matches_manual_replay():
     # it, adjust prototypes, re-solve the full objective
     stats = class_stats(seen)
     p0 = expand_per_instance(table, stats.class_ids)
-    w0_hat = _solve_rotated(stats, p0, np.zeros_like(p0),
+    w0_hat = _solve_rotated(stats, *_columns(stats, p0, np.zeros_like(p0)),
                             replace(hp, alpha=0.0), False)
     o1 = w0_hat @ stats.rotated_means
     step = _blend_seen(table, stats.class_ids, o1, hp)
@@ -351,3 +354,22 @@ def test_benchmark_rejects_zero_repeats():
     seen, _, table = _synthetic()
     with pytest.raises(ValueError, match="repeats"):
         benchmark_training((seen, table), HyperParams(k=3), repeats=0)
+
+
+@pytest.mark.parametrize("run", [
+    lambda seen, unseen, table: train(seen, table, HyperParams(k=3),
+                                      unseen_neighbors="bogus"),
+    lambda seen, unseen, table: sweep_k(seen, unseen, table, HyperParams(),
+                                        [3], unseen_neighbors="bogus"),
+])
+def test_bad_neighbor_flag_is_refused_before_class_stats(run):
+    seen, unseen, table = _synthetic()
+    stats_calls, solves = [], []
+    real_stats, real_solve = trainer.class_stats, trainer._solve_rotated
+    with mock.patch.object(trainer, "class_stats",
+                           lambda *a: stats_calls.append(1) or real_stats(*a)), \
+            mock.patch.object(trainer, "_solve_rotated",
+                              lambda *a: solves.append(1) or real_solve(*a)):
+        with pytest.raises(ValueError, match="unseen_neighbors"):
+            run(seen, unseen, table)
+    assert stats_calls == solves == []
