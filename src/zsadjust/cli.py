@@ -27,11 +27,12 @@ from .data import (
     LabeledDataset,
     SynthSpec,
     _check_labels,
+    _column_norms,
     _matrix_columns,
+    _raise_norm_fault,
     _read_lines,
     _seen_mask,
     _stream_columns,
-    _unit_columns,
     load_labels,
     load_matrix,
     load_prototypes,
@@ -301,9 +302,9 @@ def _load_run_data(opts, stats=False, keep_seen=False):
         for _ in blocks:    # nothing is taken: this reads every column
             pass
     if opts.normalize in ("prototypes", "both"):
-        vectors = table.vectors.copy()
-        _unit_columns(vectors, "prototype")
-        table = table.with_vectors(vectors)
+        norms, faults = _column_norms(table.vectors)
+        _raise_norm_fault("prototype", *faults)
+        table = table.with_vectors(table.vectors / norms)
     return (table, seen_stats,
             LabeledDataset._of_checked(kept, labels[keep], class_count))
 
@@ -349,7 +350,7 @@ def _write_report(report, out_dir):
                       report.per_class_accuracy[cid]))
     pairs.append(("hubness_skewness", report.hubness_skewness))
     pairs.append(("timing_ms", report.timing_ms))
-    return _write_result(out_dir, "report", pairs, report.to_dict())
+    return _write_result(out_dir, "report", pairs, dataclasses.asdict(report))
 
 
 # ---------------------------------------------------------------------------

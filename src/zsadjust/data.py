@@ -18,7 +18,11 @@ On-disk formats
 
 Streaming
 ---------
-The commands read a features file through :func:`_stream_columns`, one
+Every matrix file is read by :func:`_matrix_columns`, which checks a
+binary header against the file size, or parses a CSV file whole, and
+returns a ``read`` that fills a buffer with a range of columns;
+:func:`load_matrix` reads every column at once into its array. The
+commands read a features file through :func:`_stream_columns`, one
 buffer of about :func:`block_width` columns (``BLOCK_BYTES`` of float64)
 at a time, and never hold a binary one whole: each row segment of the
 payload is read straight into the buffer, checked, optionally scaled to
@@ -35,7 +39,6 @@ import os
 import re
 import struct
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import partial
 
@@ -260,32 +263,43 @@ def save_matrix(path, a, fmt="binary"):
         raise ValueError(f"unknown matrix format: {fmt!r}")
 
 
-@contextmanager
-def _reading(path, error=DataError):
-    """An OSError raised while ``path`` is opened or read, as an ``error``
-    that names the file."""
-    try:
-        yield
-    except OSError as exc:
-        raise error(f"cannot read {path}: {exc.strerror or exc}") from exc
+class _reading:
+    """A context in which an OSError raised while ``path`` is opened or
+    read becomes an ``error`` that names the file. A class, which is
+    cheaper to enter than a generator context: a matrix load enters it
+    twice."""
+
+    def __init__(self, path, error=DataError):
+        self.path, self.error = path, error
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, OSError):
+            raise self.error(f"cannot read {self.path}: "
+                             f"{exc.strerror or exc}") from exc
 
 
 def load_matrix(path, fmt=None):
     """Read a matrix written by :func:`save_matrix`.
 
     ``fmt`` is ``"binary"``, ``"csv"``, or None to sniff the magic bytes.
-    Non-finite entries are rejected with their location.
+    The file is read through :func:`_matrix_columns` as one block of
+    every column. Non-finite entries are rejected with their location.
     """
-    if fmt not in (None, "binary", "csv"):
-        raise ValueError(f"unknown matrix format: {fmt!r}")
-    with _reading(path):
-        if fmt is None:
-            with open(path, "rb") as fh:
-                fmt = "binary" if fh.read(len(MAGIC)) == MAGIC else "csv"
-        a = _load_binary(path) if fmt == "binary" else _load_csv(path)
+    shape, read = _matrix_columns(path, fmt)
+    a = np.empty(shape, dtype="<f8")
+    read(0, a)
+    return _finite(a, path)
+
+
+def _finite(a, path):
+    """``a`` as a finite float64 matrix; the first non-finite entry in
+    row-major order is a DataError naming ``path``, its row and column."""
     try:
         return as_matrix(a, path)
-    except ValueError as exc:   # the row and column of a non-finite entry
+    except ValueError as exc:
         raise DataError(str(exc)) from None
 
 
@@ -308,17 +322,6 @@ def _binary_shape(fh, path):
     if size != rows * cols * 8:
         raise _payload_error(path, rows, cols, size)
     return rows, cols
-
-
-def _load_binary(path):
-    with open(path, "rb") as fh:
-        rows, cols = _binary_shape(fh, path)
-        # the payload goes straight into its array, with no bytes copy
-        a = np.empty((rows, cols), dtype="<f8")
-        size = fh.readinto(a)
-    if size != a.nbytes:
-        raise _payload_error(path, rows, cols, size)
-    return a
 
 
 def _load_csv(path):
@@ -419,26 +422,28 @@ def load_prototypes(matrix_path, partition_path):
 # streaming column blocks
 
 
-def _matrix_columns(source):
-    """``(shape, read)`` of a matrix for :func:`_stream_columns`, where
-    ``read(start, out)`` fills ``out`` (rows, w) with the columns
-    ``start`` to ``start + w - 1``.
+def _matrix_columns(source, fmt=None):
+    """``(shape, read)`` of a matrix for :func:`load_matrix` and
+    :func:`_stream_columns`, where ``read(start, out)`` fills ``out``
+    (rows, w) with the columns ``start`` to ``start + w - 1``.
 
-    ``source`` is an array, or the path of a matrix file. A binary
-    payload is then read straight into ``out``, one row segment at a
-    time, and never whole; a CSV file is parsed whole first. The header
-    of a binary file is checked here, before anything is read.
+    ``source`` is an array, or the path of a matrix file in the format
+    ``fmt`` (as :func:`load_matrix` takes it). A binary payload is then
+    read straight into ``out`` and never whole unless ``out`` spans every
+    column; its header is checked here, before anything is read. A CSV
+    file is parsed and checked to be finite whole, here.
     """
+    if fmt not in (None, "binary", "csv"):
+        raise ValueError(f"unknown matrix format: {fmt!r}")
     if isinstance(source, np.ndarray):
         return source.shape, partial(_copy_block, source)
-    with _reading(source), open(source, "rb") as fh:
-        binary = fh.read(len(MAGIC)) == MAGIC
-        if binary:
-            fh.seek(0)
-            shape = _binary_shape(fh, source)
-    if binary:
-        return shape, partial(_read_block, source, shape)
-    matrix = load_matrix(source, "csv")
+    if fmt != "csv":
+        with _reading(source), open(source, "rb") as fh:
+            if fmt == "binary" or fh.read(len(MAGIC)) == MAGIC:
+                fh.seek(0)
+                shape = _binary_shape(fh, source)
+                return shape, partial(_read_block, source, shape)
+    matrix = _finite(_load_csv(source), source)
     return matrix.shape, partial(_copy_block, matrix)
 
 
@@ -447,11 +452,17 @@ def _copy_block(matrix, start, out):
 
 
 def _read_block(path, shape, start, out):
+    """Read the columns of ``out`` from the binary matrix ``path``: one
+    row segment at a time, or, when ``out`` spans every column, its rows
+    at once as the one run of the payload they are."""
     rows, cols = shape
-    with _reading(path), open(path, "rb", buffering=0) as fh:
-        for r, row in enumerate(out):
+    whole = out.shape[1] == cols
+    # unbuffered row reads after each seek; a buffered readinto of the
+    # whole run repeats short raw reads (each stops below 2 GiB)
+    with _reading(path), open(path, "rb", buffering=-1 if whole else 0) as fh:
+        for r, run in enumerate([out] if whole else out):
             fh.seek(_HEADER.size + 8 * (r * cols + start))
-            if fh.readinto(row) != row.nbytes:    # cut short since checked
+            if fh.readinto(run) != run.nbytes:    # cut short since checked
                 raise _payload_error(path, rows, cols,
                                      fh.seek(0, os.SEEK_END) - _HEADER.size)
 
@@ -495,9 +506,9 @@ def _stream_columns(columns, name, take, keep, kept, unit=False):
             row, col = divmod(int(np.argmin(finite)), w)
             bad = min(bad or (row, start + col), (row, start + col))
         if bad is None and unit:
-            norms = _column_norms(new)
-            faults = tuple(old if old is not None else found for old, found
-                           in zip(faults, _norm_faults(norms, start)))
+            norms, found = _column_norms(new, start)
+            faults = tuple(old if old is not None else now
+                           for old, now in zip(faults, found))
         if bad is None and faults == (None, None):
             if unit:
                 new /= norms
@@ -536,34 +547,22 @@ def _take_columns(dst, src, idx):
             dst[:, j:j + part.size] = np.take(src, part, axis=1)
 
 
-def _unit_columns(a, what):
-    """Scale each column of ``a`` to unit L2 norm, in place; a DataError
-    names a column whose norm overflows or is zero."""
-    norms = _column_norms(a)
-    _raise_norm_fault(what, *_norm_faults(norms))
-    a /= norms
-
-
-def _column_norms(a):
-    """L2 norm of each column of ``a``.
+def _column_norms(a, first=0):
+    """``(norms, (overflow, zero))``: the L2 norm of each column of
+    ``a``, the first column, counted from ``first``, whose norm overflows
+    and the first whose norm is zero, each None where there is none.
 
     Each norm sums its squares in row order, as ``np.linalg.norm(x,
     axis=0)`` does on a matrix of two or more columns, so that a column
     gets the same bits whichever block it is in.
     """
     squares = np.zeros(a.shape[1])
-    with np.errstate(over="ignore"):    # checked by _norm_faults
+    with np.errstate(over="ignore"):    # returned as a fault below
         for row in a:
             squares += row * row
-    return np.sqrt(squares)
-
-
-def _norm_faults(norms, first=0):
-    """``(overflow, zero)``: the first column, counted from ``first``,
-    whose norm overflows, and the first whose norm is zero; None where
-    there is none."""
-    return tuple(first + int(bad.argmax()) if bad.any() else None
-                 for bad in (~np.isfinite(norms), norms == 0.0))
+    norms = np.sqrt(squares)
+    return norms, tuple(first + int(bad.argmax()) if bad.any() else None
+                        for bad in (~np.isfinite(norms), norms == 0.0))
 
 
 def _raise_norm_fault(what, overflow, zero):

@@ -150,18 +150,6 @@ class EvalReport:
     zero_mapped: int
     timing_ms: float
 
-    def to_dict(self):
-        return {
-            "hit_at": {str(k): v for k, v in self.hit_at.items()},
-            "per_class_accuracy": {
-                str(c): v for c, v in self.per_class_accuracy.items()
-            },
-            "hubness_skewness": self.hubness_skewness,
-            "instance_count": self.instance_count,
-            "zero_mapped": self.zero_mapped,
-            "timing_ms": self.timing_ms,
-        }
-
 
 def evaluate(model, unseen, table, ks=(1, 5), direction="semantic"):
     """Score zero-shot predictions over a dataset of unseen-class instances.
@@ -174,8 +162,9 @@ def evaluate(model, unseen, table, ks=(1, 5), direction="semantic"):
         unseen prototype in ``table``.
     table : PrototypeTable
     ks : iterable of int
-        Which Hit@k accuracies to report; a k at or beyond the number of
-        candidates scores every non-degenerate instance as a hit.
+        Which Hit@k accuracies to report, at least one; a k at or beyond
+        the number of candidates scores every non-degenerate instance as
+        a hit.
 
     Returns
     -------
@@ -190,6 +179,8 @@ def evaluate(model, unseen, table, ks=(1, 5), direction="semantic"):
     tic = time.perf_counter()
     _check_direction(direction)
     ks = sorted({int(as_number(k, "k", 1, int)) for k in ks})
+    if not ks:
+        raise ValueError("ks must name at least one k")
     ids, sims = _ranked(model, _unit_instances(model, unseen.features,
                                                direction), table, direction)
     true_idx, rank_of, zero = _true_ranks(ids, sims, unseen.labels)
@@ -220,7 +211,8 @@ def evaluate(model, unseen, table, ks=(1, 5), direction="semantic"):
 def sweep_k(seen, unseen, table, hp, k_values, direction="semantic",
             **train_kwargs):
     """Hit@1 as a function of the neighbor count k; returns
-    ``{k: hit_at_1}``. ``direction`` and every k are checked first.
+    ``{k: hit_at_1}``. ``direction`` and every k are checked first, and
+    ``k_values`` must name at least one.
 
     Trains once, with no trace: only the seen prototypes reach the
     weight solves, so the weights, the seen-adjusted prototypes and the
@@ -236,7 +228,7 @@ def sweep_k(seen, unseen, table, hp, k_values, direction="semantic",
     _check_direction(direction)
     hps = [replace(hp, k=k) for k in k_values]
     if not hps:
-        return {}
+        raise ValueError("k_values must name at least one k")
     model, _, _, seen_adjusted, neighbors = _alternate(
         seen, table, hps[0], trace=False, **train_kwargs)
     blends = seen_adjusted is not None and hp.gamma2 != 0.0

@@ -204,7 +204,9 @@ def _alternate(seen, table, hp, unseen_neighbors="adjusted",
                       / max(np.linalg.norm(new_hat, "fro"), 1e-300))
         if trace:
             # perfbench/run.py sizes the work of mapping.objective from
-            # its dataset argument. Once it sizes it from the ClassStats
+            # its dataset argument, and perfbench/test_run.py::
+            # test_absent_target_and_failed_counter_read_missing needs
+            # this call. Once the benchmark sizes it from the ClassStats
             # shapes (ROADMAP item 1), this loop calls one objective on
             # ``stats`` alone and the branch goes.
             if data is None:

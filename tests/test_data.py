@@ -325,3 +325,103 @@ def test_synthesize_checks_features_without_a_full_mask():
         tracemalloc.stop()
     features = dataset.features
     assert peak - features.nbytes < features.size / 2
+
+
+# ---------------------------------------------------------------------------
+# one matrix reader
+
+
+def _zsrm(shape, payload):
+    return struct.pack("<4sII", b"ZSRM", *shape) + payload
+
+
+@pytest.fixture(scope="module")
+def eval_files(tmp_path_factory):
+    """The files of a small run for ``zsadjust eval``, without features:
+    the features are the (6, 18) matrix each test writes."""
+    directory = tmp_path_factory.mktemp("run")
+    dataset, table, _ = synthesize(SynthSpec(d_v=6, d_s=4, seen_count=4,
+                                             unseen_count=2, per_class=3))
+    paths = {name: str(directory / name) for name in
+             ("model.zsm", "labels.txt", "prototypes.zsm", "partition.txt")}
+    save_matrix(paths["model.zsm"], np.ones((4, 6)))
+    save_labels(paths["labels.txt"], dataset.labels)
+    save_prototypes(table, paths["prototypes.zsm"], paths["partition.txt"])
+    return paths, dataset.features
+
+
+def _malformed(features, case):
+    """The bytes of a features file with the fault ``case``."""
+    x = features.copy()
+    payload = x.astype("<f8").tobytes()
+    if case == "bad magic":
+        return b"NOPE" + struct.pack("<II", *x.shape) + bytes(len(payload))
+    if case == "truncated header":
+        return b"ZSRM" + struct.pack("<I", x.shape[0])
+    if case == "short payload":
+        return _zsrm(x.shape, payload[:-8])
+    if case == "trailing bytes":
+        return _zsrm(x.shape, payload + bytes(8))
+    if case == "nan":
+        x[2, 5] = np.nan
+        return _zsrm(x.shape, x.astype("<f8").tobytes())
+    if case == "inf before nan":
+        x[4, 3] = np.nan
+        x[1, 10] = np.inf   # earlier in row-major order, later column
+        return _zsrm(x.shape, x.astype("<f8").tobytes())
+    rows = [",".join(f"{v:.17g}" for v in row) for row in x]
+    if case == "csv ragged":
+        rows[3] += ",1.0"
+    elif case == "csv unparsable":
+        rows[2] = rows[2].replace(",", ",x", 1)
+    elif case == "csv nan":
+        rows[1] = "nan," + rows[1].split(",", 1)[1]
+    return ("\n".join(rows) + "\n").encode()
+
+
+@pytest.mark.parametrize("case", [
+    "bad magic", "truncated header", "short payload", "trailing bytes",
+    "nan", "inf before nan", "csv ragged", "csv unparsable", "csv nan"])
+def test_library_and_cli_report_a_bad_matrix_alike(tmp_path, eval_files,
+                                                   capsys, case):
+    from zsadjust.cli import main
+
+    paths, features = eval_files
+    path = tmp_path / "features"
+    path.write_bytes(_malformed(features, case))
+    with pytest.raises(DataError) as exc:
+        load_matrix(path)
+    capsys.readouterr()
+    code = main(["eval", "--model", paths["model.zsm"],
+                 "--features", str(path), "--labels", paths["labels.txt"],
+                 "--prototypes", paths["prototypes.zsm"],
+                 "--partition", paths["partition.txt"],
+                 "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"data error: {exc.value}\n"
+
+
+@pytest.mark.parametrize("shape", [(85, 1024), (1, 3000), (3000, 1)])
+def test_whole_file_reads_match_the_bytes(tmp_path, monkeypatch, shape):
+    import zsadjust.data
+    from zsadjust.data import _matrix_columns, _stream_columns, block_width
+
+    a = np.random.default_rng(shape[0]).standard_normal(shape)
+    path = tmp_path / "a.zsm"
+    save_matrix(path, a)
+    want = np.frombuffer(path.read_bytes()[12:], dtype="<f8").reshape(shape)
+    assert np.array_equal(load_matrix(path), want)
+    rows, cols = shape
+    # the stream's buffer: exactly every column, every column with the
+    # spare eighth, and narrower blocks read one row segment at a time
+    for width in (cols, max(1, cols - cols // 9), max(1, cols // 3)):
+        monkeypatch.setattr(zsadjust.data, "BLOCK_BYTES", 8 * rows * width)
+        assert block_width(rows) == width
+        kept = np.empty(shape)
+        every = np.ones(cols, dtype=bool)
+        for _ in _stream_columns(_matrix_columns(str(path)), str(path),
+                                 ~every, every, kept):
+            pass
+        assert np.array_equal(kept, want)

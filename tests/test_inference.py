@@ -1,9 +1,11 @@
-from dataclasses import replace
+import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from zsadjust import inference
+from zsadjust.cli import _write_report
 from zsadjust.data import LabeledDataset, PrototypeTable, SynthSpec, split, synthesize
 from zsadjust.errors import DataError
 from zsadjust.inference import EvalReport, evaluate, predict, skewness, sweep_k
@@ -197,13 +199,21 @@ def test_skewness_hand_computed():
     assert skewness([0.0, 0.0, 3.0]) == pytest.approx(2.0 / 2.0 ** 1.5)
 
 
-def test_report_serialization():
+def test_report_serialization(tmp_path):
     model, data, table = _eval_setup(seed=5)
     report = evaluate(model, data, table, ks=(1, 2))
-    d = report.to_dict()
+    assert isinstance(report, EvalReport)
+    _write_report(report, tmp_path)
+    d = json.loads((tmp_path / "report.json").read_text())
+    # every field in declaration order; int keys become decimal strings
+    assert list(d) == [f.name for f in fields(EvalReport)]
+    assert d["hit_at"] == {str(k): v for k, v in report.hit_at.items()}
+    assert d["per_class_accuracy"] == {
+        str(c): v for c, v in report.per_class_accuracy.items()}
     assert set(d["hit_at"]) == {"1", "2"}
     assert d["instance_count"] == data.instance_count
-    assert isinstance(report, EvalReport)
+    for name in ("hubness_skewness", "zero_mapped", "timing_ms"):
+        assert d[name] == getattr(report, name)
 
 
 def _sweep_setup(seed=0, shift=0.1):

@@ -80,6 +80,19 @@ def test_library_rejects_a_non_integer_count(trained, name, call):
         call(trained)
 
 
+@pytest.mark.parametrize("name, call", [
+    ("ks", lambda t: evaluate(t["model"], t["unseen"], t["adjusted"], ks=())),
+    ("k_values", lambda t: sweep_k(t["seen"], t["unseen"], t["table"],
+                                   t["hp"], [])),
+    ("k_values", lambda t: sweep_k(t["seen"], t["unseen"], t["table"],
+                                   t["hp"], iter(()))),
+])
+def test_library_rejects_an_empty_k_list(trained, name, call):
+    # as the CLI refuses --ks "" and --k-list ""
+    with pytest.raises(ValueError, match=f"^{name} must name at least one k$"):
+        call(trained)
+
+
 @pytest.mark.parametrize("field", ["d_v", "seed"])
 def test_synth_spec_rejects_a_non_integer_field(field):
     with pytest.raises(DataError, match=f"^{field} must be an integer, got"):

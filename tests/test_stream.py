@@ -21,7 +21,7 @@ from zsadjust.data import (
     LabeledDataset,
     PrototypeTable,
     SynthSpec,
-    _unit_columns,
+    _column_norms,
     block_width,
     load_matrix,
     save_labels,
@@ -207,9 +207,10 @@ def test_unit_columns_bits_do_not_depend_on_the_block():
     x = rng.standard_normal((300, 6)) * rng.uniform(0.1, 10.0, (300, 1))
     whole = x / np.linalg.norm(x, axis=0, keepdims=True)
     for j in range(x.shape[1]):
-        column = x[:, j:j + 1].copy()
-        _unit_columns(column, "feature")
-        assert np.array_equal(column[:, 0], whole[:, j])
+        column = x[:, j:j + 1]
+        norms, faults = _column_norms(column, first=j)
+        assert faults == (None, None)
+        assert np.array_equal((column / norms)[:, 0], whole[:, j])
 
 
 def _eval_args(tmp_path, paths):
