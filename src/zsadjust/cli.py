@@ -265,12 +265,16 @@ def _load_run_data(opts, stats=False, keep_seen=False):
     """``(table, seen_stats, kept)`` of a run, synthetic or from files,
     normalized as ``--normalize`` asks.
 
-    The features are streamed through one block buffer (see
+    The features are streamed in row bands (see
     :func:`zsadjust.data._stream_columns`), so that no features file is
-    held whole. ``seen_stats`` is the ``class_stats`` of the seen
-    columns when ``stats`` is set, else None. ``kept`` is a
-    LabeledDataset of the seen columns with ``keep_seen``, else of the
-    unseen ones; every column is checked either way.
+    held whole: through one buffer of a column block when ``stats``
+    takes the seen columns for the Gram product, else through one
+    buffer of a band of every column, each band one run of a binary
+    payload. ``seen_stats`` is the ``class_stats`` of the seen columns
+    when ``stats`` is set, else None. ``kept`` is a LabeledDataset of
+    the seen columns with ``keep_seen``, else of the unseen ones; every
+    column is checked either way. Features with no rows are a
+    DataError.
     """
     if opts.synth:
         dataset, table, _ = synthesize(_build(SynthSpec, opts))
@@ -286,6 +290,8 @@ def _load_run_data(opts, stats=False, keep_seen=False):
         )
     class_count = int(max(labels.max(initial=0), table.class_ids.max())) + 1
     (rows, cols), _ = columns
+    if rows == 0:
+        raise DataError(f"{name}: the features have no rows")
     labels = _check_labels(labels, cols, class_count)
     seen = _seen_mask(labels, table)
     if (stats or keep_seen) and not seen.any():

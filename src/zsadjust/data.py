@@ -20,17 +20,23 @@ Streaming
 ---------
 Every matrix file is read by :func:`_matrix_columns`, which checks a
 binary header against the file size, or parses a CSV file whole, and
-returns a ``read`` that fills a buffer with a range of columns;
-:func:`load_matrix` reads every column at once into its array. The
-commands read a features file through :func:`_stream_columns`, one
-buffer of about :func:`block_width` columns (``BLOCK_BYTES`` of float64)
-at a time, and never hold a binary one whole: each row segment of the
-payload is read straight into the buffer, checked, optionally scaled to
-unit norm, and then copied into the partition the command keeps or
-handed on in blocks to the accumulator of
-:func:`zsadjust.mapping.class_stats`, which blocks an in-memory dataset
-the same way. An OSError while an input file is opened or read is a
-DataError that names the file.
+returns a ``read`` that fills a buffer with a band of rows of a range
+of columns; :func:`load_matrix` reads every row and column at once into
+its array. The commands read a features file through
+:func:`_stream_columns` in row bands of about a sixteenth of
+``BLOCK_BYTES``, and never hold a binary one whole. A command that
+takes columns for the Gram product (``train``, ``sweep-k``) reads
+column blocks of about :func:`block_width` columns (``BLOCK_BYTES`` of
+float64) into a buffer of one block, each band row segment by row
+segment; one that only keeps columns (``eval``, ``bench``) reads one
+block of every column into a buffer of one band, so that each band is
+one run of the payload. Each band, while it is in cache, is checked,
+its column squares are added up for unit norms, and its kept columns
+are copied into the partition the command keeps; the taken columns of
+a block are scaled once its norms are known and handed on in blocks to
+the accumulator of :func:`zsadjust.mapping.class_stats`, which blocks
+an in-memory dataset the same way. An OSError while an input file is
+opened or read is a DataError that names the file.
 """
 
 from __future__ import annotations
@@ -290,7 +296,7 @@ def load_matrix(path, fmt=None):
     """
     shape, read = _matrix_columns(path, fmt)
     a = np.empty(shape, dtype="<f8")
-    read(0, a)
+    read(0, 0, a)
     return _finite(a, path)
 
 
@@ -424,14 +430,15 @@ def load_prototypes(matrix_path, partition_path):
 
 def _matrix_columns(source, fmt=None):
     """``(shape, read)`` of a matrix for :func:`load_matrix` and
-    :func:`_stream_columns`, where ``read(start, out)`` fills ``out``
-    (rows, w) with the columns ``start`` to ``start + w - 1``.
+    :func:`_stream_columns`, where ``read(start, row, out)`` fills
+    ``out`` (h, w) with the rows ``row`` to ``row + h - 1`` of the
+    columns ``start`` to ``start + w - 1``.
 
     ``source`` is an array, or the path of a matrix file in the format
     ``fmt`` (as :func:`load_matrix` takes it). A binary payload is then
     read straight into ``out`` and never whole unless ``out`` spans every
-    column; its header is checked here, before anything is read. A CSV
-    file is parsed and checked to be finite whole, here.
+    row and column; its header is checked here, before anything is
+    read. A CSV file is parsed and checked to be finite whole, here.
     """
     if fmt not in (None, "binary", "csv"):
         raise ValueError(f"unknown matrix format: {fmt!r}")
@@ -447,20 +454,21 @@ def _matrix_columns(source, fmt=None):
     return matrix.shape, partial(_copy_block, matrix)
 
 
-def _copy_block(matrix, start, out):
-    out[...] = matrix[:, start:start + out.shape[1]]
+def _copy_block(matrix, start, row, out):
+    out[...] = matrix[row:row + out.shape[0], start:start + out.shape[1]]
 
 
-def _read_block(path, shape, start, out):
-    """Read the columns of ``out`` from the binary matrix ``path``: one
-    row segment at a time, or, when ``out`` spans every column, its rows
-    at once as the one run of the payload they are."""
+def _read_block(path, shape, start, row, out):
+    """Read the band of ``out`` (h, w) from the binary matrix ``path``:
+    rows ``row`` to ``row + h - 1`` of the columns ``start`` to
+    ``start + w - 1``, one row segment at a time, or, when ``out`` spans
+    every column, at once as the one run of the payload they are."""
     rows, cols = shape
     whole = out.shape[1] == cols
     # unbuffered row reads after each seek; a buffered readinto of the
     # whole run repeats short raw reads (each stops below 2 GiB)
     with _reading(path), open(path, "rb", buffering=-1 if whole else 0) as fh:
-        for r, run in enumerate([out] if whole else out):
+        for r, run in enumerate([out] if whole else out, start=row):
             fh.seek(_HEADER.size + 8 * (r * cols + start))
             if fh.readinto(run) != run.nbytes:    # cut short since checked
                 raise _payload_error(path, rows, cols,
@@ -468,57 +476,79 @@ def _read_block(path, shape, start, out):
 
 
 def _stream_columns(columns, name, take, keep, kept, unit=False):
-    """Pass the columns of a matrix through one buffer of about
-    ``block_width(rows)`` columns, and yield its ``take`` columns in
-    blocks.
+    """Pass the columns of a matrix through one buffer in row bands, and
+    yield its ``take`` columns in blocks.
 
-    ``columns`` is ``(shape, read)`` from :func:`_matrix_columns`. Each
-    column is checked to be finite and, with ``unit``, scaled to unit L2
-    norm. The columns where the mask ``keep`` is set are copied, in
-    order, into ``kept`` (rows, ``keep.sum()``). The columns where the
-    mask ``take`` is set are yielded in order, in blocks of
-    ``block_width(rows)`` columns and a last narrower one, as
+    ``columns`` is ``(shape, read)`` from :func:`_matrix_columns`. The
+    columns are read in blocks: of about ``block_width(rows)`` columns
+    when some are taken, and the buffer then holds one such block; else
+    of every column, and the buffer holds one band. Each block is read
+    in bands of rows, about a sixteenth of ``BLOCK_BYTES`` each (a band
+    of every column is one run of a binary payload). Each band, while it
+    is in cache, is checked to be finite, its column squares are added
+    up for ``unit``, its columns where the mask ``keep`` is set are
+    copied, in order, into ``kept`` (rows, ``keep.sum()``), and its
+    columns where the mask ``take`` is set are moved to the front of the
+    block. With ``unit``, the kept and taken columns of a block are then
+    scaled to unit L2 norm. The taken columns are yielded in order, in
+    blocks of ``block_width(rows)`` columns and a last narrower one, as
     :func:`zsadjust.mapping.class_stats` blocks a dataset of them; each
     block is overwritten by the next. No copy of the matrix is made.
 
     A non-finite entry is a DataError that names the first one in
-    row-major order, as :func:`load_matrix` reports it: the rest of the
-    matrix is still read for that, and no block from there on is
-    yielded. So is a column that ``unit`` cannot scale, reported only
-    if every entry is finite: the first whose norm overflows, else the
-    first zero column, as if the whole matrix were checked and then
+    row-major order, as :func:`load_matrix` reports it: the rows above
+    it are still read in every later block for that, and no block from
+    there on is yielded. So is a column that ``unit`` cannot scale, reported
+    only if every entry is finite: the first whose norm overflows, else
+    the first zero column, as if the whole matrix were checked and then
     normalized.
     """
     (rows, cols), read = columns
     width = block_width(rows)
-    # an eighth of a block to spare, so that no read is narrower than that
-    buf = np.empty((rows, min(width + max(1, width // 8), cols)), dtype="<f8")
+    hold = take.any()
+    # a held block has an eighth to spare, so that no read is narrower
+    span = min(width + max(1, width // 8), cols) if hold else cols
+    height = max(1, BLOCK_BYTES // (128 * max(1, span)))   # rows per band
+    buf = np.empty((rows if hold else min(height, rows), span), dtype="<f8")
     fill = used = 0     # taken columns waiting in buf; columns kept so far
     bad = None          # (row, col) of the first non-finite entry
     faults = (None, None)   # first columns whose norm overflows, is zero
     start = 0
     while start < cols:
-        new = buf[:, fill:fill + min(buf.shape[1] - fill, cols - start)]
+        new = buf[:, fill:fill + min(span - fill, cols - start)]
         w = new.shape[1]
-        read(start, new)
-        finite = np.isfinite(new)
-        if not finite.all():
-            row, col = divmod(int(np.argmin(finite)), w)
-            bad = min(bad or (row, start + col), (row, start + col))
+        kept_idx = np.flatnonzero(keep[start:start + w])
+        taken_idx = np.flatnonzero(take[start:start + w])
+        clean = bad is None and faults == (None, None)
+        squares = np.zeros(w)
+        # past a fault, only the rows above it can hold an earlier one
+        for top in range(0, rows if bad is None else bad[0], height):
+            band = new[top:top + height] if hold else new[:rows - top]
+            read(start, top, band)
+            finite = np.isfinite(band)
+            if not finite.all():
+                row, col = divmod(int(np.argmin(finite)), w)
+                bad = min(bad or (top + row, start + col),
+                          (top + row, start + col))
+                break
+            if unit and bad is None:
+                _add_squares(squares, band)
+            if clean:
+                _take_columns(kept[top:top + band.shape[0],
+                                   used:used + kept_idx.size],
+                              band, kept_idx)
+                if taken_idx.size and taken_idx[-1] >= taken_idx.size:
+                    _take_columns(band, band, taken_idx)   # not in place
         if bad is None and unit:
-            norms, found = _column_norms(new, start)
+            norms, found = _norms(squares, start)
             faults = tuple(old if old is not None else now
                            for old, now in zip(faults, found))
         if bad is None and faults == (None, None):
             if unit:
-                new /= norms
-            idx = np.flatnonzero(keep[start:start + w])
-            _take_columns(kept[:, used:used + idx.size], new, idx)
-            used += idx.size
-            idx = np.flatnonzero(take[start:start + w])
-            if idx.size and idx[-1] >= idx.size:     # not in place already
-                _take_columns(new, new, idx)
-            fill += idx.size
+                kept[:, used:used + kept_idx.size] /= norms[kept_idx]
+                new[:, :taken_idx.size] /= norms[taken_idx]
+            used += kept_idx.size
+            fill += taken_idx.size
             if fill >= width:
                 yield buf[:, :width]
                 fill -= width   # at most the spare columns, moved to the front
@@ -554,12 +584,22 @@ def _column_norms(a, first=0):
 
     Each norm sums its squares in row order, as ``np.linalg.norm(x,
     axis=0)`` does on a matrix of two or more columns, so that a column
-    gets the same bits whichever block it is in.
+    gets the same bits whichever block or band of rows it is in.
     """
-    squares = np.zeros(a.shape[1])
-    with np.errstate(over="ignore"):    # returned as a fault below
+    return _norms(_add_squares(np.zeros(a.shape[1]), a), first)
+
+
+def _add_squares(squares, a):
+    """Add the squares of each column of ``a`` to ``squares``, one row
+    at a time in row order; return ``squares``."""
+    with np.errstate(over="ignore"):    # an overflow is a fault of _norms
         for row in a:
             squares += row * row
+    return squares
+
+
+def _norms(squares, first):
+    """:func:`_column_norms` from the column sums of squares."""
     norms = np.sqrt(squares)
     return norms, tuple(first + int(bad.argmax()) if bad.any() else None
                         for bad in (~np.isfinite(norms), norms == 0.0))

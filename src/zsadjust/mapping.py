@@ -399,7 +399,11 @@ def _l_eig(b, thin):
 def _solve_rotated(stats, p, o, hp, ridge_on_failure):
     """W V of :func:`solve_weights`, for V the eigenvectors of G, with
     M V = -(A diag(n)) (V^T Xbar)^T from the cached rotated means. P and
-    O are taken as :func:`_columns` returns them, with no check."""
+    O are taken as :func:`_columns` returns them, with no check; features
+    with no rows (d_v = 0, no eigenvalue of G to pivot on) are a
+    DataError."""
+    if not stats.gram.size:
+        raise DataError("the features have no rows")
     b, a = _normal_equation(stats, p, o, hp)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         m_hat = -(a * stats.counts) @ stats.rotated_means.T

@@ -31,7 +31,11 @@ from zsadjust.data import (
 )
 from zsadjust.errors import ConfigError, DataError
 from zsadjust.inference import evaluate, sweep_k
-from zsadjust.mapping import HyperParams
+from zsadjust.mapping import (
+    HyperParams,
+    expand_per_instance,
+    solve_weights,
+)
 from zsadjust.trainer import benchmark_training, train
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None,
@@ -196,6 +200,54 @@ def test_cli_bad_byte_in_a_data_file_exits_2(tmp_path, capsys, name):
     _written(data, name, (data / name).read_text(), 2)
     assert main(["train", *argv]) == 2
     assert f"{name}:2: not valid UTF-8" in capsys.readouterr().err
+
+
+def _no_rows(trained):
+    """The seen and unseen datasets of ``trained`` with no feature rows."""
+    return [LabeledDataset(np.zeros((0, d.instance_count)), d.labels,
+                           d.class_count)
+            for d in (trained["seen"], trained["unseen"])]
+
+
+@pytest.mark.parametrize("run", ["train", "sweep-k", "bench", "eval",
+                                 "library train", "library sweep_k",
+                                 "library solve_weights"])
+def test_features_with_no_rows_are_a_data_error(tmp_path, capsys, trained,
+                                                run):
+    # a 0 x 55 features file, or datasets of d_v = 0, reach no solve
+    if run.startswith("library"):
+        seen, unseen = _no_rows(trained)
+        table, hp = trained["table"], trained["hp"]
+        calls = {
+            "train": lambda: train(seen, table, hp),
+            "sweep_k": lambda: sweep_k(seen, unseen, table, hp, [1, 2]),
+            "solve_weights": lambda: solve_weights(
+                seen, expand_per_instance(table, seen.labels),
+                np.zeros((table.semantic_dim, seen.instance_count)), hp),
+        }
+        with pytest.raises(DataError, match="^the features have no rows$"):
+            calls[run.split()[1]]()
+        return
+    data = tmp_path / "data"
+    assert main(["synth", "--synth-dv", "6", "--synth-ds", "3",
+                 "--synth-seen", "8", "--synth-unseen", "3",
+                 "--synth-per-class", "5", "--out", str(data)]) == 0
+    features = data / "features.zsm"
+    save_matrix(features, np.zeros((0, 55)))
+    save_matrix(data / "model.zsm", np.ones((3, 6)))
+    argv = [run, "--features", str(features),
+            "--labels", str(data / "labels.txt"),
+            "--prototypes", str(data / "prototypes.zsm"),
+            "--partition", str(data / "partition.txt"),
+            "--out", str(tmp_path / "out")]
+    if run == "eval":
+        argv += ["--model", str(data / "model.zsm")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"data error: {features}: the features have "
+                            f"no rows\n")
+    assert captured.out == ""
 
 
 def test_cli_bad_byte_in_a_config_file_exits_1(tmp_path, capsys):

@@ -22,6 +22,9 @@ from zsadjust.data import (
     PrototypeTable,
     SynthSpec,
     _column_norms,
+    _matrix_columns,
+    _raise_norm_fault,
+    _stream_columns,
     block_width,
     load_matrix,
     save_labels,
@@ -30,6 +33,7 @@ from zsadjust.data import (
     split,
     synthesize,
 )
+from zsadjust.errors import DataError
 from zsadjust.inference import evaluate
 from zsadjust.mapping import (
     HyperParams,
@@ -211,6 +215,90 @@ def test_unit_columns_bits_do_not_depend_on_the_block():
         norms, faults = _column_norms(column, first=j)
         assert faults == (None, None)
         assert np.array_equal((column / norms)[:, 0], whole[:, j])
+
+
+def _mask(draw, cols):
+    """A column mask: no column, every column, one run, or scattered."""
+    kind = draw(st.sampled_from(["none", "all", "run", "scattered"]))
+    mask = np.zeros(cols, dtype=bool)
+    if kind == "all":
+        mask[:] = True
+    elif kind == "run":
+        first = draw(st.integers(0, cols - 1))
+        mask[first:draw(st.integers(first + 1, cols))] = True
+    elif kind == "scattered":
+        mask[:] = draw(st.lists(st.booleans(), min_size=cols,
+                                max_size=cols))
+    return mask
+
+
+@st.composite
+def _streams(draw):
+    """A small matrix with at most one fault, keep and take masks, and a
+    BLOCK_BYTES that makes blocks narrower than the matrix, or of every
+    column in bands of several rows or of the whole block. Bands are
+    about a sixteenth of BLOCK_BYTES, so a narrow block of up to 64 rows
+    is read in bands of one to three rows."""
+    rows, cols = draw(st.integers(1, 64)), draw(st.integers(1, 30))
+    x = np.random.default_rng(draw(st.integers(0, 2**16))).standard_normal(
+        (rows, cols))
+    fault = draw(st.sampled_from([None, "nan", "inf", "zero", "overflow"]))
+    row, col = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+    if fault == "zero":
+        x[:, col] = 0.0
+    elif fault is not None:
+        x[row, col] = {"nan": np.nan, "inf": -np.inf, "overflow": 1e300}[fault]
+    return dict(x=x, keep=_mask(draw, cols), take=_mask(draw, cols),
+                block_bytes=8 * rows * draw(st.one_of(
+                    st.integers(1, cols), st.integers(cols, 16 * cols),
+                    st.integers(16 * cols, 20 * cols))),
+                unit=draw(st.booleans()),
+                array=draw(st.booleans()), fault_col=col if fault else cols)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(case=_streams())
+def test_banded_stream_matches_whole_file_reads(case):
+    # the stream keeps and yields the columns of a whole-file read, scaled
+    # as _column_norms scales them, or fails with the error that the
+    # whole-file read and _column_norms give; no block is yielded from
+    # the faulty one on
+    x, keep, take, unit = case["x"], case["keep"], case["take"], case["unit"]
+    rows = x.shape[0]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "x.zsm")
+        pathlib.Path(path).write_bytes(_raw(x))
+        want_error = None
+        try:
+            _, faults = _column_norms(load_matrix(path))
+            if unit:
+                _raise_norm_fault("feature", *faults)
+        except DataError as exc:
+            want_error = str(exc)
+        with mock.patch.object(zsadjust.data, "BLOCK_BYTES",
+                               case["block_bytes"]):
+            width = block_width(rows)
+            kept = np.empty((rows, np.count_nonzero(keep)))
+            blocks, error = [], None
+            try:
+                for block in _stream_columns(
+                        _matrix_columns(x if case["array"] else path), path,
+                        take, keep, kept, unit):
+                    blocks.append(block.copy())
+            except DataError as exc:
+                error = str(exc)
+    assert error == want_error
+    assert all(b.shape[1] == width for b in blocks[:-1])
+    assert all(0 < b.shape[1] <= width for b in blocks)
+    with np.errstate(all="ignore"):
+        want = x / _column_norms(x)[0] if unit else x
+    taken = np.hstack([np.empty((rows, 0)), *blocks])
+    if error is None:
+        assert np.array_equal(kept, want[:, keep])
+        assert np.array_equal(taken, want[:, take])
+    else:
+        assert taken.shape[1] <= np.count_nonzero(take[:case["fault_col"]])
+        assert np.array_equal(taken, want[:, take][:, :taken.shape[1]])
 
 
 def _eval_args(tmp_path, paths):
@@ -449,6 +537,30 @@ def test_train_and_eval_hold_no_copy_of_the_features(tmp_path, monkeypatch,
         peak = _traced_peak(lambda: main(argv))
         assert (run / "model.zsm").exists()
         assert peak < payload / 4, (argv[0], peak / payload)
+    capsys.readouterr()
+
+
+def test_eval_holds_one_band_not_one_block(tmp_path, monkeypatch, capsys):
+    # at the sizes above, eval reads every column in row bands of about
+    # a sixteenth of a block: past the unseen columns it keeps, it holds
+    # far less than one block (payload / 16)
+    monkeypatch.setattr(zsadjust.data, "BLOCK_BYTES", 8 * 128 * 512)
+    dataset, table, _ = synthesize(SynthSpec(
+        d_v=128, d_s=16, seen_count=15, unseen_count=1, per_class=512,
+        noise_sigma=0.1, seed=1))
+    paths = _write(tmp_path / "data", dataset.features, dataset.labels,
+                   table)
+    payload = dataset.features.nbytes
+    kept = 8 * 128 * np.count_nonzero(~table.seen[dataset.labels])
+    del dataset
+    run = tmp_path / "run"
+    assert main(["train", *_file_args(paths), "--k", "3", "--iters", "2",
+                 "--out", str(run)]) == 0
+    peak = _traced_peak(lambda: main([
+        "eval", "--model", str(run / "model.zsm"), *_file_args(paths),
+        "--out", str(tmp_path / "eval")]))
+    assert (tmp_path / "eval" / "report.json").exists()
+    assert peak - kept < payload / 16, (peak - kept) / payload
     capsys.readouterr()
 
 
