@@ -220,8 +220,7 @@ def _resolve(args):
         config = _read_config(args.config)
 
     tables = [opt for table in COMMAND_OPTS[args.command] for opt in table]
-    known = {_dest(flag) for flag, *_ in tables}
-    known.add("config")
+    known = {_dest(flag) for flag, *_ in tables} - {"config"}
     for key in config:
         if key not in known:
             raise ConfigError(f"unknown config key: {key}")
@@ -261,8 +260,8 @@ def _require_file(path, flag):
     return path
 
 
-def _load_run_data(opts, stats=False, keep_seen=False):
-    """``(table, seen_stats, kept)`` of a run, synthetic or from files,
+def _load_run_data(opts, stats=False):
+    """``(table, seen_stats, unseen)`` of a run, synthetic or from files,
     normalized as ``--normalize`` asks.
 
     The features are streamed in row bands (see
@@ -271,10 +270,9 @@ def _load_run_data(opts, stats=False, keep_seen=False):
     takes the seen columns for the Gram product, else through one
     buffer of a band of every column, each band one run of a binary
     payload. ``seen_stats`` is the ``class_stats`` of the seen columns
-    when ``stats`` is set, else None. ``kept`` is a LabeledDataset of
-    the seen columns with ``keep_seen``, else of the unseen ones; every
-    column is checked either way. Features with no rows are a
-    DataError.
+    when ``stats`` is set, else None. ``unseen`` is a LabeledDataset of
+    the unseen columns; every column is checked either way. Features
+    with no rows are a DataError.
     """
     if opts.synth:
         dataset, table, _ = synthesize(_build(SynthSpec, opts))
@@ -294,12 +292,11 @@ def _load_run_data(opts, stats=False, keep_seen=False):
         raise DataError(f"{name}: the features have no rows")
     labels = _check_labels(labels, cols, class_count)
     seen = _seen_mask(labels, table)
-    if (stats or keep_seen) and not seen.any():
+    if stats and not seen.any():
         raise DataError("seen partition is empty: nothing to train on")
-    keep = seen if keep_seen else ~seen
-    kept = np.empty((rows, np.count_nonzero(keep)))
+    unseen = np.empty((rows, np.count_nonzero(~seen)))
     take = seen if stats else np.zeros_like(seen)
-    blocks = _stream_columns(columns, name, take, keep, kept,
+    blocks = _stream_columns(columns, name, take, ~seen, unseen,
                              unit=opts.normalize in ("features", "both"))
     seen_stats = None
     if stats:
@@ -312,7 +309,7 @@ def _load_run_data(opts, stats=False, keep_seen=False):
         _raise_norm_fault("prototype", *faults)
         table = table.with_vectors(table.vectors / norms)
     return (table, seen_stats,
-            LabeledDataset._of_checked(kept, labels[keep], class_count))
+            LabeledDataset._of_checked(unseen, labels[~seen], class_count))
 
 
 def _out_dir(opts):
@@ -447,11 +444,10 @@ def cmd_sweep_k(args):
                     ridge_on_failure=opts.ridge_retry)
     # Two bare CSV columns (k, Hit@1) so the file round-trips through the
     # CSV matrix loader and plots anywhere.
-    with open(os.path.join(out_dir, F_SWEEP), "w") as fh:
-        for k in opts.k_list:
-            fh.write(f"{k},{curve[int(k)]:.17g}\n")
+    save_matrix(os.path.join(out_dir, F_SWEEP),
+                [[k, curve[k]] for k in opts.k_list], fmt="csv")
     for k in opts.k_list:
-        print(f"k={k} hit_at_1={_fmt(curve[int(k)])}")
+        print(f"k={k} hit_at_1={_fmt(curve[k])}")
     return EXIT_OK
 
 
@@ -459,9 +455,9 @@ def cmd_bench(args):
     opts = _resolve(args)
     hp = _build(HyperParams, opts)
     out_dir = _out_dir(opts)
-    # in memory: benchmark_training times train from the dataset, its
-    # class statistics included
-    table, _, seen = _load_run_data(opts, keep_seen=True)
+    # streamed once and untimed, as train streams them: each repeat
+    # times what train then runs, eigh(d_v) and the loop
+    table, seen, _ = _load_run_data(opts, stats=True)
 
     result = benchmark_training((seen, table), hp, repeats=opts.repeats,
                                 unseen_neighbors=opts.unseen_neighbors,

@@ -25,12 +25,12 @@ of columns; :func:`load_matrix` reads every row and column at once into
 its array. The commands read a features file through
 :func:`_stream_columns` in row bands of about a sixteenth of
 ``BLOCK_BYTES``, and never hold a binary one whole. A command that
-takes columns for the Gram product (``train``, ``sweep-k``) reads
-column blocks of about :func:`block_width` columns (``BLOCK_BYTES`` of
-float64) into a buffer of one block, each band row segment by row
-segment; one that only keeps columns (``eval``, ``bench``) reads one
-block of every column into a buffer of one band, so that each band is
-one run of the payload. Each band, while it is in cache, is checked,
+takes columns for the Gram product (``train``, ``sweep-k``, ``bench``)
+reads column blocks of about :func:`block_width` columns (``BLOCK_BYTES``
+of float64) into a buffer of one block, each band row segment by row
+segment; one that only keeps columns (``eval``) reads one block of every
+column into a buffer of one band, so that each band is one run of the
+payload. Each band, while it is in cache, is checked,
 its column squares are added up for unit norms, and its kept columns
 are copied into the partition the command keeps; the taken columns of
 a block are scaled once its norms are known and handed on in blocks to

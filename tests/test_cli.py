@@ -151,6 +151,19 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "wibble" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["config", "--config"])
+def test_config_key_in_a_config_file_rejected(tmp_path, capsys, key):
+    other = tmp_path / "other.cfg"
+    other.write_text("k = 4\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {other}\nsynth = true\nk = 3\n")
+    assert main(["train", "--config", str(cfg),
+                 "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == \
+        "configuration error: unknown config key: config\n"
+    assert not (tmp_path / "run" / "model.zsm").exists()
+
+
 def test_train_from_files_roundtrip(tmp_path):
     data_dir = tmp_path / "data"
     assert main(["synth", "--synth-dv", "16", "--synth-ds", "6",
@@ -208,6 +221,9 @@ def test_sweep_rows_match_library(tmp_path):
                     HyperParams(iterations=2, k=3), [2, 4])
     assert table[0, 1] == curve[2]
     assert table[1, 1] == curve[4]
+    # k as an integer, Hit@1 as %.17g, one row per line
+    assert (out / "sweep.csv").read_bytes() == \
+        f"2,{curve[2]:.17g}\n4,{curve[4]:.17g}\n".encode()
 
 
 def test_sweep_flat_when_gamma2_zero(tmp_path):
@@ -418,19 +434,52 @@ def test_zero_seen_blend_is_data_error(tmp_path, capsys):
 
 def test_bench_honours_normalize(tmp_path, monkeypatch):
     import zsadjust.trainer
+    from zsadjust.mapping import ClassStats
 
     real_train = zsadjust.trainer.train
-    norms = []
+    seens = []
 
     def spy(seen, *args, **kwargs):
-        norms.append(np.linalg.norm(seen.features, axis=0))
+        seens.append(seen)
         return real_train(seen, *args, **kwargs)
 
     monkeypatch.setattr(zsadjust.trainer, "train", spy)
     assert main(["bench", *SYNTH, "--synth-noise", "1", "--normalize",
                  "features", "--out", str(tmp_path / "bench")]) == 0
-    assert len(norms) == 1
-    assert np.allclose(norms[0], 1.0, rtol=1e-12)
+    assert len(seens) == 1
+    seen = seens[0]
+    assert isinstance(seen, ClassStats)
+    # trace(X X^T) is the sum of the squared column norms: one per column
+    assert np.isclose(np.trace(seen.gram), seen.counts.sum(), rtol=1e-12,
+                      atol=0)
+
+
+def test_bench_runs_one_eigendecomposition_per_repeat(tmp_path,
+                                                      monkeypatch):
+    import zsadjust.mapping
+    from zsadjust.data import split, synthesize
+    from zsadjust.mapping import class_stats
+    from zsadjust.trainer import benchmark_training
+
+    real_eig = zsadjust.mapping.sym_eig
+    sizes = []
+
+    def spy(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return real_eig(a, *args, **kwargs)
+
+    monkeypatch.setattr(zsadjust.mapping, "sym_eig", spy)
+    assert main(["bench", *SYNTH, "--repeats", "3",
+                 "--out", str(tmp_path / "bench")]) == 0
+    assert sizes.count(16) == 3
+
+    sizes.clear()
+    dataset, table, _ = synthesize(SynthSpec(
+        d_v=16, d_s=6, seen_count=8, unseen_count=3, per_class=5))
+    stats = class_stats(split(dataset, table)[0])
+    benchmark_training((stats, table), HyperParams(k=3, iterations=2),
+                       repeats=3)
+    assert sizes.count(16) == 3
 
 
 @pytest.mark.parametrize("normalize, message", [

@@ -533,7 +533,9 @@ def test_train_and_eval_hold_no_copy_of_the_features(tmp_path, monkeypatch,
                   "--out", str(run)]
     eval_args = ["eval", "--model", str(run / "model.zsm"),
                  *_file_args(paths), "--out", str(tmp_path / "eval")]
-    for argv in (train_args, eval_args):
+    bench_args = ["bench", *_file_args(paths), "--k", "3", "--iters", "2",
+                  "--out", str(tmp_path / "bench")]
+    for argv in (train_args, eval_args, bench_args):
         peak = _traced_peak(lambda: main(argv))
         assert (run / "model.zsm").exists()
         assert peak < payload / 4, (argv[0], peak / payload)
