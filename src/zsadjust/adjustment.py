@@ -195,11 +195,11 @@ def adjust_unseen(table, hp, neighbors=None):
 
     Neighbor search and averaging use the seen prototypes of
     ``neighbors`` when given (e.g. the original table), otherwise those
-    of ``table`` itself; in the training loop that is the table returned
-    by :func:`adjust_seen`, so neighbors reflect that round's seen
-    adjustment. Seen prototypes are untouched, and ``gamma2 = 0``
-    returns ``table`` itself. It is a k-NN search (:func:`_knn`) and a
-    blend of its first k ranks (:func:`_blend_neighbors`).
+    of ``table`` itself. The training loop searches a seen block, not a
+    table, and returns the last one to :func:`zsadjust.inference.sweep_k`.
+    Seen prototypes are untouched, and ``gamma2 = 0`` returns ``table``
+    itself. It is a k-NN search (:func:`_knn`) and a blend of its first
+    k ranks (:func:`_blend_neighbors`).
 
     Raises
     ------

@@ -42,7 +42,7 @@ from .data import (
     synthesize,
 )
 from .errors import ConfigError, DataError, SolverError
-from .inference import evaluate, sweep_k
+from .inference import _check_fits, evaluate, sweep_k
 from .linalg import as_number
 from .mapping import HyperParams, MappingModel, _stats_of_blocks
 from .trainer import benchmark_training, train
@@ -413,16 +413,7 @@ def cmd_eval(args):
     weights = load_matrix(_require_file(opts.model, "--model"))
     model = MappingModel(weights)
     table, _, unseen = _load_run_data(opts)
-    if model.visual_dim != unseen.feature_dim:
-        raise DataError(
-            f"model expects {model.visual_dim}-dimensional features, "
-            f"data has {unseen.feature_dim}"
-        )
-    if model.semantic_dim != table.semantic_dim:
-        raise DataError(
-            f"model maps into {model.semantic_dim} semantic dimensions, "
-            f"prototypes have {table.semantic_dim}"
-        )
+    _check_fits(model, unseen.feature_dim, table)
     if unseen.instance_count == 0:
         raise DataError("no unseen-class instances to evaluate")
     report = evaluate(model, unseen, table, ks=opts.ks,

@@ -18,9 +18,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adjustment import _blend_neighbors, _knn, _with_columns
+from .adjustment import _blend_neighbors, _nearest, _with_columns
 from .errors import DataError
 from .linalg import as_number
+from .mapping import ClassStats
 from .trainer import _alternate
 
 
@@ -44,6 +45,17 @@ def _candidate_block(table):
     vecs = table.vectors[:, cols]
     return (table.class_ids[cols],
             vecs / np.linalg.norm(vecs, axis=0, keepdims=True))
+
+
+def _check_fits(model, feature_dim, table):
+    """DataError unless ``model`` maps ``feature_dim``-dimensional
+    features into the semantic space of ``table``."""
+    if model.visual_dim != feature_dim:
+        raise DataError(f"model expects {model.visual_dim}-dimensional "
+                        f"features, data has {feature_dim}")
+    if model.semantic_dim != table.semantic_dim:
+        raise DataError(f"model maps into {model.semantic_dim} semantic "
+                        f"dimensions, prototypes have {table.semantic_dim}")
 
 
 def _check_direction(direction):
@@ -124,10 +136,12 @@ def predict(model, x, table, direction="semantic"):
     Raises
     ------
     DataError
-        If the mapped instance is the zero vector (cosine undefined).
+        If ``model`` does not fit ``x`` and ``table``, or if the mapped
+        instance is the zero vector (cosine undefined).
     """
-    _check_direction(direction)
     x = np.asarray(x, dtype=np.float64).ravel()
+    _check_fits(model, x.size, table)
+    _check_direction(direction)
     ids, sims = _ranked(model, _unit_instances(model, x[:, None], direction),
                         table, direction)
     sims = sims[:, 0]
@@ -174,9 +188,11 @@ def evaluate(model, unseen, table, ks=(1, 5), direction="semantic"):
         ``per_class_accuracy`` is Hit@1 per class.
 
     The instances are mapped and normalized once (:func:`_unit_instances`),
-    then the candidates ranked (:func:`_ranked`, :func:`_true_ranks`).
+    then the candidates ranked (:func:`_ranked`, :func:`_true_ranks`). A
+    model that does not fit the features or ``table`` is a DataError.
     """
     tic = time.perf_counter()
+    _check_fits(model, unseen.feature_dim, table)
     _check_direction(direction)
     ks = sorted({int(as_number(k, "k", 1, int)) for k in ks})
     if not ks:
@@ -211,14 +227,16 @@ def evaluate(model, unseen, table, ks=(1, 5), direction="semantic"):
 def sweep_k(seen, unseen, table, hp, k_values, direction="semantic",
             **train_kwargs):
     """Hit@1 as a function of the neighbor count k; returns
-    ``{k: hit_at_1}``. ``direction`` and every k are checked first, and
-    ``k_values`` must name at least one.
+    ``{k: hit_at_1}``. ``direction``, every k and the feature widths of
+    ``seen`` and ``unseen`` are checked first; ``k_values`` must name at
+    least one k.
 
     Trains once, with no trace: only the seen prototypes reach the
     weight solves, so the weights, the seen-adjusted prototypes and the
-    stopping iteration do not depend on k. One k-NN search of the last
-    seen-adjusted table at the largest k that fits, and one mapping of
-    the instances, serve every k: each k blends the first k ranks
+    stopping iteration do not depend on k. One k-NN search of the seen
+    block that the loop's last search read, at the largest k that fits,
+    and one mapping of the instances serve every k: each k blends the
+    first k ranks onto the seen-adjusted table
     (:func:`zsadjust.adjustment._blend_neighbors`), which gives exactly
     the table ``train`` returns with that k, and scores Hit@1 on it as
     ``evaluate`` does. ``seen`` is what ``train`` takes: the seen-class
@@ -229,25 +247,27 @@ def sweep_k(seen, unseen, table, hp, k_values, direction="semantic",
     hps = [replace(hp, k=k) for k in k_values]
     if not hps:
         raise ValueError("k_values must name at least one k")
-    model, _, _, seen_adjusted, neighbors = _alternate(
+    width = (seen.sums if isinstance(seen, ClassStats)
+             else seen.features).shape[0]
+    if unseen.feature_dim != width:
+        raise DataError(f"unseen features are {unseen.feature_dim}-"
+                        f"dimensional, seen features {width}-dimensional")
+    model, adjusted, _, source = _alternate(
         seen, table, hps[0], trace=False, **train_kwargs)
-    blends = seen_adjusted is not None and hp.gamma2 != 0.0
+    blends = source is not None and hp.gamma2 != 0.0
     if blends:
         unseen_cols = np.flatnonzero(~table.seen)
         queries = table.vectors[:, unseen_cols]
-        _, vecs, top, sims = _knn(
-            seen_adjusted if neighbors is None else neighbors, queries,
-            min(max(h.k for h in hps), table.seen_ids.size))
+        top, sims = _nearest(source, queries,
+                             np.linalg.norm(queries, axis=0),
+                             min(max(h.k for h in hps), source.shape[1]))
     instances = _unit_instances(model, unseen.features, direction)
     out = {}
     for hp_k in hps:
-        adjusted = (_with_columns(seen_adjusted, unseen_cols,
-                                  _blend_neighbors(queries, vecs, top, sims,
-                                                   hp_k, table.class_ids,
-                                                   unseen_cols))
-                    if blends
-                    else table if seen_adjusted is None else seen_adjusted)
+        scored = (_with_columns(adjusted, unseen_cols, _blend_neighbors(
+            queries, source, top, sims, hp_k, table.class_ids, unseen_cols))
+                  if blends else adjusted)
         _, rank_of, zero = _true_ranks(
-            *_ranked(model, instances, adjusted, direction), unseen.labels)
+            *_ranked(model, instances, scored, direction), unseen.labels)
         out[int(hp_k.k)] = float(np.mean((rank_of < 1) & ~zero))
     return out

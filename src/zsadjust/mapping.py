@@ -173,6 +173,28 @@ class ClassStats:
     sums: np.ndarray
     gram: np.ndarray
 
+    def __post_init__(self):
+        """DataError naming the first fault of the ids, counts and
+        shapes; O(c + d_v). G's values are left to its eigh."""
+        ids, gram = self.class_ids, self.gram
+        if np.ndim(ids) != 1 or np.any(np.diff(ids) <= 0):
+            raise DataError("class statistics: class_ids must be 1-D and "
+                            "ascending")
+        if np.ndim(gram) != 2 or gram.shape[0] != gram.shape[1]:
+            raise DataError(f"class statistics: gram has shape "
+                            f"{np.shape(gram)}, not (d_v, d_v)")
+        for name, want in (("counts", (ids.size,)),
+                           ("sums", (gram.shape[0], ids.size))):
+            if np.shape(getattr(self, name)) != want:
+                raise DataError(
+                    f"class statistics: {name} has shape "
+                    f"{np.shape(getattr(self, name))}, not {want} for "
+                    f"{ids.size} classes and {gram.shape[0]} features")
+        bad = ~(np.isfinite(self.counts) & (self.counts > 0))
+        if bad.any():
+            raise DataError(f"class statistics: the counts of classes "
+                            f"{ids[bad].tolist()} are not finite and > 0")
+
     @cached_property
     def gram_eig(self):
         """``(g, V)`` with G = V diag(g) V^T, g ascending."""

@@ -31,6 +31,7 @@ search), and the unseen prototypes Q with their column norms. An
 iteration forms P_t = lambda1 P0 + gamma1 O and checks it once, searches
 and blends Q against P_t (or P0 for ``unseen_neighbors="original"``),
 and solves on a C-order copy of P_t; the shifts come from the blocks.
+It returns the seen block that the last search read, for a k-sweep.
 The arguments are validated once: the neighbor flag before any
 statistics are computed, the class ids before the first solve and, when
 the seen blend is on, each seen class's instances after it. No iteration copies a
@@ -127,18 +128,18 @@ def _alternate(seen, table, hp, unseen_neighbors="adjusted",
                ridge_on_failure=False, trace=True):
     """The loop of :func:`train`.
 
-    Returns ``(model, adjusted, trace, seen_adjusted, neighbors)``:
-    train's three results, the last iteration's seen-adjusted table
-    (``None`` after zero iterations) and the neighbor source of its
-    unseen blend (``table`` for ``"original"``, else ``None``), so that
-    ``adjusted`` is ``adjust_unseen(seen_adjusted, hp, neighbors)``.
-    Only the seen columns reach the solves: everything but ``adjusted``
-    and the ``unseen_shift`` records is independent of k, lambda2 and
-    gamma2. ``trace=False`` skips what only ``adjusted`` and the trace
-    need (the unseen blend, the objective, the shifts): ``table`` and an
-    empty trace stand in for them. Given the class statistics alone, it
-    reads nothing else of the data; given the dataset, it checks them.
-    It carries the blocks that the module docstring describes.
+    Returns ``(model, adjusted, trace, source)``: train's three results
+    and the seen block (d_s, s), in class id order, that the unseen
+    search of the last iteration read: P_t for ``"adjusted"``, P0 for
+    ``"original"``, ``None`` after zero iterations. Only the seen
+    columns reach the solves: everything but the unseen columns of
+    ``adjusted`` and the ``unseen_shift`` records is independent of k,
+    lambda2 and gamma2. ``trace=False`` skips what only those need (the
+    unseen search and blend, the objective, the shifts): ``adjusted`` is
+    then the seen-adjusted table and the trace empty. Given the class
+    statistics alone, it reads nothing else of the data; given the
+    dataset, it checks them. It carries the blocks that the module
+    docstring describes.
     """
     if unseen_neighbors not in ("adjusted", "original"):
         raise ValueError("unseen_neighbors must be 'adjusted' or 'original'")
@@ -166,10 +167,8 @@ def _alternate(seen, table, hp, unseen_neighbors="adjusted",
         raise SolverError(f"initial solve failed: {exc}") from exc
     centroids = w_hat @ means
 
-    neighbors = table if unseen_neighbors == "original" else None
     if hp.iterations == 0:
-        return (MappingModel(w_hat @ v.T), table, TrainingTrace(()), None,
-                neighbors)
+        return MappingModel(w_hat @ v.T), table, TrainingTrace(()), None
     blends_seen = hp.gamma1 != 0.0
     if blends_seen:     # then stats.class_ids are all seen ids, sorted
         _check_present(table.seen_ids, stats.class_ids)
@@ -189,8 +188,8 @@ def _alternate(seen, table, hp, unseen_neighbors="adjusted",
                 p_t = p_obj = _blend("seen", hp, p0, centroids,
                                      table.class_ids, seen_cols)
                 solve_p = np.ascontiguousarray(p_t)
+            source = p0 if unseen_neighbors == "original" else p_t
             if searches:    # before the solve: its errors come first
-                source = p_t if neighbors is None else p0
                 top, sims = _nearest(source, q, q_norms, hp.k)
                 u = _blend_neighbors(q, source, top, sims, hp,
                                      table.class_ids, unseen_cols)
@@ -225,13 +224,11 @@ def _alternate(seen, table, hp, unseen_neighbors="adjusted",
         if delta < hp.tol:
             break
 
-    seen_adjusted = (_with_columns(table, seen_cols, p_t) if blends_seen
-                     else table)
-    adjusted = (table if not trace
-                else _with_columns(seen_adjusted, unseen_cols, u) if searches
-                else seen_adjusted)
+    adjusted = _with_columns(table, seen_cols, p_t) if blends_seen else table
+    if searches:
+        adjusted = _with_columns(adjusted, unseen_cols, u)
     return (MappingModel(w_hat @ v.T), adjusted,
-            TrainingTrace(tuple(records)), seen_adjusted, neighbors)
+            TrainingTrace(tuple(records)), source)
 
 
 @dataclass(frozen=True)

@@ -284,3 +284,45 @@ def test_evaluate_refuses_bad_direction_before_any_work(monkeypatch):
         with pytest.raises(ValueError, match="direction"):
             run()
     assert calls == encodes == []
+
+
+@pytest.mark.parametrize("direction", ["semantic", "visual"])
+@pytest.mark.parametrize("fault, message", [
+    ("features", "model expects 6-dimensional features, data has 5"),
+    ("prototypes",
+     "model maps into 5 semantic dimensions, prototypes have 4"),
+])
+def test_a_model_that_does_not_fit_is_a_data_error(fault, message, direction):
+    # the texts of zsadjust eval, from the library entry points
+    model, unseen, table = _eval_setup()
+    if fault == "features":
+        unseen = LabeledDataset(unseen.features[:-1], unseen.labels,
+                                unseen.class_count)
+    else:
+        table = _table(table.vectors[:-1], table.seen)
+    for run in (lambda: evaluate(model, unseen, table, direction=direction),
+                lambda: predict(model, unseen.features[:, 0], table,
+                                direction=direction)):
+        with pytest.raises(DataError) as err:
+            run()
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("statistics", [False, True])
+def test_sweep_refuses_unseen_features_of_another_width(statistics,
+                                                       monkeypatch):
+    from zsadjust import trainer
+    from zsadjust.mapping import class_stats
+    seen, unseen, table = _sweep_setup()
+    narrow = LabeledDataset(unseen.features[:-1], unseen.labels,
+                            unseen.class_count)
+    solves = []
+    real = trainer._solve_rotated
+    monkeypatch.setattr(trainer, "_solve_rotated",
+                        lambda *a: solves.append(1) or real(*a))
+    with pytest.raises(DataError) as err:
+        sweep_k(class_stats(seen) if statistics else seen, narrow, table,
+                HyperParams(iterations=2, k=3), [1, 3])
+    assert str(err.value) == ("unseen features are 15-dimensional, seen "
+                              "features 16-dimensional")
+    assert solves == []

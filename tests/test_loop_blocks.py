@@ -72,15 +72,22 @@ def _assert_matches_table_loop(seen, table, hp, neighbors):
 
     bare_w, table_back, bare_adj, bare_records = table_loop(
         seen, table, hp, neighbors, trace=False)
-    bare, back, no_trace, bare_seen, _ = _alternate(seen, table, hp,
-                                                    neighbors, trace=False)
-    assert back is table and table_back is table
+    bare, bare_seen, no_trace, source = _alternate(seen, table, hp,
+                                                   neighbors, trace=False)
+    assert table_back is table
     assert len(no_trace) == len(bare_records) == 0
     assert np.array_equal(bare.weights, bare_w)
     assert np.array_equal(bare.weights, want_w)
-    assert (bare_seen is None) == (bare_adj is None)
-    if bare_seen is not None:
+    assert (source is None) == (bare_adj is None)
+    if source is None:
+        assert bare_seen is table
+    else:
+        # the seen-adjusted table, and the seen block in id order of the
+        # table that the last search read
         assert np.array_equal(bare_seen.vectors, bare_adj.vectors)
+        searched = table if neighbors == "original" else bare_adj
+        assert np.array_equal(source, searched.vectors[:, searched.seen][
+            :, np.argsort(searched.seen_ids)])
     return trace
 
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zsadjust import inference, trainer
+from zsadjust import adjustment, inference, trainer
 from zsadjust.adjustment import adjust_unseen
 from zsadjust.data import SynthSpec, split, synthesize
 from zsadjust.errors import DataError
@@ -116,11 +116,13 @@ def test_weights_do_not_depend_on_k(tol, stops_at, neighbors):
 
 
 def _counted(calls, owner, name):
-    """Patch ``owner.name`` with a wrapper that counts its calls."""
+    """Patch ``owner.name`` with a wrapper that counts its calls under
+    ``"<owner>.<name>"``, the owner's last dotted name part."""
     real = getattr(owner, name)
+    key = f"{owner.__name__.rpartition('.')[2]}.{name}"
 
     def spy(*args, **kwargs):
-        calls[name] += 1
+        calls[key] += 1
         return real(*args, **kwargs)
 
     return mock.patch.object(owner, name, spy)
@@ -132,18 +134,23 @@ def test_sweep_searches_once_and_encodes_once(k_values, statistics):
     seen, unseen, table = _data(1)
     hp = HyperParams(iterations=3, tol=0.0)
     calls = Counter()
-    spies = [(inference, "_knn"), (MappingModel, "encode"),
+    spies = [(inference, "_nearest"), (MappingModel, "encode"),
              (trainer, "objective"), (trainer, "_objective"),
              (trainer, "_nearest"), (trainer, "_blend_neighbors"),
-             (trainer, "_solve_rotated"), (inference, "_ranked")]
+             (trainer, "_solve_rotated"), (inference, "_ranked"),
+             (trainer, "_seen_block"), (adjustment, "_seen_block"),
+             (adjustment, "_knn")]
     with contextlib.ExitStack() as stack:
         for owner, name in spies:
             stack.enter_context(_counted(calls, owner, name))
         got = sweep_k(class_stats(seen) if statistics else seen, unseen,
                       table, hp, k_values)
-    # no objective and no unseen blend in the training: 4 solves only
-    assert calls == Counter(_knn=1, encode=1, _solve_rotated=4,
-                            _ranked=len(k_values))
+    # no objective and no unseen blend in the training: 4 solves only;
+    # the sweep searches the loop's block, gathered once by the loop
+    assert calls == Counter({
+        "inference._nearest": 1, "MappingModel.encode": 1,
+        "trainer._solve_rotated": 4, "inference._ranked": len(k_values),
+        "trainer._seen_block": 1})
     assert got == _train_per_k(seen, unseen, table, hp, k_values)
 
 
@@ -160,19 +167,21 @@ def test_loop_without_trace_gives_trains_tables(tol, solves, neighbors,
     for trace in (True, False):
         calls = Counter()
         with _counted(calls, trainer, "_solve_rotated"):
-            runs.append((_alternate(seen, table, hp, neighbors,
-                                    trace=trace), calls["_solve_rotated"]))
-    (model, adjusted, records, seen_adjusted, source), traced = runs[0]
-    (bare, table_back, no_records, bare_seen, bare_source), untraced = runs[1]
+            runs.append((_alternate(seen, table, hp, neighbors, trace=trace),
+                         calls["trainer._solve_rotated"]))
+    (model, adjusted, records, source), traced = runs[0]
+    (bare, bare_seen, no_records, bare_source), untraced = runs[1]
     assert traced == untraced == solves
     assert len(records) == solves - 1 and len(no_records) == 0
-    assert table_back is table
-    assert bare_source is source
+    assert np.array_equal(bare_source, source)
     assert np.array_equal(bare.weights, model.weights)
-    assert np.array_equal(bare_seen.vectors, seen_adjusted.vectors)
-    assert np.array_equal(
-        adjust_unseen(bare_seen, hp, neighbors=bare_source).vectors,
-        adjusted.vectors)
+    assert np.array_equal(bare_seen.vectors[:, table.seen],
+                          adjusted.vectors[:, table.seen])
+    assert np.array_equal(bare_seen.vectors[:, ~table.seen],
+                          table.vectors[:, ~table.seen])
+    assert np.array_equal(adjust_unseen(
+        bare_seen, hp, neighbors=table if neighbors == "original" else None
+    ).vectors, adjusted.vectors)
 
 
 def test_bad_direction_is_refused_before_training():

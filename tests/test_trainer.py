@@ -14,6 +14,7 @@ from zsadjust.adjustment import _blend_seen, adjust_seen, adjust_unseen
 from zsadjust.data import LabeledDataset, PrototypeTable, SynthSpec, split, synthesize
 from zsadjust.errors import DataError, SolverError
 from zsadjust.mapping import (
+    ClassStats,
     HyperParams,
     MappingModel,
     _columns,
@@ -373,3 +374,67 @@ def test_bad_neighbor_flag_is_refused_before_class_stats(run):
         with pytest.raises(ValueError, match="unseen_neighbors"):
             run(seen, unseen, table)
     assert stats_calls == solves == []
+
+
+def _faulty_stats(fault, stats):
+    """The fields of ``stats`` with one fault put in, as a dict."""
+    ids, counts, sums, gram = (stats.class_ids, stats.counts, stats.sums,
+                               stats.gram)
+    bad_count = {"zero count": 0.0, "negative count": -1.0,
+                 "NaN count": np.nan, "infinite count": np.inf}
+    if fault in bad_count:
+        counts = counts.copy()
+        counts[2] = bad_count[fault]
+    elif fault == "descending ids":
+        ids = ids[::-1]
+    elif fault == "repeated id":
+        ids = np.r_[ids[:1], ids[:-1]]
+    elif fault == "2-D ids":
+        ids = ids[None, :]
+    elif fault == "short counts":
+        counts = counts[:-1]
+    elif fault == "short sums":
+        sums = sums[:-1]
+    elif fault == "wide sums":
+        sums = np.c_[sums, sums[:, :1]]
+    elif fault == "non-square gram":
+        gram = gram[:, :-1]
+    return dict(class_ids=ids, counts=counts, sums=sums, gram=gram)
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("zero count", r"the counts of classes \[2\] are not finite and > 0"),
+    ("negative count", r"the counts of classes \[2\] are not finite"),
+    ("NaN count", r"the counts of classes \[2\] are not finite"),
+    ("infinite count", r"the counts of classes \[2\] are not finite"),
+    ("descending ids", "class_ids must be 1-D and ascending"),
+    ("repeated id", "class_ids must be 1-D and ascending"),
+    ("2-D ids", "class_ids must be 1-D and ascending"),
+    ("short counts", r"counts has shape \(7,\), not \(8,\)"),
+    ("short sums", r"sums has shape \(15, 8\), not \(16, 8\)"),
+    ("wide sums", r"sums has shape \(16, 9\), not \(16, 8\)"),
+    ("non-square gram", r"gram has shape \(16, 15\), not \(d_v, d_v\)"),
+])
+@pytest.mark.parametrize("entry", ["train", "sweep_k", "benchmark_training",
+                                   "solve_weights"])
+def test_hand_built_class_stats_are_checked(entry, fault, message):
+    # a DataError naming the fault before any product: unchecked, a zero
+    # count divides by zero and a short array fails inside numpy
+    seen, unseen, table = _synthetic()
+    good = class_stats(seen)
+    hp = HyperParams(iterations=2, k=3)
+    protos = expand_per_instance(table, good.class_ids)
+    runs = {
+        "train": lambda stats: train(stats, table, hp),
+        "sweep_k": lambda stats: sweep_k(stats, unseen, table, hp, [1, 3]),
+        "benchmark_training": lambda stats: benchmark_training(
+            (stats, table), hp),
+        "solve_weights": lambda stats: solve_weights(
+            None, protos, np.zeros_like(protos), hp, stats=stats),
+    }
+    eigs = []
+    with mock.patch("zsadjust.mapping.sym_eig",
+                    side_effect=lambda a: eigs.append(1)):
+        with pytest.raises(DataError, match="^class statistics: " + message):
+            runs[entry](ClassStats(**_faulty_stats(fault, good)))
+    assert eigs == []
