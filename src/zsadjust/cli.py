@@ -260,7 +260,7 @@ def _require_file(path, flag):
     return path
 
 
-def _load_run_data(opts, stats=False):
+def _load_run_data(opts, stats=False, unseen=True, model=None):
     """``(table, seen_stats, unseen)`` of a run, synthetic or from files,
     normalized as ``--normalize`` asks.
 
@@ -271,8 +271,11 @@ def _load_run_data(opts, stats=False):
     buffer of a band of every column, each band one run of a binary
     payload. ``seen_stats`` is the ``class_stats`` of the seen columns
     when ``stats`` is set, else None. ``unseen`` is a LabeledDataset of
-    the unseen columns; every column is checked either way. Features
-    with no rows are a DataError.
+    the unseen columns when ``unseen`` is set, else None and no column
+    is copied; every column is checked either way. Features with no
+    rows are a DataError, and so is a ``model`` that does not fit the
+    feature rows (from a binary file's header) or the prototype rows,
+    checked before the features payload is read.
     """
     if opts.synth:
         dataset, table, _ = synthesize(_build(SynthSpec, opts))
@@ -294,9 +297,12 @@ def _load_run_data(opts, stats=False):
     seen = _seen_mask(labels, table)
     if stats and not seen.any():
         raise DataError("seen partition is empty: nothing to train on")
-    unseen = np.empty((rows, np.count_nonzero(~seen)))
+    if model is not None:
+        _check_fits(model, rows, table)
+    keep = ~seen if unseen else np.zeros_like(seen)
+    kept = np.empty((rows, np.count_nonzero(keep)))
     take = seen if stats else np.zeros_like(seen)
-    blocks = _stream_columns(columns, name, take, ~seen, unseen,
+    blocks = _stream_columns(columns, name, take, keep, kept,
                              unit=opts.normalize in ("features", "both"))
     seen_stats = None
     if stats:
@@ -308,8 +314,8 @@ def _load_run_data(opts, stats=False):
         norms, faults = _column_norms(table.vectors)
         _raise_norm_fault("prototype", *faults)
         table = table.with_vectors(table.vectors / norms)
-    return (table, seen_stats,
-            LabeledDataset._of_checked(unseen, labels[~seen], class_count))
+    return (table, seen_stats, LabeledDataset._of_checked(
+        kept, labels[keep], class_count) if unseen else None)
 
 
 def _out_dir(opts):
@@ -412,8 +418,7 @@ def cmd_eval(args):
     out_dir = _out_dir(opts)
     weights = load_matrix(_require_file(opts.model, "--model"))
     model = MappingModel(weights)
-    table, _, unseen = _load_run_data(opts)
-    _check_fits(model, unseen.feature_dim, table)
+    table, _, unseen = _load_run_data(opts, model=model)
     if unseen.instance_count == 0:
         raise DataError("no unseen-class instances to evaluate")
     report = evaluate(model, unseen, table, ks=opts.ks,
@@ -448,7 +453,7 @@ def cmd_bench(args):
     out_dir = _out_dir(opts)
     # streamed once and untimed, as train streams them: each repeat
     # times what train then runs, eigh(d_v) and the loop
-    table, seen, _ = _load_run_data(opts, stats=True)
+    table, seen, _ = _load_run_data(opts, stats=True, unseen=False)
 
     result = benchmark_training((seen, table), hp, repeats=opts.repeats,
                                 unseen_neighbors=opts.unseen_neighbors,

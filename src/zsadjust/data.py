@@ -98,6 +98,15 @@ def _check_labels(labels, columns, class_count):
 class LabeledDataset:
     """Feature columns with one integer class id per column.
 
+    ``features`` and ``labels`` are read-only views of the arrays given
+    (or of their float64 / int64 copies); the given arrays stay
+    writable. :func:`zsadjust.mapping.class_stats` computes the class
+    statistics of a dataset once and keeps them with it, with the
+    eigendecomposition of G and V^T Xbar once a training has made them:
+    2 d_v^2 + 2 d_v c floats, about 17 MB at d_v = 1024, c = 40, with
+    the bits of the first call's BLAS thread count. So build a new
+    dataset after changing the arrays it was built from.
+
     Attributes
     ----------
     features : ndarray, shape (d_v, m)
@@ -126,8 +135,10 @@ class LabeledDataset:
 
     def _set_columns(self, feats, labels):
         labels = _check_labels(labels, feats.shape[1], self.class_count)
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", labels)
+        for name, a in (("features", feats), ("labels", labels)):
+            view = a.view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     @property
     def feature_dim(self):
@@ -438,7 +449,9 @@ def _matrix_columns(source, fmt=None):
     ``fmt`` (as :func:`load_matrix` takes it). A binary payload is then
     read straight into ``out`` and never whole unless ``out`` spans every
     row and column; its header is checked here, before anything is
-    read. A CSV file is parsed and checked to be finite whole, here.
+    read. A CSV file is parsed whole, here. Neither is checked to be
+    finite: the caller scans what it reads, so that what the shape
+    alone rules out is reported before a non-finite entry.
     """
     if fmt not in (None, "binary", "csv"):
         raise ValueError(f"unknown matrix format: {fmt!r}")
@@ -450,7 +463,7 @@ def _matrix_columns(source, fmt=None):
                 fh.seek(0)
                 shape = _binary_shape(fh, source)
                 return shape, partial(_read_block, source, shape)
-    matrix = _finite(_load_csv(source), source)
+    matrix = np.array(_load_csv(source), dtype=np.float64)
     return matrix.shape, partial(_copy_block, matrix)
 
 

@@ -239,12 +239,27 @@ def class_stats(data):
     command give the same bits at one BLAS thread count; a dataset of
     one block gives those of a single product over all columns.
 
+    Computed once per dataset: the ClassStats, its arrays made
+    read-only, is kept with ``data`` (whose own arrays are read-only
+    views), and with it the :attr:`~ClassStats.gram_eig` and
+    :attr:`~ClassStats.rotated_means` that a training caches. Repeated
+    ``train``, ``sweep_k`` and ablation runs on one dataset then pay for
+    the Gram product and eigh(d_v) once; the dataset holds G, V, S and
+    V^T Xbar, 2 d_v^2 + 2 d_v c floats. Their bits are those of the
+    first call's BLAS thread count, so results repeat at a fixed count.
+
     Raises DataError when finite features overflow in G.
     """
-    x = data.features
-    width = block_width(x.shape[0])
-    blocks = (x[:, s:s + width] for s in range(0, x.shape[1], width))
-    return _stats_of_blocks(data.labels, blocks, x.shape[0])
+    stats = vars(data).get("_class_stats")
+    if stats is None:
+        x = data.features
+        width = block_width(x.shape[0])
+        blocks = (x[:, s:s + width] for s in range(0, x.shape[1], width))
+        stats = _stats_of_blocks(data.labels, blocks, x.shape[0])
+        for a in (stats.counts, stats.sums, stats.gram):   # shared by later calls
+            a.flags.writeable = False
+        object.__setattr__(data, "_class_stats", stats)
+    return stats
 
 
 def _stats_of_blocks(labels, blocks, rows):

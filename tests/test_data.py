@@ -208,6 +208,26 @@ def test_table_rejects_duplicate_ids():
         PrototypeTable(np.array([1, 1]), vecs, np.array([True, False]))
 
 
+@pytest.mark.parametrize("source", ["constructed", "split", "synthesize"])
+def test_dataset_arrays_are_read_only(source):
+    x = np.arange(12.0).reshape(3, 4)
+    labels = np.array([0, 0, 1, 1])
+    if source == "constructed":
+        dataset = LabeledDataset(x, labels, 2)
+    else:
+        full, table, _ = synthesize(SynthSpec(d_v=4, d_s=2, seen_count=2,
+                                              unseen_count=1, per_class=2))
+        dataset = full if source == "synthesize" else split(full, table)[0]
+    for a in (dataset.features, dataset.labels):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
+    if source == "constructed":
+        # the caller's arrays are viewed, not copied, and stay writable
+        x[0, 0] = 5.0
+        labels[0] = 1
+        assert dataset.features[0, 0] == 5.0 and dataset.labels[0] == 1
+
+
 def test_dataset_rejects_label_out_of_range():
     with pytest.raises(DataError, match="out of range"):
         LabeledDataset(np.ones((2, 2)), np.array([0, 5]), 2)

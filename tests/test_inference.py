@@ -81,6 +81,19 @@ def test_predict_visual_direction():
     assert [c for c, _ in got] == [c for c, _ in want]
 
 
+def test_evaluate_visual_direction_on_a_read_only_dataset():
+    model, data, table = _eval_setup(seed=3)
+    assert not data.features.flags.writeable
+    before = data.features.copy()
+    report = evaluate(model, data, table, ks=(1,), direction="visual")
+    decoded = model.decode(table.vectors[:, 2:])
+    sims = (decoded / np.linalg.norm(decoded, axis=0)).T @ (
+        before / np.linalg.norm(before, axis=0))
+    predicted = table.class_ids[2:][np.argmax(sims, axis=0)]
+    assert report.hit_at[1] == np.mean(predicted == data.labels)
+    assert np.array_equal(data.features, before)
+
+
 def _eval_setup(seed=0, n_unseen=4, per_class=6, d_s=5, d_v=6, noise=0.3):
     rng = np.random.default_rng(seed)
     vecs = rng.standard_normal((d_s, n_unseen + 2))

@@ -504,6 +504,48 @@ def test_read_error_mid_payload_is_data_error(tmp_path, blocks, monkeypatch,
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("fmt", ["binary", "csv"])
+@pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan"])
+@pytest.mark.parametrize("fault", ["width", "semantic", None])
+def test_eval_checks_the_model_before_the_features_payload(
+        tmp_path, capsys, fmt, nan, fault):
+    # the model's shape against the feature rows and the prototype rows
+    # comes first; then, for a model that fits, the non-finite entry
+    dataset, table, _ = synthesize(SynthSpec(d_v=8, d_s=4, seen_count=3,
+                                             unseen_count=2, per_class=4))
+    x = dataset.features.copy()
+    if nan:
+        x[2, 5] = np.nan
+    paths = _write(tmp_path / "data", _raw(x), dataset.labels, table)
+    if fmt == "csv":
+        pathlib.Path(paths["features.zsm"]).write_text("".join(
+            ",".join(repr(float(v)) for v in row) + "\n" for row in x))
+    model = tmp_path / "model.zsm"
+    save_matrix(model, np.ones({"width": (4, 5), "semantic": (3, 8),
+                                None: (4, 8)}[fault]))
+    real_read = zsadjust.data._read_block
+
+    def read(path, *args):
+        assert fault is None or path != paths["features.zsm"], \
+            "features payload read before the shape check"
+        return real_read(path, *args)
+
+    with mock.patch("zsadjust.data._read_block", read):
+        code = main(["eval", "--model", str(model), *_file_args(paths),
+                     "--out", str(tmp_path / "eval")])
+    err = capsys.readouterr().err
+    if fault == "width":
+        assert err == ("data error: model expects 5-dimensional features, "
+                       "data has 8\n")
+    elif fault == "semantic":
+        assert err == ("data error: model maps into 3 semantic dimensions, "
+                       "prototypes have 4\n")
+    elif nan:
+        assert err == (f"data error: {paths['features.zsm']} contains a "
+                       f"non-finite entry at row 2, col 5\n")
+    assert code == (0 if fault is None and not nan else 2)
+
+
 # ---------------------------------------------------------------------------
 # memory
 
@@ -563,6 +605,26 @@ def test_eval_holds_one_band_not_one_block(tmp_path, monkeypatch, capsys):
         "--out", str(tmp_path / "eval")]))
     assert (tmp_path / "eval" / "report.json").exists()
     assert peak - kept < payload / 16, (peak - kept) / payload
+    capsys.readouterr()
+
+
+def test_bench_keeps_no_unseen_columns(tmp_path, monkeypatch, capsys):
+    # 2 seen and 14 unseen classes: the unseen columns are 7/8 of the
+    # payload, and bench, which never reads them, holds about one block
+    monkeypatch.setattr(zsadjust.data, "BLOCK_BYTES", 8 * 128 * 512)
+    dataset, table, _ = synthesize(SynthSpec(
+        d_v=128, d_s=16, seen_count=2, unseen_count=14, per_class=512,
+        noise_sigma=0.1, seed=1))
+    paths = _write(tmp_path / "data", dataset.features, dataset.labels,
+                   table)
+    payload = dataset.features.nbytes
+    del dataset
+    peak = _traced_peak(lambda: main([
+        "bench", *_file_args(paths), "--k", "2", "--iters", "2",
+        "--out", str(tmp_path / "bench")]))
+    assert json.loads((tmp_path / "bench" / "bench.json").read_text())[
+        "repeats"] == 1
+    assert peak < payload / 6, peak / payload
     capsys.readouterr()
 
 
