@@ -48,13 +48,14 @@ def untouched_provenance(table):
     return dict(zip(table.class_ids.tolist(), table.vectors.T.copy()))
 
 
-def adjust_seen(table, model, seen_data, hp, stats=None):
+def adjust_seen(table, model, seen, hp):
     """Blend each seen prototype with its class's mean mapped feature.
 
-    The class means are mapped as ``W @ mean(x)``, from
-    ``stats = class_stats(seen_data)`` when given, without encoding each
+    The class means are mapped as ``W @ mean(x)`` from the class
+    statistics of ``seen``, a LabeledDataset or its ClassStats
+    (:func:`zsadjust.mapping.class_mean_map`), without encoding each
     instance. Every seen class in ``table`` must have at least one
-    instance in ``seen_data``. Unseen prototypes are untouched, and
+    instance in ``seen``. Unseen prototypes are untouched, and
     ``gamma1 = 0`` returns ``table`` itself.
 
     Raises
@@ -67,7 +68,7 @@ def adjust_seen(table, model, seen_data, hp, stats=None):
     """
     if hp.gamma1 == 0.0:
         return table
-    return _blend_seen(table, *class_mean_map(model, seen_data, stats), hp)
+    return _blend_seen(table, *class_mean_map(model, seen), hp)
 
 
 def _blend_seen(table, present_ids, means, hp):

@@ -260,22 +260,23 @@ def _require_file(path, flag):
     return path
 
 
-def _load_run_data(opts, stats=False, unseen=True, model=None):
+def _load_run_data(opts, unseen=True, model=None):
     """``(table, seen_stats, unseen)`` of a run, synthetic or from files,
     normalized as ``--normalize`` asks.
 
     The features are streamed in row bands (see
     :func:`zsadjust.data._stream_columns`), so that no features file is
-    held whole: through one buffer of a column block when ``stats``
-    takes the seen columns for the Gram product, else through one
-    buffer of a band of every column, each band one run of a binary
-    payload. ``seen_stats`` is the ``class_stats`` of the seen columns
-    when ``stats`` is set, else None. ``unseen`` is a LabeledDataset of
-    the unseen columns when ``unseen`` is set, else None and no column
-    is copied; every column is checked either way. Features with no
-    rows are a DataError, and so is a ``model`` that does not fit the
-    feature rows (from a binary file's header) or the prototype rows,
-    checked before the features payload is read.
+    held whole. Without a ``model`` the run trains: the seen columns go,
+    through one buffer of a column block, to the Gram product, and
+    ``seen_stats`` is their ``class_stats``; with one, ``seen_stats`` is
+    None and the features pass through one buffer of a band of every
+    column, each band one run of a binary payload. ``unseen`` is a
+    LabeledDataset of the unseen columns when ``unseen`` is set, else
+    None and no column is copied; every column is checked either way.
+    Features with no rows are a DataError, and so are a training run
+    with no seen columns and a ``model`` that does not fit the feature
+    rows (from a binary file's header) or the prototype rows, checked
+    before the features payload is read.
     """
     if opts.synth:
         dataset, table, _ = synthesize(_build(SynthSpec, opts))
@@ -295,17 +296,17 @@ def _load_run_data(opts, stats=False, unseen=True, model=None):
         raise DataError(f"{name}: the features have no rows")
     labels = _check_labels(labels, cols, class_count)
     seen = _seen_mask(labels, table)
-    if stats and not seen.any():
-        raise DataError("seen partition is empty: nothing to train on")
     if model is not None:
         _check_fits(model, rows, table)
+    elif not seen.any():
+        raise DataError("seen partition is empty: nothing to train on")
     keep = ~seen if unseen else np.zeros_like(seen)
     kept = np.empty((rows, np.count_nonzero(keep)))
-    take = seen if stats else np.zeros_like(seen)
+    take = seen if model is None else np.zeros_like(seen)
     blocks = _stream_columns(columns, name, take, keep, kept,
                              unit=opts.normalize in ("features", "both"))
     seen_stats = None
-    if stats:
+    if model is None:
         seen_stats = _stats_of_blocks(labels[seen], blocks, rows)
     else:
         for _ in blocks:    # nothing is taken: this reads every column
@@ -384,7 +385,7 @@ def cmd_train(args):
     opts = _resolve(args)
     hp = _build(HyperParams, opts)
     out_dir = _out_dir(opts)
-    table, seen, unseen = _load_run_data(opts, stats=True)
+    table, seen, unseen = _load_run_data(opts)
 
     model, adjusted, trace = train(
         seen, table, hp,
@@ -431,7 +432,7 @@ def cmd_sweep_k(args):
     opts = _resolve(args)
     hp = _build(HyperParams, opts)
     out_dir = _out_dir(opts)
-    table, seen, unseen = _load_run_data(opts, stats=True)
+    table, seen, unseen = _load_run_data(opts)
     if unseen.instance_count == 0:
         raise DataError("no unseen-class instances to evaluate")
 
@@ -453,7 +454,7 @@ def cmd_bench(args):
     out_dir = _out_dir(opts)
     # streamed once and untimed, as train streams them: each repeat
     # times what train then runs, eigh(d_v) and the loop
-    table, seen, _ = _load_run_data(opts, stats=True, unseen=False)
+    table, seen, _ = _load_run_data(opts, unseen=False)
 
     result = benchmark_training((seen, table), hp, repeats=opts.repeats,
                                 unseen_neighbors=opts.unseen_neighbors,

@@ -100,12 +100,9 @@ class LabeledDataset:
 
     ``features`` and ``labels`` are read-only views of the arrays given
     (or of their float64 / int64 copies); the given arrays stay
-    writable. :func:`zsadjust.mapping.class_stats` computes the class
-    statistics of a dataset once and keeps them with it, with the
-    eigendecomposition of G and V^T Xbar once a training has made them:
-    2 d_v^2 + 2 d_v c floats, about 17 MB at d_v = 1024, c = 40, with
-    the bits of the first call's BLAS thread count. So build a new
-    dataset after changing the arrays it was built from.
+    writable. :func:`zsadjust.mapping.class_stats` keeps the class
+    statistics of a dataset with it, so build a new dataset after
+    changing the arrays it was built from.
 
     Attributes
     ----------
@@ -411,9 +408,10 @@ def load_labels(path):
                    "not an integer label")
 
 
-def save_prototypes(table, matrix_path, partition_path, fmt="binary"):
-    """Write a prototype table as matrix file + ``<id> <S|U>`` sidecar."""
-    save_matrix(matrix_path, table.vectors, fmt=fmt)
+def save_prototypes(table, matrix_path, partition_path):
+    """Write a prototype table as binary matrix file + ``<id> <S|U>``
+    sidecar."""
+    save_matrix(matrix_path, table.vectors)
     with open(partition_path, "w") as fh:
         for cid, seen in zip(table.class_ids, table.seen):
             fh.write(f"{cid} {'S' if seen else 'U'}\n")

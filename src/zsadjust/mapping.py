@@ -47,11 +47,14 @@ a c x c problem when 2c <= d_s, W V maps the means as (W V)(V^T xbar_c),
 and tr(W G W^T) = sum_j g_j ||(W V)_:j||^2. So an iteration costs
 O(d_s d_v (c + d_s) + d_s^3), with no d_v^2 term and no m.
 
-The functions below take the LabeledDataset and optionally its
-``class_stats``. With them, P and O hold one column per class; without
-them, one column per instance, and the same code runs with each instance
-as its own group of count 1 (S = X). Given the statistics, the mean map
-and the solve need no dataset (None).
+Every function below that takes the data takes either a LabeledDataset
+or its ClassStats, and the type of that argument is the whole choice.
+:func:`class_mean_map` and :func:`zsadjust.adjustment.adjust_seen` read
+the class statistics (:func:`class_stats` returns a ClassStats as it
+is). :func:`solve_weights`, :func:`assemble_system`, :func:`objective`
+and :func:`objective_gradient` take P and O with one column per group:
+per class for a ClassStats, per instance for a dataset, which runs the
+same code with each instance as its own group of count 1 (S = X).
 """
 
 from __future__ import annotations
@@ -215,8 +218,6 @@ def _class_sums(x, labels):
     :func:`zsadjust.data.split` returns them) the runs are summed in
     place; any other order is summed from one class-sorted copy.
     """
-    if labels.size == 0:
-        return labels, np.zeros(0), np.zeros((x.shape[0], 0))
     starts = np.flatnonzero(np.r_[True, labels[1:] != labels[:-1]])
     run_ids = labels[starts]
     order = np.argsort(run_ids)
@@ -228,9 +229,11 @@ def _class_sums(x, labels):
     return run_ids[order], counts[order], sums[:, order]
 
 
-def class_stats(data):
+def class_stats(seen):
     """Class-level statistics n, S and G of a LabeledDataset, with no
-    within-class scatter G_w (nothing needs it formed).
+    within-class scatter G_w (nothing needs it formed); a ClassStats is
+    returned as it is, so every caller that takes either gets its
+    statistics here.
 
     The columns are reduced in blocks of ``block_width(d_v)`` views of
     the features, with no copy: one Gram product per block, added up.
@@ -240,25 +243,28 @@ def class_stats(data):
     one block gives those of a single product over all columns.
 
     Computed once per dataset: the ClassStats, its arrays made
-    read-only, is kept with ``data`` (whose own arrays are read-only
+    read-only, is kept with the dataset (whose own arrays are read-only
     views), and with it the :attr:`~ClassStats.gram_eig` and
     :attr:`~ClassStats.rotated_means` that a training caches. Repeated
-    ``train``, ``sweep_k`` and ablation runs on one dataset then pay for
-    the Gram product and eigh(d_v) once; the dataset holds G, V, S and
-    V^T Xbar, 2 d_v^2 + 2 d_v c floats. Their bits are those of the
-    first call's BLAS thread count, so results repeat at a fixed count.
+    ``train``, ``sweep_k``, ``class_mean_map`` and ablation runs on one
+    dataset then pay for the Gram product and eigh(d_v) once; the
+    dataset holds G, V, S and V^T Xbar, 2 d_v^2 + 2 d_v c floats (about
+    17 MB at d_v = 1024, c = 40). Their bits are those of the first
+    call's BLAS thread count, so results repeat at a fixed count.
 
     Raises DataError when finite features overflow in G.
     """
-    stats = vars(data).get("_class_stats")
+    if isinstance(seen, ClassStats):
+        return seen
+    stats = vars(seen).get("_class_stats")
     if stats is None:
-        x = data.features
+        x = seen.features
         width = block_width(x.shape[0])
         blocks = (x[:, s:s + width] for s in range(0, x.shape[1], width))
-        stats = _stats_of_blocks(data.labels, blocks, x.shape[0])
+        stats = _stats_of_blocks(seen.labels, blocks, x.shape[0])
         for a in (stats.counts, stats.sums, stats.gram):   # shared by later calls
             a.flags.writeable = False
-        object.__setattr__(data, "_class_stats", stats)
+        object.__setattr__(seen, "_class_stats", stats)
     return stats
 
 
@@ -290,27 +296,20 @@ def _stats_of_blocks(labels, blocks, rows):
     return ClassStats(ids, counts.astype(np.float64), sums, gram)
 
 
-def _stats(data, stats):
-    """``stats`` checked against ``data`` (taken as is when ``data`` is
-    None), or by default the statistics of ``data`` with each instance
-    its own group of count 1."""
-    if stats is None:
-        x = data.features
-        m = x.shape[1]
-        return ClassStats(np.arange(m), np.ones(m), x, x @ x.T)
-    if data is not None and (
-            stats.sums.shape[0] != data.feature_dim
-            or stats.counts.sum() != data.instance_count):
-        raise DataError("class statistics do not match the dataset")
-    return stats
+def _stats(data):
+    """``data`` when it is a ClassStats, else the statistics of the
+    LabeledDataset ``data`` with each instance its own group of count 1."""
+    if isinstance(data, ClassStats):
+        return data
+    x = data.features
+    m = x.shape[1]
+    return ClassStats(np.arange(m), np.ones(m), x, x @ x.T)
 
 
-def class_mean_map(model, data, stats=None):
-    """Mean of ``W @ x`` per class present in ``data``, computed as
-    ``W @ mean(x)`` without encoding each instance.
-
-    ``stats`` is ``class_stats(data)`` when the caller has it; with it,
-    ``data`` may be None.
+def class_mean_map(model, seen):
+    """Mean of ``W @ x`` per class of ``seen`` (a LabeledDataset or its
+    ClassStats), computed as ``W @ mean(x)`` from :func:`class_stats`
+    without encoding each instance.
 
     Returns
     -------
@@ -318,11 +317,8 @@ def class_mean_map(model, data, stats=None):
         Sorted ids of the classes present.
     means : ndarray, shape (d_s, c)
     """
-    if stats is not None:
-        stats = _stats(data, stats)
-        return stats.class_ids, model.weights @ (stats.sums / stats.counts)
-    ids, counts, sums = _class_sums(data.features, data.labels)
-    return ids, model.weights @ (sums / counts)
+    stats = class_stats(seen)
+    return stats.class_ids, model.weights @ (stats.sums / stats.counts)
 
 
 def class_centroids(model, data):
@@ -344,12 +340,20 @@ def _sq_cols(a):
 def objective(model, data, prototypes, centroids, hp, stats=None):
     """Value of the training objective J(W) at the model's weights.
 
-    Without ``stats``, ``prototypes`` and ``centroids`` hold one column
-    per instance of ``data``. With ``stats = class_stats(data)`` they
-    hold one column per class of ``stats.class_ids``, and nothing is
-    computed over the instances.
+    ``prototypes`` and ``centroids`` hold one column per group of
+    ``data`` (see the module docstring). ``stats``, given with a
+    dataset, is its :func:`class_stats`, checked against it; then they
+    hold one column per class and nothing is computed over the
+    instances.
     """
-    stats = _stats(data, stats)
+    # The training loop hands the dataset and its statistics, not the
+    # statistics alone, because perfbench/run.py sizes this call from
+    # its dataset argument; hence this one ``stats`` option.
+    if stats is None:
+        stats = _stats(data)
+    elif (stats.sums.shape[0] != data.feature_dim
+            or stats.counts.sum() != data.instance_count):
+        raise DataError("class statistics do not match the dataset")
     w = model.weights
     return _objective(stats, w @ w.T, float(np.sum(w * (w @ stats.gram))),
                       (w @ stats.sums) / stats.counts, prototypes,
@@ -404,14 +408,14 @@ def _finite(*parts):
                         "weights, alpha or beta, or rescale the features")
 
 
-def assemble_system(data, prototypes, centroids, hp, stats=None):
+def assemble_system(data, prototypes, centroids, hp):
     """Build the normal-equation system L W + W R + M = 0.
 
     L = P diag(n) P^T, R = (alpha + beta) G,
-    M = -[(1 + beta) P + alpha O] S^T, with ``stats`` as in
-    :func:`objective` (n = 1 and S = X per instance without it).
+    M = -[(1 + beta) P + alpha O] S^T, with P and O of one column per
+    group of ``data`` (n = 1 and S = X per instance of a dataset).
     """
-    stats = _stats(data, stats)
+    stats = _stats(data)
     b, a = _normal_equation(stats, *_columns(stats, prototypes, centroids),
                             hp)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
@@ -450,17 +454,15 @@ def _solve_rotated(stats, p, o, hp, ridge_on_failure):
                       ridge_on_failure)
 
 
-def solve_weights(data, prototypes, centroids, hp, ridge_on_failure=False,
-                  stats=None):
+def solve_weights(data, prototypes, centroids, hp, ridge_on_failure=False):
     """Minimize J(W) in closed form; returns a MappingModel.
 
-    ``stats`` as in :func:`objective`; with it, ``data`` may be None.
-    The solve runs in the eigenbasis V of G (:func:`_solve_rotated`);
-    W = (W V) V^T is its one d_s d_v^2 product. Propagates SolverError
-    from a singular eigenvalue pair unless ``ridge_on_failure`` requests
-    the explicit ridge retry.
+    P and O as in :func:`assemble_system`. The solve runs in the
+    eigenbasis V of G (:func:`_solve_rotated`); W = (W V) V^T is its one
+    d_s d_v^2 product. Propagates SolverError from a singular eigenvalue
+    pair unless ``ridge_on_failure`` requests the explicit ridge retry.
     """
-    stats = _stats(data, stats)
+    stats = _stats(data)
     return MappingModel(_solve_rotated(
         stats, *_columns(stats, prototypes, centroids), hp, ridge_on_failure)
         @ stats.gram_eig[1].T)

@@ -16,18 +16,14 @@ The schedule is:
    reach a solve, so the weights do not depend on the unseen blend.
 
 Every solve and objective runs from the class statistics of the seen
-data (:func:`zsadjust.mapping.class_stats`) alone: the counts, the class
-feature sums and the Gram product X X^T, or given instead of the dataset
-(as ``zsadjust train`` streams them from a features file), one
-eigh(d_v) = V diag(g) V^T and V^T xbar_c. These are computed once per
-dataset and kept with it, so repeated ``train``, ``sweep_k`` and
-ablation runs on one dataset pay for the Gram product and eigh(d_v)
-once; the dataset then holds G, V, S and V^T Xbar, 2 d_v^2 + 2 d_v c
-floats (about 17 MB at d_v = 1024, c = 40), with the bits of the first
-call's BLAS thread count, so results repeat at a fixed count. The loop
-keeps W V, not W: an iteration costs O(d_s d_v (c + d_s) + d_s^3) for c
-seen classes, with no d_v^2 term and no m. W = (W V) V^T is formed at
-the end; given a dataset, each objective also forms W and W G (d_s d_v^2).
+data alone: the counts, the class feature sums and the Gram product
+X X^T, given instead of the dataset (as ``zsadjust train`` streams them
+from a features file) or computed once and kept with it
+(:func:`zsadjust.mapping.class_stats`), and one eigh(d_v) =
+V diag(g) V^T and V^T xbar_c. The loop keeps W V, not W: an iteration
+costs O(d_s d_v (c + d_s) + d_s^3) for c seen classes, with no d_v^2
+term and no m. W = (W V) V^T is formed at the end; given a dataset,
+each objective also forms W and W G (d_s d_v^2).
 
 The loop carries arrays, not tables. It gathers two blocks of the
 original table once per call: the seen prototypes P0, their columns in
@@ -68,7 +64,6 @@ from .adjustment import (
 from .errors import DataError, SolverError
 from .linalg import as_number
 from .mapping import (
-    ClassStats,
     MappingModel,
     _objective,
     _solve_rotated,
@@ -148,7 +143,7 @@ def _alternate(seen, table, hp, unseen_neighbors="adjusted",
     """
     if unseen_neighbors not in ("adjusted", "original"):
         raise ValueError("unseen_neighbors must be 'adjusted' or 'original'")
-    stats = seen if isinstance(seen, ClassStats) else class_stats(seen)
+    stats = class_stats(seen)
     data = None if seen is stats else seen
     if stats.counts.size == 0:
         raise DataError("cannot train on an empty seen dataset")
@@ -247,11 +242,10 @@ class BenchmarkResult:
 def benchmark_training(data, hp, repeats=1, **train_kwargs):
     """Median and max wall-clock of ``train`` over ``repeats`` runs on
     ``data``, a ``(seen, prototype_table)`` pair, ``seen`` a dataset or
-    its ClassStats. The statistics of a dataset are computed once and
-    kept with it (G, V, S and V^T Xbar: 2 d_v^2 + 2 d_v c floats, with
-    the bits of the first call's BLAS thread count), so each run gets a
-    fresh ``replace(seen)`` of the same arrays, with nothing cached: it
-    times its own eigh(d_v), and for a dataset its own Gram product."""
+    its ClassStats. A dataset keeps its statistics once computed (see
+    :func:`zsadjust.mapping.class_stats`), so each run gets a fresh
+    ``replace(seen)`` of the same arrays, with nothing cached: it times
+    its own eigh(d_v), and for a dataset its own Gram product."""
     as_number(repeats, "repeats", 1, int)
     seen, table = data
 

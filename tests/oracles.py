@@ -16,7 +16,6 @@ import numpy as np
 from zsadjust.adjustment import _blend_seen, adjust_unseen
 from zsadjust.linalg import SylvesterSystem, solve_sylvester
 from zsadjust.mapping import (
-    ClassStats,
     MappingModel,
     _columns,
     _objective,
@@ -176,7 +175,7 @@ def table_loop(seen, table, hp, unseen_neighbors="adjusted", trace=True):
     records)`` with ``seen_adjusted`` None after zero iterations and
     one ``(objective, w_delta, seen_shift, unseen_shift)`` per traced
     iteration."""
-    stats = seen if isinstance(seen, ClassStats) else class_stats(seen)
+    stats = class_stats(seen)
     data = None if seen is stats else seen
     proto0 = expand_per_instance(table, stats.class_ids)
     (g, v), means = stats.gram_eig, stats.rotated_means

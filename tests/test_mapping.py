@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -167,6 +168,15 @@ def test_class_mean_map_ids_sorted():
     assert means.shape == (2, 2)
 
 
+def test_class_mean_map_of_no_columns_is_empty():
+    data = LabeledDataset(np.zeros((3, 0)), np.zeros(0, dtype=int), 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ids, means = class_mean_map(MappingModel(np.ones((2, 3))), data)
+    assert ids.shape == (0,)
+    assert means.shape == (2, 0)
+
+
 def test_objective_all_zero():
     data = LabeledDataset(np.zeros((2, 3)), np.zeros(3, dtype=int), 1)
     model = MappingModel(np.zeros((2, 2)))
@@ -282,7 +292,7 @@ def test_class_level_solve_matches_per_instance_kron_oracle(
         sizes = [*sizes, d_v]
     data, p, o = _grouped(seed, d_v, d_s, sizes)
     hp = HyperParams(alpha=alpha, beta=beta)
-    model = solve_weights(data, p, o, hp, stats=class_stats(data))
+    model = solve_weights(class_stats(data), p, o, hp)
     # the per-instance system: one column of P and O per instance
     sys_ = assemble_system(data, p[:, data.labels], o[:, data.labels], hp)
     want = kron_solve(sys_.L, sys_.R, sys_.M)
@@ -303,10 +313,9 @@ def test_ridge_retry_satisfies_the_ridged_system(seed, classes, alpha,
     hp = HyperParams(alpha=alpha, beta=beta)
     stats = class_stats(data)
     with pytest.raises(SolverError, match="singular"):
-        solve_weights(data, p, o, hp, stats=stats)
-    w = solve_weights(data, p, o, hp, ridge_on_failure=True,
-                      stats=stats).weights
-    sys_ = assemble_system(data, p, o, hp, stats=stats)
+        solve_weights(stats, p, o, hp)
+    w = solve_weights(stats, p, o, hp, ridge_on_failure=True).weights
+    sys_ = assemble_system(stats, p, o, hp)
     ridged = sys_.L + 1e-8 * np.trace(sys_.L) / p.shape[0] * np.eye(
         p.shape[0])
     residual = np.linalg.norm(ridged @ w + w @ sys_.R + sys_.M)
@@ -322,7 +331,7 @@ def test_solve_from_cached_gram_eig_allocates_no_dv_square():
     stats.gram_eig
     tracemalloc.start()
     try:
-        solve_weights(data, p, o, HyperParams(), stats=stats)
+        solve_weights(stats, p, o, HyperParams())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -37,8 +37,8 @@ from zsadjust.errors import DataError
 from zsadjust.inference import evaluate
 from zsadjust.mapping import (
     HyperParams,
+    _class_sums,
     class_mean_map,
-    class_stats,
 )
 from zsadjust.trainer import train
 
@@ -174,16 +174,17 @@ def test_multi_block_train_matches_oracle_and_cli(sizes, unseen_sizes,
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_one_block_class_means_keep_their_bits(seed):
-    # in one block the accumulated sums are those of _class_sums alone,
-    # layout included, so the class means map to the same bits with or
-    # without the statistics (at these sizes BLAS rounds W S by layout)
+    # in one block the accumulated sums are those of _class_sums over
+    # the whole dataset, layout included, so the class means map to the
+    # same bits (at these sizes BLAS rounds W S by layout)
     dataset, table, _ = synthesize(SynthSpec(
         d_v=100, d_s=85, seen_count=20, unseen_count=20, per_class=20,
         noise_sigma=0.05, shift_sigma=0.1, seed=seed))
     seen, _ = split(dataset, table)
     model, _, _ = train(seen, table, HyperParams(iterations=1))
-    ids, means = class_mean_map(model, seen)
-    stats_ids, stats_means = class_mean_map(model, None, class_stats(seen))
+    ids, counts, sums = _class_sums(seen.features, seen.labels)
+    means = model.weights @ (sums / counts)
+    stats_ids, stats_means = class_mean_map(model, seen)
     assert np.array_equal(stats_ids, ids)
     assert np.array_equal(stats_means, means)
 

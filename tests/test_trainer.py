@@ -50,8 +50,7 @@ def test_zero_iterations_returns_initial_solve():
     # the returned weights are the alpha = 0 closed-form solution
     stats = class_stats(seen)
     p = expand_per_instance(table, stats.class_ids)
-    direct = solve_weights(seen, p, np.zeros_like(p), replace(hp, alpha=0.0),
-                           stats=stats)
+    direct = solve_weights(stats, p, np.zeros_like(p), replace(hp, alpha=0.0))
     assert np.array_equal(model.weights, direct.weights)
 
 
@@ -94,24 +93,24 @@ def test_first_iteration_matches_manual_replay():
     step = _blend_seen(table, stats.class_ids, o1, hp)
     adj = adjust_unseen(step, hp)
     p1 = expand_per_instance(adj, stats.class_ids)
-    model1 = solve_weights(seen, p1, o1, hp, stats=stats)
+    model1 = solve_weights(stats, p1, o1, hp)
 
     assert np.array_equal(model.weights, model1.weights)
     assert np.array_equal(adjusted.vectors, adj.vectors)
     # the same steps through the public functions, up to roundoff
-    model0 = solve_weights(seen, p0, np.zeros_like(p0),
-                           replace(hp, alpha=0.0), stats=stats)
+    model0 = solve_weights(stats, p0, np.zeros_like(p0),
+                           replace(hp, alpha=0.0))
     assert np.allclose(model0.weights, w0_hat @ stats.gram_eig[1].T,
                        rtol=0, atol=1e-13)
-    _, means = class_mean_map(model0, seen, stats)
+    _, means = class_mean_map(model0, stats)
     assert np.allclose(means, o1, rtol=0, atol=1e-13)
-    public = adjust_unseen(adjust_seen(table, model0, seen, hp, stats=stats),
-                           hp)
+    public = adjust_unseen(adjust_seen(table, model0, stats, hp), hp)
     assert np.allclose(public.vectors, adj.vectors, rtol=0, atol=1e-13)
     assert trace.records[0].objective == objective(model1, seen, p1, o1, hp,
                                                    stats=stats)
+    assert objective(model1, stats, p1, o1, hp) == trace.records[0].objective
     # the recorded objective is the minimum of that iteration's quadratic
-    sys_ = assemble_system(seen, p1, o1, hp, stats=stats)
+    sys_ = assemble_system(stats, p1, o1, hp)
     w = model1.weights
     grad = sys_.L @ w + w @ sys_.R + sys_.M
     assert np.linalg.norm(grad, "fro") <= 1e-6 * (
@@ -172,8 +171,9 @@ def test_class_stats_any_label_order():
     half = LabeledDataset(grouped.features[:, 1:], grouped.labels[1:],
                           seen.class_count)
     model = MappingModel(np.ones((6, 12)))
+    z = np.zeros((6, 7))
     with pytest.raises(DataError, match="do not match"):
-        class_mean_map(model, half, want)
+        objective(model, half, z, z, HyperParams(), stats=want)
 
 
 def test_rescaled_features_train():
@@ -430,7 +430,7 @@ def test_hand_built_class_stats_are_checked(entry, fault, message):
         "benchmark_training": lambda stats: benchmark_training(
             (stats, table), hp),
         "solve_weights": lambda stats: solve_weights(
-            None, protos, np.zeros_like(protos), hp, stats=stats),
+            stats, protos, np.zeros_like(protos), hp),
     }
     eigs = []
     with mock.patch("zsadjust.mapping.sym_eig",
