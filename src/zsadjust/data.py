@@ -305,6 +305,7 @@ def load_matrix(path, fmt=None):
     shape, read = _matrix_columns(path, fmt)
     a = np.empty(shape, dtype="<f8")
     read(0, 0, a)
+    del read    # a CSV file's parsed array, which the scan does not need
     return _finite(a, path)
 
 
@@ -339,21 +340,64 @@ def _binary_shape(fh, path):
 
 
 def _load_csv(path):
-    rows = []
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        if not line:
-            continue
-        try:
-            row = [float(tok) for tok in line.split(",")]
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: unparsable value") from exc
-        if rows and len(row) != len(rows[0]):
-            raise DataError(f"{path}:{lineno}: expected {len(rows[0])} "
-                            f"columns, got {len(row)}")
-        rows.append(row)
+    """The CSV matrix ``path`` as one float64 array: its rows are parsed a
+    line at a time and joined once, so that the rows and the array are
+    the most it holds."""
+    rows = list(_csv_rows(path))
     if not rows:
         raise DataError(f"{path}: empty matrix file")
-    return rows
+    return np.concatenate(rows).reshape(len(rows), -1)
+
+
+def _csv_rows(path):
+    """The rows of the CSV matrix ``path``, each a float64 array. Lines
+    are those of :func:`_read_text`, and blank ones are skipped. A fault
+    names its line; a byte that is not UTF-8 is reported first, wherever
+    it is in the file."""
+    width = None
+    with _reading(path), open(path, encoding="utf-8",
+                              errors="surrogateescape") as fh:
+        lines = enumerate(fh, start=1)
+        for lineno, line in lines:
+            _check_utf8(path, lineno, line)
+            tokens = line.strip().split(",")
+            if tokens == [""]:
+                continue
+            # numpy parses each token as float() does; should it refuse
+            # one, float() decides
+            try:
+                row = np.array(tokens, dtype=np.float64)
+            except ValueError:
+                try:
+                    row = np.array([float(tok) for tok in tokens])
+                except ValueError:
+                    raise _csv_fault(path, lines, lineno,
+                                     "unparsable value") from None
+            if width is None:
+                width = row.size
+            elif row.size != width:
+                raise _csv_fault(path, lines, lineno, f"expected {width} "
+                                 f"columns, got {row.size}")
+            yield row
+
+
+def _csv_fault(path, lines, lineno, message):
+    """The DataError ``message`` at ``lineno`` of ``path``, once the rest
+    of its ``lines`` are checked to be UTF-8."""
+    for later, line in lines:
+        _check_utf8(path, later, line)
+    return DataError(f"{path}:{lineno}: {message}")
+
+
+# surrogateescape decodes each byte that is not UTF-8 to a lone surrogate
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
+
+
+def _check_utf8(path, lineno, line):
+    """DataError naming line ``lineno`` of ``path`` when ``line``, as
+    decoded with surrogateescape, held a byte that is not UTF-8."""
+    if not line.isascii() and _NOT_UTF8.search(line):
+        raise DataError(f"{path}:{lineno}: not valid UTF-8")
 
 
 def _read_text(path, error=DataError):
@@ -362,8 +406,7 @@ def _read_text(path, error=DataError):
     with _reading(path, error), open(path, encoding="utf-8",
                                      errors="surrogateescape") as fh:
         text = fh.read()    # newlines as in text mode: \r\n and \r become \n
-    # surrogateescape decodes each byte that is not UTF-8 to a lone surrogate
-    bad = not text.isascii() and re.search("[\udc80-\udcff]", text)
+    bad = not text.isascii() and _NOT_UTF8.search(text)
     if bad:
         lineno = text.count("\n", 0, bad.start()) + 1
         raise error(f"{path}:{lineno}: not valid UTF-8")
@@ -461,7 +504,7 @@ def _matrix_columns(source, fmt=None):
                 fh.seek(0)
                 shape = _binary_shape(fh, source)
                 return shape, partial(_read_block, source, shape)
-    matrix = np.array(_load_csv(source), dtype=np.float64)
+    matrix = _load_csv(source)
     return matrix.shape, partial(_copy_block, matrix)
 
 

@@ -31,8 +31,15 @@ class id order (the order of the class statistics and of the k-NN
 search), and the unseen prototypes Q with their column norms. An
 iteration forms P_t = lambda1 P0 + gamma1 O and checks it once, searches
 and blends Q against P_t (or P0 for ``unseen_neighbors="original"``),
-and solves on a C-order copy of P_t; the shifts come from the blocks.
-It returns the seen block that the last search read, for a k-sweep.
+and solves on a C-order copy of P_t that lives only through the solve.
+Across iterations it holds P0, Q and its norms, and one current block
+of each kind: P_t and the unseen blend. The gather of the classes with
+data, which the first solve and the objective read, is dropped once a
+seen blend replaces it (with gamma1 = 0 it stays, as the objective's
+block). Each trace shift is taken as soon as its block is replaced, so
+that the previous block is dropped then, before the search and the
+solve. It returns the seen block that the last search read, for a
+k-sweep.
 The arguments are validated once: the neighbor flag before any
 statistics are computed, the class ids before the first solve and, when
 the seen blend is on, each seen class's instances after it. No iteration copies a
@@ -148,8 +155,9 @@ def _alternate(seen, table, hp, unseen_neighbors="adjusted",
     if stats.counts.size == 0:
         raise DataError("cannot train on an empty seen dataset")
 
-    # the prototypes of the classes with data, gathered in id order
-    proto0 = expand_per_instance(table, stats.class_ids)
+    # the prototypes of the classes with data, gathered in id order: the
+    # objective's block until a seen blend replaces it
+    p_obj = expand_per_instance(table, stats.class_ids)
     unseen = stats.class_ids[~np.isin(stats.class_ids, table.seen_ids)]
     if unseen.size:
         raise DataError(f"seen data of unseen classes {unseen.tolist()}")
@@ -157,11 +165,11 @@ def _alternate(seen, table, hp, unseen_neighbors="adjusted",
 
     # Initial weights: cycle objective only, hard constraint relaxed,
     # no centroid term yet. Each solve's W V maps the class means once.
-    # The solve takes P in C order, the objective and the search in the
-    # column-gather layout.
-    solve_p = np.ascontiguousarray(proto0)
+    # The solve takes P in C order, in a copy that lives only through it;
+    # the objective and the search take the column-gather layout.
     try:
-        w_hat = _solve_rotated(stats, solve_p, np.zeros(proto0.shape),
+        w_hat = _solve_rotated(stats, np.ascontiguousarray(p_obj),
+                               np.zeros(p_obj.shape),
                                replace(hp, alpha=0.0), ridge_on_failure)
     except SolverError as exc:
         raise SolverError(f"initial solve failed: {exc}") from exc
@@ -177,24 +185,28 @@ def _alternate(seen, table, hp, unseen_neighbors="adjusted",
     q = table.vectors[:, unseen_cols]
     searches = trace and hp.gamma2 != 0.0
     q_norms = np.linalg.norm(q, axis=0)
-    p_t, p_obj, u = p0, proto0, q
+    p_t, u = p0, q
     records = []
 
     for it in range(1, hp.iterations + 1):
-        prev_p, prev_u = p_t, u
         tic = time.perf_counter()
+        seen_shift = unseen_shift = 0.0
         try:
             if blends_seen:
-                p_t = p_obj = _blend("seen", hp, p0, centroids,
-                                     table.class_ids, seen_cols)
-                solve_p = np.ascontiguousarray(p_t)
+                blended = _blend("seen", hp, p0, centroids, table.class_ids,
+                                 seen_cols)
+                if trace:
+                    seen_shift = _shift(blended, p_t)
+                p_t = p_obj = blended
             source = p0 if unseen_neighbors == "original" else p_t
             if searches:    # before the solve: its errors come first
                 top, sims = _nearest(source, q, q_norms, hp.k)
-                u = _blend_neighbors(q, source, top, sims, hp,
-                                     table.class_ids, unseen_cols)
-            new_hat = _solve_rotated(stats, solve_p, centroids, hp,
-                                     ridge_on_failure)
+                blended = _blend_neighbors(q, source, top, sims, hp,
+                                           table.class_ids, unseen_cols)
+                unseen_shift = _shift(blended, u)
+                u = blended
+            new_hat = _solve_rotated(stats, np.ascontiguousarray(p_obj),
+                                     centroids, hp, ridge_on_failure)
         except SolverError as exc:
             raise SolverError(f"iteration {it}: {exc}") from exc
         mapped = new_hat @ means
@@ -215,10 +227,9 @@ def _alternate(seen, table, hp, unseen_neighbors="adjusted",
             else:
                 obj = objective(MappingModel(new_hat @ v.T), data, p_obj,
                                 centroids, hp, stats=stats)
-            shifts = [float(np.linalg.norm(now - before, "fro"))
-                      for now, before in ((p_t, prev_p), (u, prev_u))]
-            records.append(IterationRecord(it, obj, delta, *shifts,
-                                           (time.perf_counter() - tic) * 1e3))
+            records.append(IterationRecord(
+                it, obj, delta, seen_shift, unseen_shift,
+                (time.perf_counter() - tic) * 1e3))
 
         w_hat, centroids = new_hat, mapped
         if delta < hp.tol:
@@ -229,6 +240,13 @@ def _alternate(seen, table, hp, unseen_neighbors="adjusted",
         adjusted = _with_columns(adjusted, unseen_cols, u)
     return (MappingModel(w_hat @ v.T), adjusted,
             TrainingTrace(tuple(records)), source)
+
+
+def _shift(now, before):
+    """``||now - before||_F``, inf where it overflows: it is taken before
+    the solve, whose own error about such blocks must come first."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(now - before, "fro"))
 
 
 @dataclass(frozen=True)

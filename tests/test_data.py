@@ -118,6 +118,15 @@ def test_ragged_csv(tmp_path):
         load_matrix(path)
 
 
+@pytest.mark.parametrize("fault", [b"x,2", b"3"])
+def test_csv_reports_a_later_non_utf8_line_first(tmp_path, fault):
+    # as when the whole text was decoded before any line was parsed
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"1,2\n" + fault + b"\n\n5,6\r7,\xff8\n")
+    with pytest.raises(DataError, match=r"m\.csv:5: not valid UTF-8$"):
+        load_matrix(path)
+
+
 def test_labels_roundtrip(tmp_path):
     path = tmp_path / "labels.txt"
     save_labels(path, [3, 0, 2, 2])
@@ -345,6 +354,22 @@ def test_synthesize_checks_features_without_a_full_mask():
         tracemalloc.stop()
     features = dataset.features
     assert peak - features.nbytes < features.size / 2
+
+
+def test_csv_load_peaks_at_about_two_arrays(tmp_path):
+    # the parsed rows and the array they are joined into; lists of Python
+    # floats peaked at about 6.6 times the array
+    a = np.random.default_rng(0).standard_normal((64, 2000))
+    path = tmp_path / "m.csv"
+    save_matrix(path, a, fmt="csv")
+    tracemalloc.start()
+    try:
+        b = load_matrix(path, fmt="csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(b, a)
+    assert peak <= 2.1 * a.nbytes
 
 
 # ---------------------------------------------------------------------------

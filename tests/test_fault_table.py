@@ -75,6 +75,52 @@ def test_cli_fault(tmp_path, capsys, argv, files, code, prefix):
     assert "Traceback" not in out + err
 
 
+# CSV features (8 x 24): each fault edits the lines of the file; the
+# message follows "data error: " and names the file as {path}
+CSV_FAULTS = {
+    "non-UTF-8 line": (
+        lambda rows: [*rows[:2], rows[2][:5] + "\udcff" + rows[2][5:],
+                      *rows[3:]],
+        "{path}:3: not valid UTF-8"),
+    "ragged row": (lambda rows: [*rows[:3], rows[3] + ",1", *rows[4:]],
+                   "{path}:4: expected 24 columns, got 25"),
+    "unparsable token": (
+        lambda rows: [rows[0], rows[1].replace(",", ",x", 1), *rows[2:]],
+        "{path}:2: unparsable value"),
+    "blank-only file": (lambda rows: ["", "  ", ""],
+                        "{path}: empty matrix file"),
+    "nan token": (
+        lambda rows: [*rows[:4], "nan," + rows[4].split(",", 1)[1],
+                      *rows[5:]],
+        "{path} contains a non-finite entry at row 4, col 0"),
+    "columns unlike the labels": (
+        lambda rows: [row.rsplit(",", 1)[0] for row in rows],
+        "expected one label per instance column: 24 labels for 23 columns"),
+}
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("fault", CSV_FAULTS)
+def test_csv_features_fault(tmp_path, capsys, fault, command):
+    argv = _files(tmp_path)
+    at = argv.index("--features") + 1
+    rows = [",".join(f"{v:.17g}" for v in row)
+            for row in load_matrix(argv[at])]
+    edit, message = CSV_FAULTS[fault]
+    path = tmp_path / "features.csv"
+    path.write_bytes("\n".join(edit(rows)).encode("utf-8", "surrogateescape")
+                     + b"\n")
+    argv[at] = str(path)
+    if command == "eval":
+        model = tmp_path / "model.zsm"
+        save_matrix(model, np.ones((4, 8)))
+        argv += ["--model", str(model)]
+    assert main([command, *argv, "--out", str(tmp_path / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("data error: " + message.format(path=path))
+    assert "Traceback" not in out + err
+
+
 def _empty_csv(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")

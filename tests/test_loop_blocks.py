@@ -9,6 +9,7 @@ by its summation order, when the table's seen columns are not in id
 order.
 """
 
+import weakref
 from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
@@ -202,3 +203,58 @@ def test_iterations_build_no_tables(neighbors):
         assert calls["expand_per_instance"] <= 1
         counts.append(calls["tables"])
     assert counts[0] == counts[1] == 2  # the seen-adjusted and the result
+
+
+def _spying(blocks, alive):
+    """Patches that keep a weak reference to each block the loop makes
+    and, at each solve, note which of them are alive. ``blocks`` gets
+    ``(kind, iteration, ref)`` for the initial gather (iteration 0), each
+    seen blend, each unseen blend and the prototypes of each solve;
+    ``alive`` gets, per solve, the ``(kind, iteration)`` of the blocks
+    alive when it starts."""
+    def spy(kind, fn):
+        def wrapped(*args):
+            it = len(alive)     # the solves so far: the iteration number
+            if kind == "solve":
+                alive.append({(k, i) for k, i, ref in blocks
+                              if ref() is not None})
+                blocks.append((kind, it, weakref.ref(args[1])))
+                return fn(*args)
+            out = fn(*args)
+            blocks.append((kind, it, weakref.ref(out)))
+            return out
+        return wrapped
+
+    return [mock.patch.object(trainer, name, spy(kind, getattr(trainer, name)))
+            for name, kind in (("expand_per_instance", "gather"),
+                               ("_blend", "seen"),
+                               ("_blend_neighbors", "unseen"),
+                               ("_solve_rotated", "solve"))]
+
+
+@pytest.mark.parametrize("trace", [True, False])
+@pytest.mark.parametrize("gamma1", [0.25, 0.0])
+@pytest.mark.parametrize("neighbors", ["adjusted", "original"])
+def test_each_solve_holds_only_the_current_blocks(neighbors, gamma1, trace):
+    # at every solve after the first seen blend, the initial gather and
+    # every earlier block, the earlier solves' prototypes too, are
+    # garbage; with gamma1 = 0 the gather is the objective's prototype
+    # block and stays
+    seen, table = _data(0, True)
+    hp = HyperParams(gamma1=gamma1, k=3, tol=0.0, iterations=4)
+    blocks, alive = [], []
+    patches = _spying(blocks, alive)
+    for patch in patches:
+        patch.start()
+    try:
+        _alternate(class_stats(seen), table, hp, neighbors, trace=trace)
+    finally:
+        for patch in patches:
+            patch.stop()
+    assert len(alive) == hp.iterations + 1
+    assert alive[0] == {("gather", 0)}
+    for it in range(1, hp.iterations + 1):
+        want = {("seen", it) if gamma1 else ("gather", 0)}
+        if trace:
+            want.add(("unseen", it))
+        assert alive[it] == want
