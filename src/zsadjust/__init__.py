@@ -1,15 +1,8 @@
 """Zero-shot recognition with adaptive semantic feature-space adjustment.
 
-A tied-weight encoder-decoder mapping between visual and semantic
-feature spaces is solved in closed form through a generalized
-Lyapunov/Sylvester equation; seen and unseen class prototypes are then
-iteratively adjusted, and instances of never-seen classes are classified
-by nearest-prototype cosine ranking.
-
-The package exports the pipeline; the lower-level functions (class
-statistics, the objective, the solver's building blocks) live in their
-modules: :mod:`zsadjust.mapping`, :mod:`zsadjust.linalg`,
-:mod:`zsadjust.adjustment` and :mod:`zsadjust.inference`.
+The package exports the pipeline; lower-level functions live in
+:mod:`zsadjust.mapping`, :mod:`zsadjust.linalg`, :mod:`zsadjust.adjustment`,
+:mod:`zsadjust.trainer` and :mod:`zsadjust.inference`.
 """
 
 from .adjustment import adjust_seen, adjust_unseen

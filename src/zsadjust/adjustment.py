@@ -1,36 +1,26 @@
 """Adaptive adjustment of seen and unseen class prototypes.
 
-Seen prototypes are blended with the mean mapped feature of their own
+A seen prototype is blended with the mean mapped feature of its own
 training instances:
 
     p' = lambda1 * p + gamma1 * mean_j(W @ x_j).
 
-Unseen prototypes, which have no instances, are blended with a
-similarity-weighted average of their k nearest seen prototypes:
+An unseen prototype, which has no instances, is blended with the
+similarity-weighted average of its k nearest seen prototypes:
 
     p' = lambda2 * p + gamma2 * sum_j (w_j / sum w) * p_seen_j,
 
-where the weights are cosine similarities floored at zero. If all k
-floored weights vanish the unseen prototype is left unchanged for that
-round (a non-positive weight sum has no meaningful normalization).
-
-A zero blend weight (gamma) disables the corresponding adjustment
-outright: prototypes pass through untouched rather than being scaled by
-the lambda anchor alone.
+the weights being cosine similarities floored at zero; if all k vanish,
+the prototype is left unchanged that round. A zero gamma disables its
+adjustment outright: prototypes pass through rather than scaled by
+lambda alone. Both rules anchor on the table passed in, which training
+always passes as the original, so blends never compound.
 
 Each rule is written once, on prototype blocks (d_s x n arrays):
-:func:`_blend` is a blend and its check, :func:`_nearest` the k-NN
-search among seen prototypes in id order (one cosine matrix, a partition
-to the k-th best similarity per column), and :func:`_blend_neighbors`
-the similarity-weighted blend of a search's first k ranks. The training
-loop (:mod:`zsadjust.trainer`) calls them on the blocks it carries and
-checks nothing else in an iteration; :func:`zsadjust.inference.sweep_k`
-searches once and blends once per k. The public functions are thin
-wrappers: they take a :class:`PrototypeTable`, gather its blocks and
-return a new table, computed for all classes at once. Both adjustments
-anchor on the prototypes of the table passed in; the training loop
-always anchors on the original pre-training table, so blends never
-compound across iterations.
+:func:`_blend`, the k-NN search :func:`_nearest` and the neighbour blend
+:func:`_blend_neighbors`. The training loop and
+:func:`zsadjust.inference.sweep_k` call them on the blocks they carry;
+the public functions gather the blocks of a :class:`PrototypeTable`.
 """
 
 from __future__ import annotations
@@ -51,19 +41,17 @@ def untouched_provenance(table):
 def adjust_seen(table, model, seen, hp):
     """Blend each seen prototype with its class's mean mapped feature.
 
-    The class means are mapped as ``W @ mean(x)`` from the class
-    statistics of ``seen``, a LabeledDataset or its ClassStats
-    (:func:`zsadjust.mapping.class_mean_map`), without encoding each
-    instance. Every seen class in ``table`` must have at least one
-    instance in ``seen``. Unseen prototypes are untouched, and
-    ``gamma1 = 0`` returns ``table`` itself.
+    The means come from the class statistics of ``seen``, a
+    LabeledDataset or its ClassStats
+    (:func:`zsadjust.mapping.class_mean_map`). Unseen prototypes are
+    untouched, and ``gamma1 = 0`` returns ``table`` itself.
 
     Raises
     ------
     DataError
-        If a seen class has no instances, or if a blend is the zero
-        vector (for example ``lambda1 = 0`` and a class whose mapped
-        features average to 0) or its norm overflows (a huge
+        If a seen class of ``table`` has no instances in ``seen``, or if
+        a blend is the zero vector (say ``lambda1 = 0`` and a class whose
+        mapped features average to 0) or its norm overflows (a huge
         ``lambda1`` or ``gamma1``); the message names the classes.
     """
     if hp.gamma1 == 0.0:
@@ -106,11 +94,9 @@ _WEIGHTS = {"seen": ("lambda1", "gamma1"), "unseen": ("lambda2", "gamma2")}
 
 def _blend(kind, hp, anchor, pull, class_ids, cols):
     """``lambda * anchor + gamma * pull`` with the ``kind`` ("seen" or
-    "unseen") weights of ``hp``, in the layout of ``anchor``; column j
-    is the prototype of the class ``class_ids[cols[j]]``.
-
-    Raises DataError naming, in the order of ``class_ids``, the classes
-    whose blend is the zero vector or has no finite norm."""
+    "unseen") weights of ``hp``; column j is the prototype of the class
+    ``class_ids[cols[j]]``. A blend that is zero or has no finite norm is
+    a DataError naming its classes in the order of ``class_ids``."""
     names = _WEIGHTS[kind]
     lam, gam = (getattr(hp, name) for name in names)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
@@ -143,22 +129,19 @@ def _seen_block(table):
 
 
 def _nearest(vecs, queries, query_norms, k):
-    """The k columns of ``vecs`` (seen prototypes in id order) most
-    cosine-similar to each column of ``queries`` (column norms
-    ``query_norms``), best first with exact ties toward the smaller
-    class id and NaN similarities last: per query column the rows (k, q)
-    and similarities (k, q) of the k best. The first j ranks are those
-    of a search for j."""
+    """Rows (k, q) and similarities (k, q) of the k columns of ``vecs``
+    (seen prototypes in id order) most cosine-similar to each query column
+    (norms ``query_norms``): best first, exact ties toward the smaller id,
+    NaN last. The first j ranks are those of a search for j."""
     _check_k(k, vecs.shape[1])
     sims = (vecs.T @ queries) / np.outer(np.linalg.norm(vecs, axis=0),
                                          query_norms)
     # Sort key: best first, a NaN similarity (overflowed norms) last.
     key = -sims
     key[np.isnan(key)] = np.inf
-    # Per column keep the rows at or above the k-th value: k of them,
-    # unless ties at the k-th value straddle the cut, where only the
-    # smallest-id tied rows are kept. A stable sort of the k rows (in row
-    # order, i.e. id order) then breaks ties toward the smaller id.
+    # Per column keep the rows at or above the k-th value, only the
+    # smallest-id ones where ties straddle the cut; a stable sort of the k
+    # rows (in id order) then breaks ties toward the smaller id.
     kth = np.partition(key, k - 1, axis=0)[k - 1]
     keep = key <= kth
     if np.count_nonzero(keep) > k * keep.shape[1]:
@@ -182,11 +165,9 @@ def _knn(source, queries, k):
 
 
 def knn_seen(table, unseen_id, k):
-    """The k seen classes most cosine-similar to an unseen prototype.
-
-    Returns a list of ``(seen class id, similarity)`` in descending
-    similarity; exact ties break toward the smaller class id.
-    """
+    """The k seen classes most cosine-similar to an unseen prototype: a
+    list of ``(seen class id, similarity)``, best first, exact ties toward
+    the smaller class id."""
     ids, _, top, sims = _knn(table, table.vector(unseen_id)[:, None], k)
     return [(int(ids[j]), float(s)) for j, s in zip(top[:, 0], sims[:, 0])]
 
@@ -194,13 +175,9 @@ def knn_seen(table, unseen_id, k):
 def adjust_unseen(table, hp, neighbors=None):
     """Blend each unseen prototype with its k nearest seen prototypes.
 
-    Neighbor search and averaging use the seen prototypes of
-    ``neighbors`` when given (e.g. the original table), otherwise those
-    of ``table`` itself. The training loop searches a seen block, not a
-    table, and returns the last one to :func:`zsadjust.inference.sweep_k`.
-    Seen prototypes are untouched, and ``gamma2 = 0`` returns ``table``
-    itself. It is a k-NN search (:func:`_knn`) and a blend of its first
-    k ranks (:func:`_blend_neighbors`).
+    The neighbours are the seen prototypes of ``neighbors`` when given
+    (the original table, say), else those of ``table``. Seen prototypes
+    are untouched, and ``gamma2 = 0`` returns ``table`` itself.
 
     Raises
     ------
@@ -220,18 +197,17 @@ def adjust_unseen(table, hp, neighbors=None):
 
 
 def _blend_neighbors(queries, vecs, top, sims, hp, class_ids, cols):
-    """The unseen blend of :func:`adjust_unseen` of the prototypes
-    ``queries`` (the classes ``class_ids[cols]``), from the first
-    ``hp.k`` ranks of their search ``top, sims`` among ``vecs`` at any
-    k >= ``hp.k`` (:func:`_nearest`); a new block."""
+    """A new block: the unseen blend of the prototypes ``queries`` (the
+    classes ``class_ids[cols]``) from the first ``hp.k`` ranks of their
+    :func:`_nearest` search ``top, sims`` among ``vecs`` at any k >=
+    ``hp.k``."""
     _check_k(hp.k, vecs.shape[1])
     weights = np.maximum(sims[:hp.k], 0.0)
     total = weights.sum(axis=0)
     # no positive similarity: leave that column unchanged this round
     live = total > 0.0
     top, weights = top[:hp.k, live], weights[:, live] / total[live]
-    # one neighbor rank at a time keeps the gathered block d_s x q
-    # instead of d_s x k x q
+    # a rank at a time: the gathered block is d_s x q, not d_s x k x q
     pull = sum(vecs[:, top[j]] * weights[j] for j in range(hp.k))
     out = queries.copy(order="K")
     out[:, live] = _blend("unseen", hp, queries[:, live], pull, class_ids,

@@ -1,17 +1,6 @@
-"""Command-line entry point.
-
-Subcommands::
-
-    zsadjust synth    generate a synthetic dataset on disk
-    zsadjust train    train, adjust prototypes, evaluate, write artifacts
-    zsadjust eval     score an existing model on unseen-class instances
-    zsadjust sweep-k  Hit@1 as a function of the neighbor count k
-    zsadjust bench    wall-clock timing of training
-
-Every option can also come from a ``key = value`` config file passed
-with ``--config``; explicit flags win on conflict. Exit codes: 0 ok,
-1 configuration error, 2 data error, 3 solver error.
-"""
+"""Command-line entry point: the ``zsadjust`` subcommands of
+:func:`build_parser`. README.md gives their options, config files, exit
+codes and messages."""
 
 from __future__ import annotations
 
@@ -100,10 +89,9 @@ def _fields(cls, *rows):
             for flag, name, help_text in rows]
 
 
-# Option tables: (flag, type converter, default, help), plus the field
-# name for rows made by _fields. All conversion happens after config
-# merging so that bad values from either source report as configuration
-# errors.
+# Option rows: (flag, converter, default, help), plus the field name in
+# rows made by _fields. Values are converted after config merging, so a
+# bad value from either source is a configuration error.
 HYPER_OPTS = _fields(
     HyperParams,
     ("--lambda1", "lambda1", "seen-prototype anchor weight"),
@@ -173,8 +161,7 @@ DATA_OPTS = [
     *SYNTH_OPTS,
 ]
 
-# The option tables of each subcommand, read by both the parser and the
-# resolver.
+# each subcommand's option tables, read by the parser and the resolver
 COMMAND_OPTS = {
     "synth": [SYNTH_OPTS, COMMON_OPTS],
     "train": [DATA_OPTS, HYPER_OPTS, TRAIN_OPTS, COMMON_OPTS, EVAL_OPTS],
@@ -262,22 +249,9 @@ def _require_file(path, flag):
 
 def _load_run_data(opts, unseen=True, model=None):
     """``(table, seen_stats, unseen)`` of a run, synthetic or from files,
-    normalized as ``--normalize`` asks.
-
-    The features are streamed in row bands (see
-    :func:`zsadjust.data._stream_columns`), so that no features file is
-    held whole. Without a ``model`` the run trains: the seen columns go,
-    through one buffer of a column block, to the Gram product, and
-    ``seen_stats`` is their ``class_stats``; with one, ``seen_stats`` is
-    None and the features pass through one buffer of a band of every
-    column, each band one run of a binary payload. ``unseen`` is a
-    LabeledDataset of the unseen columns when ``unseen`` is set, else
-    None and no column is copied; every column is checked either way.
-    Features with no rows are a DataError, and so are a training run
-    with no seen columns and a ``model`` that does not fit the feature
-    rows (from a binary file's header) or the prototype rows, checked
-    before the features payload is read.
-    """
+    normalized as ``--normalize`` asks and streamed as the Streaming
+    section of :mod:`zsadjust.data` sets out. ``seen_stats`` is None given
+    a ``model``, and ``unseen`` is None unless ``unseen`` is set."""
     if opts.synth:
         dataset, table, _ = synthesize(_build(SynthSpec, opts))
         name, labels = "features", dataset.labels
@@ -439,8 +413,7 @@ def cmd_sweep_k(args):
     curve = sweep_k(seen, unseen, table, hp, opts.k_list,
                     unseen_neighbors=opts.unseen_neighbors,
                     ridge_on_failure=opts.ridge_retry)
-    # Two bare CSV columns (k, Hit@1) so the file round-trips through the
-    # CSV matrix loader and plots anywhere.
+    # bare (k, Hit@1) columns, which the CSV matrix loader reads back
     save_matrix(os.path.join(out_dir, F_SWEEP),
                 [[k, curve[k]] for k in opts.k_list], fmt="csv")
     for k in opts.k_list:
@@ -496,17 +469,15 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        # argparse exits 2 on usage errors; remap to the config exit code
-        # and preserve 0 for --help.
+        # argparse exits 2 on a usage error and 0 after --help
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         code = args.func(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # stdout was closed early (say, piped into head) after every
-        # artifact was written. Its descriptor now points at devnull, so
-        # the interpreter's final flush does not raise again.
+        # stdout closed early (say, piped into head) after every artifact
+        # was written: devnull takes it, so the final flush cannot raise
         try:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         except OSError:     # a stdout without a descriptor
@@ -519,7 +490,9 @@ def main(argv=None):
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except SolverError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
+        # the hint names the flag, not the library's parameter
+        hint = str(exc).replace("ridge_on_failure=True", "--ridge-retry")
+        print(f"solver error: {hint}", file=sys.stderr)
         return EXIT_SOLVER
 
 

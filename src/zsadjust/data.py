@@ -1,41 +1,36 @@
 """Datasets, prototype tables, on-disk formats, and synthetic data.
 
-Conventions
------------
-Instances are matrix *columns*: a feature matrix is (d_v, m) with one
-column per instance, and a prototype matrix is (d_s, n_classes) with one
-column per class. Labels are integer class ids, one per instance column.
-
-On-disk formats
----------------
-* Binary matrix: magic bytes ``ZSRM``, u32 little-endian rows, u32
-  little-endian cols, then rows*cols float64 little-endian, row-major.
-* CSV matrix: one row per line, comma-separated decimal floats, no header.
-* Labels: one base-10 integer per line, line i = class of column i.
-* Prototypes: a binary matrix (d_s, n_classes) plus a sidecar text file
-  with one ``<class id> <S|U>`` line per column.
-* Text files are UTF-8 whatever the locale; blank lines are skipped.
+Instances are matrix *columns*: a feature matrix is (d_v, m) and a
+prototype matrix (d_s, n_classes), with one integer class id per
+instance column. README.md specifies the file formats.
 
 Streaming
 ---------
-Every matrix file is read by :func:`_matrix_columns`, which checks a
-binary header against the file size, or parses a CSV file whole, and
-returns a ``read`` that fills a buffer with a band of rows of a range
-of columns; :func:`load_matrix` reads every row and column at once into
-its array. The commands read a features file through
-:func:`_stream_columns` in row bands of about a sixteenth of
-``BLOCK_BYTES``, and never hold a binary one whole. A command that
-takes columns for the Gram product (``train``, ``sweep-k``, ``bench``)
-reads column blocks of about :func:`block_width` columns (``BLOCK_BYTES``
-of float64) into a buffer of one block, each band row segment by row
-segment; one that only keeps columns (``eval``) reads one block of every
-column into a buffer of one band, so that each band is one run of the
-payload. Each band, while it is in cache, is checked,
-its column squares are added up for unit norms, and its kept columns
-are copied into the partition the command keeps; the taken columns of
-a block are scaled once its norms are known and handed on in blocks to
-the accumulator of :func:`zsadjust.mapping.class_stats`, which blocks
-an in-memory dataset the same way. An OSError while an input file is
+:func:`_matrix_columns` opens a matrix file (checking a binary header
+against the file size, or parsing a CSV file whole) as a reader of any
+band of rows of any range of columns; :func:`load_matrix` reads it all
+at once. The commands stream a features file through
+:func:`_stream_columns` and never hold a binary one whole. ``train``,
+``sweep-k`` and ``bench`` take the seen columns for the Gram product:
+they read blocks of about :func:`block_width` columns (``BLOCK_BYTES``
+of float64) into one block buffer, a row segment per read. ``eval``
+only keeps columns: it reads one block of every column into a buffer of
+one band, each band one run of the payload. A block is read in bands of
+rows, about a sixteenth of ``BLOCK_BYTES`` each; while a band is in
+cache it is checked to be finite, its column squares are added up for
+unit norms, and the columns a command keeps are copied out. Once a
+block's norms are known, its taken columns are scaled and handed on, in
+blocks of ``block_width`` columns, to the accumulator of
+:func:`zsadjust.mapping.class_stats`, which blocks an in-memory dataset
+the same way.
+
+Faults come in this order. What the shapes alone rule out (a header, the
+labels, the partition, a model that does not fit) comes before any
+entry is checked. Then, as if the whole matrix were checked and then
+normalized: the first non-finite entry in row-major order, the first
+feature column whose norm overflows, the first zero feature column, and
+last a prototype column that cannot be normalized. No block from the
+first faulty one on is handed on. An OSError while an input file is
 opened or read is a DataError that names the file.
 """
 
@@ -56,8 +51,7 @@ from .linalg import as_matrix, as_number
 MAGIC = b"ZSRM"
 _HEADER = struct.Struct("<4sII")
 
-# Bytes of float64 per column block: a features file is read, and any
-# feature matrix reduced, this many bytes at a time.
+# bytes of float64 per column block of a features file or feature matrix
 BLOCK_BYTES = 32 * 2**20
 
 
@@ -98,11 +92,9 @@ def _check_labels(labels, columns, class_count):
 class LabeledDataset:
     """Feature columns with one integer class id per column.
 
-    ``features`` and ``labels`` are read-only views of the arrays given
-    (or of their float64 / int64 copies); the given arrays stay
-    writable. :func:`zsadjust.mapping.class_stats` keeps the class
-    statistics of a dataset with it, so build a new dataset after
-    changing the arrays it was built from.
+    ``features`` and ``labels`` are read-only views; the arrays given stay
+    writable. The dataset keeps its :func:`zsadjust.mapping.class_stats`,
+    so build a new one after changing the arrays it was built from.
 
     Attributes
     ----------
@@ -121,9 +113,8 @@ class LabeledDataset:
 
     @classmethod
     def _of_checked(cls, features, labels, class_count):
-        """Dataset over ``features`` already known to be finite (a
-        checked file or columns of a checked dataset): the labels and
-        shape are validated, the features are not scanned again."""
+        """Dataset over ``features`` already known to be finite: the labels
+        and shape are validated, the features not scanned again."""
         dataset = object.__new__(cls)
         object.__setattr__(dataset, "class_count", class_count)
         dataset._set_columns(np.ascontiguousarray(features, dtype=np.float64),
@@ -222,15 +213,13 @@ class SynthSpec:
     """Recipe for a synthetic zero-shot dataset.
 
     Class prototypes are sampled on the unit sphere in d_s dimensions and
-    a ground-truth linear map G (d_v, d_s) is sampled once, with entries
-    scaled by 1/sqrt(d_v) so clean features have roughly unit norm; an
-    instance of class c is ``G @ p_c`` plus isotropic Gaussian noise.
-    Instances of unseen classes are generated from a per-class perturbed
-    copy of G (entries jittered with std ``shift_sigma``), which
-    manufactures a controllable, systematic displacement of unseen-class
-    features. With d_s above ``seen_count`` the seen prototypes span only
-    a subspace of semantic space, reproducing the geometry that makes
-    mapped unseen instances drift toward seen-class territory.
+    a ground-truth linear map G (d_v, d_s) once, with entries scaled by
+    1/sqrt(d_v) so clean features have roughly unit norm; an instance of
+    class c is ``G @ p_c`` plus isotropic Gaussian noise. Unseen classes
+    use a per-class copy of G jittered with std ``shift_sigma``: a
+    controlled domain shift. With d_s above ``seen_count`` the seen
+    prototypes span only a subspace of semantic space, so mapped unseen
+    instances drift toward seen-class territory.
     """
 
     d_v: int = 50
@@ -270,9 +259,7 @@ def save_matrix(path, a, fmt="binary"):
     elif fmt == "csv":
         # %.17g round-trips float64 exactly through decimal text.
         with open(path, "w") as fh:
-            for row in a:
-                fh.write(",".join(f"{x:.17g}" for x in row))
-                fh.write("\n")
+            np.savetxt(fh, a, fmt="%.17g", delimiter=",")
     else:
         raise ValueError(f"unknown matrix format: {fmt!r}")
 
@@ -296,12 +283,9 @@ class _reading:
 
 
 def load_matrix(path, fmt=None):
-    """Read a matrix written by :func:`save_matrix`.
-
-    ``fmt`` is ``"binary"``, ``"csv"``, or None to sniff the magic bytes.
-    The file is read through :func:`_matrix_columns` as one block of
-    every column. Non-finite entries are rejected with their location.
-    """
+    """Read a matrix written by :func:`save_matrix`; ``fmt`` is
+    ``"binary"``, ``"csv"``, or None to sniff the magic bytes. Non-finite
+    entries are rejected with their location."""
     shape, read = _matrix_columns(path, fmt)
     a = np.empty(shape, dtype="<f8")
     read(0, 0, a)
@@ -481,19 +465,10 @@ def load_prototypes(matrix_path, partition_path):
 
 
 def _matrix_columns(source, fmt=None):
-    """``(shape, read)`` of a matrix for :func:`load_matrix` and
-    :func:`_stream_columns`, where ``read(start, row, out)`` fills
-    ``out`` (h, w) with the rows ``row`` to ``row + h - 1`` of the
-    columns ``start`` to ``start + w - 1``.
-
-    ``source`` is an array, or the path of a matrix file in the format
-    ``fmt`` (as :func:`load_matrix` takes it). A binary payload is then
-    read straight into ``out`` and never whole unless ``out`` spans every
-    row and column; its header is checked here, before anything is
-    read. A CSV file is parsed whole, here. Neither is checked to be
-    finite: the caller scans what it reads, so that what the shape
-    alone rules out is reported before a non-finite entry.
-    """
+    """``(shape, read)`` of an array or of the matrix file ``source`` in
+    the format ``fmt``, where ``read(start, row, out)`` fills ``out``
+    (h, w) with rows ``row:row + h`` of columns ``start:start + w``. What
+    it reads is not checked to be finite: the caller scans it."""
     if fmt not in (None, "binary", "csv"):
         raise ValueError(f"unknown matrix format: {fmt!r}")
     if isinstance(source, np.ndarray):
@@ -513,10 +488,9 @@ def _copy_block(matrix, start, row, out):
 
 
 def _read_block(path, shape, start, row, out):
-    """Read the band of ``out`` (h, w) from the binary matrix ``path``:
-    rows ``row`` to ``row + h - 1`` of the columns ``start`` to
-    ``start + w - 1``, one row segment at a time, or, when ``out`` spans
-    every column, at once as the one run of the payload they are."""
+    """The ``read`` of :func:`_matrix_columns` for the binary matrix
+    ``path``: a row segment at a time, or at once when ``out`` spans
+    every column and so is one run of the payload."""
     rows, cols = shape
     whole = out.shape[1] == cols
     # unbuffered row reads after each seek; a buffered readinto of the
@@ -530,33 +504,10 @@ def _read_block(path, shape, start, row, out):
 
 
 def _stream_columns(columns, name, take, keep, kept, unit=False):
-    """Pass the columns of a matrix through one buffer in row bands, and
-    yield its ``take`` columns in blocks.
-
-    ``columns`` is ``(shape, read)`` from :func:`_matrix_columns`. The
-    columns are read in blocks: of about ``block_width(rows)`` columns
-    when some are taken, and the buffer then holds one such block; else
-    of every column, and the buffer holds one band. Each block is read
-    in bands of rows, about a sixteenth of ``BLOCK_BYTES`` each (a band
-    of every column is one run of a binary payload). Each band, while it
-    is in cache, is checked to be finite, its column squares are added
-    up for ``unit``, its columns where the mask ``keep`` is set are
-    copied, in order, into ``kept`` (rows, ``keep.sum()``), and its
-    columns where the mask ``take`` is set are moved to the front of the
-    block. With ``unit``, the kept and taken columns of a block are then
-    scaled to unit L2 norm. The taken columns are yielded in order, in
-    blocks of ``block_width(rows)`` columns and a last narrower one, as
-    :func:`zsadjust.mapping.class_stats` blocks a dataset of them; each
-    block is overwritten by the next. No copy of the matrix is made.
-
-    A non-finite entry is a DataError that names the first one in
-    row-major order, as :func:`load_matrix` reports it: the rows above
-    it are still read in every later block for that, and no block from
-    there on is yielded. So is a column that ``unit`` cannot scale, reported
-    only if every entry is finite: the first whose norm overflows, else
-    the first zero column, as if the whole matrix were checked and then
-    normalized.
-    """
+    """Stream the ``(shape, read)`` matrix ``columns`` as the module's
+    Streaming section sets out: copy the columns of the mask ``keep`` into
+    ``kept`` and yield those of ``take`` in blocks, each overwritten by
+    the next; with ``unit`` both are scaled to unit norm."""
     (rows, cols), read = columns
     width = block_width(rows)
     hold = take.any()
@@ -592,7 +543,7 @@ def _stream_columns(columns, name, take, keep, kept, unit=False):
                                    used:used + kept_idx.size],
                               band, kept_idx)
                 if taken_idx.size and taken_idx[-1] >= taken_idx.size:
-                    _take_columns(band, band, taken_idx)   # not in place
+                    _take_columns(band, band, taken_idx)   # not yet in front
         if bad is None and unit:
             norms, found = _norms(squares, start)
             faults = tuple(old if old is not None else now
@@ -632,14 +583,10 @@ def _take_columns(dst, src, idx):
 
 
 def _column_norms(a, first=0):
-    """``(norms, (overflow, zero))``: the L2 norm of each column of
-    ``a``, the first column, counted from ``first``, whose norm overflows
-    and the first whose norm is zero, each None where there is none.
-
-    Each norm sums its squares in row order, as ``np.linalg.norm(x,
-    axis=0)`` does on a matrix of two or more columns, so that a column
-    gets the same bits whichever block or band of rows it is in.
-    """
+    """``(norms, (overflow, zero))``: the L2 norm of each column of ``a``
+    and the first columns, counted from ``first``, whose norm overflows or
+    is zero (None if none). Squares add in row order, as in
+    ``np.linalg.norm(x, axis=0)``, so no block or band changes a bit."""
     return _norms(_add_squares(np.zeros(a.shape[1]), a), first)
 
 
@@ -676,9 +623,7 @@ def _raise_norm_fault(what, overflow, zero):
 
 def split(dataset, table):
     """Partition instances into (seen, unseen) datasets by class tag.
-
-    Every label must have a prototype, and the seen side must be
-    nonempty (there is nothing to train on otherwise).
+    Every label must have a prototype, and the seen side must be nonempty.
     """
     seen_mask = _seen_mask(dataset.labels, table)
     if not seen_mask.any():
@@ -706,12 +651,9 @@ def _columns(dataset, mask):
 
 @np.errstate(over="ignore", invalid="ignore")  # the features are checked
 def synthesize(spec):
-    """Generate (LabeledDataset, PrototypeTable, ground_truth_map).
-
-    Deterministic in ``spec.seed``. Classes 0..seen_count-1 are seen,
-    the remaining ``unseen_count`` ids are unseen; every class
-    contributes ``per_class`` instance columns, grouped by class.
-    """
+    """Generate (LabeledDataset, PrototypeTable, ground_truth_map),
+    deterministic in ``spec.seed``: classes 0..seen_count-1 are seen, the
+    next ``unseen_count`` unseen, each ``per_class`` adjacent columns."""
     rng = np.random.default_rng(spec.seed)
     n_classes = spec.seen_count + spec.unseen_count
 

@@ -1,9 +1,5 @@
-"""Exception types shared across the package.
-
-The split mirrors how failures are reported to users: configuration
-problems, malformed or inconsistent data, and numerical solver failures
-are distinct classes so the CLI can map them to distinct exit codes.
-"""
+"""Exception types shared across the package, one per CLI exit code:
+configuration problems, malformed data and numerical solver failures."""
 
 
 class ConfigError(Exception):

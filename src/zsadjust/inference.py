@@ -1,14 +1,11 @@
 """Zero-shot prediction, Hit@k scoring, and hubness diagnostics.
 
-A test instance x is mapped to semantic space as ``W @ x`` and the
-unseen classes of a PrototypeTable (such as the adjusted one ``train``
-returns) are ranked by cosine similarity to their prototypes; ties break
-toward the smaller class id. Hit@k is the fraction of instances whose
-true class appears in the top k.
-
-The hubness diagnostic is the sample skewness of the 1-NN in-degree
-over the candidate prototypes: how unevenly the prototypes attract
-first-rank predictions. It is reported, never gated.
+A test instance x is mapped to ``W @ x`` and the unseen classes of a
+PrototypeTable are ranked by the cosine similarity of their prototypes,
+ties toward the smaller class id. Hit@k is the fraction of instances
+whose true class is in the top k. The hubness diagnostic, reported and
+never gated, is the sample skewness of the 1-NN in-degree over the
+candidate prototypes.
 """
 
 from __future__ import annotations
@@ -74,17 +71,9 @@ def _unit_instances(model, features, direction):
 
 
 def _ranked(model, instances, table, direction):
-    """The similarity of every unseen candidate of ``table`` to every
-    column of :func:`_unit_instances`.
-
-    Returns
-    -------
-    ids : ndarray, shape (c,)
-        Candidate class ids, ascending.
-    sims : ndarray, shape (c, m)
-        Cosine similarities (candidate row, instance column); NaN
-        columns mark instances whose mapped feature was the zero vector.
-    """
+    """``(ids, sims)``: the unseen candidates of ``table`` in ascending id
+    order, and their cosine similarity (c, m) to each column of
+    :func:`_unit_instances`, NaN in the columns of zero instances."""
     unit, zero = instances
     if unit.shape[1] == 0:
         raise DataError("cannot evaluate an empty dataset")
@@ -147,8 +136,7 @@ def predict(model, x, table, direction="semantic"):
     sims = sims[:, 0]
     if np.isnan(sims[0]):
         raise DataError("mapped instance is the zero vector; cannot rank")
-    # Stable sort on descending similarity keeps the ascending-id layout
-    # of the candidates as the tie-break.
+    # the stable sort keeps the candidates' id order as the tie-break
     order = np.argsort(-sims, kind="stable")
     return [(int(ids[j]), float(sims[j])) for j in order]
 
@@ -187,9 +175,10 @@ def evaluate(model, unseen, table, ks=(1, 5), direction="semantic"):
         as misses at every k and reported in ``zero_mapped``;
         ``per_class_accuracy`` is Hit@1 per class.
 
-    The instances are mapped and normalized once (:func:`_unit_instances`),
-    then the candidates ranked (:func:`_ranked`, :func:`_true_ranks`). A
-    model that does not fit the features or ``table`` is a DataError.
+    Raises
+    ------
+    DataError
+        If ``model`` does not fit the features or ``table``.
     """
     tic = time.perf_counter()
     _check_fits(model, unseen.feature_dim, table)
@@ -203,8 +192,7 @@ def evaluate(model, unseen, table, ks=(1, 5), direction="semantic"):
 
     hit_at = {k: float(np.mean((rank_of < k) & ~zero)) for k in ks}
 
-    # Hit@1 per class: exact hit counts over instance counts, one division
-    # per class as np.mean would do
+    # Hit@1 per class: one division per class, as np.mean would do
     class_hits = np.bincount(true_idx, weights=(rank_of == 0) & ~zero,
                              minlength=ids.size)
     counts = np.bincount(true_idx, minlength=ids.size)
@@ -226,22 +214,20 @@ def evaluate(model, unseen, table, ks=(1, 5), direction="semantic"):
 
 def sweep_k(seen, unseen, table, hp, k_values, direction="semantic",
             **train_kwargs):
-    """Hit@1 as a function of the neighbor count k; returns
-    ``{k: hit_at_1}``. ``direction``, every k and the feature widths of
-    ``seen`` and ``unseen`` are checked first; ``k_values`` must name at
-    least one k.
+    """Hit@1 as a function of the neighbor count k: ``{k: hit_at_1}``,
+    each what ``evaluate`` scores on the table ``train`` returns with that
+    k. ``seen`` is what ``train`` takes. ``direction``, every k and the
+    feature widths are checked first; ``k_values`` must name at least one
+    k, and a k beyond the seen classes raises once the k before it are
+    scored.
 
-    Trains once, with no trace: only the seen prototypes reach the
-    weight solves, so the weights, the seen-adjusted prototypes and the
-    stopping iteration do not depend on k. One k-NN search of the seen
-    block that the loop's last search read, at the largest k that fits,
-    and one mapping of the instances serve every k: each k blends the
-    first k ranks onto the seen-adjusted table
-    (:func:`zsadjust.adjustment._blend_neighbors`), which gives exactly
-    the table ``train`` returns with that k, and scores Hit@1 on it as
-    ``evaluate`` does. ``seen`` is what ``train`` takes: the seen-class
-    dataset or its class statistics. A k beyond the seen classes raises
-    once the k before it are scored.
+    One training and one search serve every k. Only the seen prototypes
+    reach the weight solves, so the weights, the seen-adjusted prototypes
+    and the stopping iteration do not depend on k: the loop runs once,
+    with no trace. The seen block its last search read is searched once,
+    at the largest k that fits, and the instances are mapped once; each k
+    blends its first k ranks onto the seen-adjusted table
+    (:func:`zsadjust.adjustment._blend_neighbors`) and scores Hit@1.
     """
     _check_direction(direction)
     hps = [replace(hp, k=k) for k in k_values]

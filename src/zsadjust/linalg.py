@@ -1,26 +1,25 @@
 """Dense real-matrix operations and the closed-form mapping-equation solver.
 
-Objective assembly and training are built on the operations here:
-finite-matrix coercion, the check of every scalar parameter, the
-symmetry check, symmetric eigendecomposition, and the solver for
-
-    L W + W R + M = 0
-
-with symmetric positive semi-definite L and R. Because L and R are PSD by
-construction (Gram matrices of prototypes and features), the equation is
-solved by eigendecomposing both sides instead of a general Schur-based
-method: with L = U diag(lam) U^T and R = V diag(sig) V^T,
+Besides finite-matrix coercion, the check of every scalar parameter and
+symmetric eigendecomposition, this module solves L W + W R + M = 0 for
+symmetric positive semi-definite L and R (Gram matrices of prototypes
+and features) by eigendecomposing both sides, not by a general
+Schur-based method: with L = U diag(lam) U^T and R = V diag(sig) V^T,
 
     W = U Wt V^T,   Wt[i, j] = -(U^T M V)[i, j] / (lam[i] + sig[j]).
 
-That closed form is written once, in ``_eig_solve``, in R's eigenbasis:
-from L's eigenpairs (or r of them, the others being 0), R's eigenvalues
-and M V it returns W V = U Wt with no q x q product. Around it,
-:func:`solve_sylvester` forms M V and W = (W V) V^T; training takes R's
-eigenpairs from the one eigendecomposition of the Gram matrix.
+That closed form is written once, in :func:`_eig_solve`, in R's
+eigenbasis: from L's eigenpairs (or r of them, the others being 0), R's
+eigenvalues and M V it returns W V = U Wt. Training takes R's eigenpairs
+from its one eigendecomposition of the Gram matrix;
+:func:`solve_sylvester` forms M V and W = (W V) V^T itself.
 
-All matrices are dense, row-major, double precision. Operations are pure
-functions of their inputs and hold no shared state.
+The pivot floor: every pair sum lam_i + sig_j must exceed
+``PIVOT_FLOOR * (max|lam| + max|sig|)``. A smaller pair signals an
+ill-posed objective (say, rank-deficient data with no constraint
+weight) and is a SolverError, unless the caller opts into one retry
+with the ridge L + eps I, eps = 1e-8 trace(L) / p. The floor is
+relative, so rescaling L and R together does not change the decision.
 """
 
 from __future__ import annotations
@@ -36,8 +35,7 @@ from .errors import SolverError
 # Relative Frobenius tolerance for "symmetric enough" checks.
 SYMMETRY_RTOL = 1e-10
 
-# Smallest admissible eigenvalue-pair sum lam_i + sig_j in the solver,
-# relative to the problem scale max|lam| + max|sig|.
+# The solver's pivot floor, relative to max|lam| + max|sig|.
 PIVOT_FLOOR = 1e-13
 
 
@@ -126,13 +124,9 @@ def sym_eig(a):
 
 @dataclass(frozen=True)
 class SylvesterSystem:
-    """The equation ``L W + W R + M = 0`` with symmetric PSD L and R.
-
-    ``L`` is (p, p), ``R`` is (q, q) and ``M`` is (p, q); the solution W
-    is (p, q). Symmetry of L and R is validated at construction; positive
-    semi-definiteness is the caller's responsibility and is effectively
-    enforced by the solver's pivot floor.
-    """
+    """The equation ``L W + W R + M = 0`` with symmetric PSD L (p, p) and
+    R (q, q), and M and W (p, q). Symmetry is checked here; positive
+    semi-definiteness is the caller's, and the pivot floor enforces it."""
 
     L: np.ndarray
     R: np.ndarray
@@ -161,13 +155,10 @@ class SylvesterSystem:
 
 
 def _eig_solve(l_eig, sig, m_hat, ridge_on_failure, null=0.0):
-    """``W V = U [(U^T M V) ./ -(lam_i + sig_j)]`` from the eigenpairs
-    ``(lam, U)`` of L and the eigenvalues ``sig`` of R = V diag(sig) V^T,
-    all ascending, and ``m_hat = M V``. A thin U (p x r, r < p) leaves
-    L's other eigenvalues at ``null`` (0), which add
-    ``(I - U U^T) M V ./ -(null + sig_j)``. Pivot floor and ridge retry
-    as in :func:`solve_sylvester`; the ridge shifts lam and ``null`` by
-    ``eps = 1e-8 * trace(L) / p``, giving the eigenpairs of L + eps*I."""
+    """W V = U Wt from the eigenpairs ``(lam, U)`` of L and the eigenvalues
+    ``sig`` of R, ascending, and ``m_hat = M V``. A thin U (p x r) leaves
+    L's other eigenvalues at ``null``, which add (I - U U^T) M V ./
+    -(null + sig_j); the ridge shifts lam and ``null`` by eps."""
     lam, u = l_eig
     thin = u.shape[1] < u.shape[0]
     pair_min = (min(lam[0], null) if thin else lam[0]) + sig[0]
@@ -199,15 +190,9 @@ def solve_sylvester(system, ridge_on_failure=False):
     ----------
     system : SylvesterSystem
     ridge_on_failure : bool
-        If True and a singular pair is found, retry once with
-        ``L + eps*I`` where ``eps = 1e-8 * trace(L) / p``. This is an
-        explicit opt-in, never silent.
-
-    Every eigenvalue-pair sum ``lam_i + sig_j`` must exceed
-    ``PIVOT_FLOOR * (max|lam| + max|sig|)``; smaller pairs signal an
-    ill-posed objective (for example a rank-deficient system with no
-    constraint weight). The floor is relative, so rescaling L and R
-    together does not change the decision.
+        If True and a pair falls below the pivot floor (see the module
+        docstring), retry once with the ridge: an explicit opt-in,
+        never silent.
 
     Returns
     -------

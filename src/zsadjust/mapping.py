@@ -2,59 +2,46 @@
 
 For visual features X (d_v, m), per-instance prototypes P (d_s, m) and
 per-instance class centroids O (d_s, m), the training objective in the
-encoder weights W (d_s, d_v) is
+encoder weights W (d_s, d_v), with the tied decoder W^T, is
 
-    J(W) = 1/2 ||X^T - P^T W||^2            (cycle reconstruction, tied
-                                             decoder W^T)
-         + alpha/2 ||W X - O||^2            (pull mapped instances to
-                                             their class centroid)
-         + beta/2  ||W X - P||^2            (relaxed exact-mapping
-                                             constraint)
+    J(W) = 1/2 ||X^T - P^T W||^2        (cycle reconstruction)
+         + alpha/2 ||W X - O||^2        (mapped instances near their centroid)
+         + beta/2  ||W X - P||^2        (relaxed exact-mapping constraint)
 
-Setting the gradient to zero gives a linear matrix equation
+Its gradient vanishes where
 
-    P P^T W + (alpha + beta) W X X^T - [(1 + beta) P + alpha O] X^T = 0
+    P P^T W + (alpha + beta) W X X^T - [(1 + beta) P + alpha O] X^T = 0,
 
-which is ``L W + W R + M = 0``, solved in closed form from the
-eigenpairs of L and R (see :mod:`zsadjust.linalg`). No iterative descent
-is involved.
+which is ``L W + W R + M = 0``, solved in closed form (no descent) by
+:mod:`zsadjust.linalg`.
 
-Training runs from class statistics. P and O are constant within a
-class, so every m-sized product reduces to the class counts n (c,), the
-class feature sums S (d_v, c) and the Gram matrix G = X X^T:
+Class statistics. P and O are constant within a class, so every m-sized
+product reduces to the class counts n (c,), the class feature sums
+S (d_v, c) and the Gram matrix G = X X^T:
 
     L = P_c diag(n) P_c^T,  R = (alpha + beta) G,
     M = -[(1 + beta) P_c + alpha O_c] S^T,
 
-with one column per class in P_c and O_c. With the class means
-Xbar = S diag(1/n) and the within-class scatter G_w = G - S diag(1/n) S^T,
-each term of J is a sum of non-negative parts:
+with one column per class in P_c and O_c. With the class means xbar_c,
+J needs no d_v x c array and no within-class scatter: the cycle term is
+tr G + sum_c n_c p_c^T (W W^T p_c - 2 W xbar_c), and
 
-    ||X^T - P^T W||^2 = tr G_w        + sum_c n_c ||xbar_c - W^T p_c||^2
-    ||W X - O||^2     = tr(W G_w W^T) + sum_c n_c ||W xbar_c - o_c||^2
-    ||W X - P||^2     = tr(W G_w W^T) + sum_c n_c ||W xbar_c - p_c||^2
+    ||W X - O||^2 = tr(W G W^T) + sum_c n_c (||W xbar_c - o_c||^2
+                                             - ||W xbar_c||^2),
 
-G_w is never formed, and the objective makes no d_v x c array:
-tr(W G_w W^T) = tr(W G W^T) - sum_c n_c ||W xbar_c||^2, and the cycle
-term is tr G + sum_c n_c p_c^T (W W^T p_c - 2 W xbar_c).
+and the same with p_c for ||W X - P||^2. A LabeledDataset is its own
+statistics with each instance a group of count 1 (S = X). So each
+function here that takes the data takes a dataset or its
+:class:`ClassStats`, the type of the argument is the whole choice, and
+P and O hold one column per group.
 
-:func:`class_stats` sums n, S and G over column blocks of a fixed byte
-size, so that a features file is never whole in memory. Given
-G = V diag(g) V^T (:attr:`ClassStats.gram_eig`) and V^T xbar_c
-(:attr:`ClassStats.rotated_means`), a solve returns W V
-(:func:`_solve_rotated`): M V costs d_s c d_v, L's eigenpairs come from
-a c x c problem when 2c <= d_s, W V maps the means as (W V)(V^T xbar_c),
-and tr(W G W^T) = sum_j g_j ||(W V)_:j||^2. So an iteration costs
-O(d_s d_v (c + d_s) + d_s^3), with no d_v^2 term and no m.
-
-Every function below that takes the data takes either a LabeledDataset
-or its ClassStats, and the type of that argument is the whole choice.
-:func:`class_mean_map` and :func:`zsadjust.adjustment.adjust_seen` read
-the class statistics (:func:`class_stats` returns a ClassStats as it
-is). :func:`solve_weights`, :func:`assemble_system`, :func:`objective`
-and :func:`objective_gradient` take P and O with one column per group:
-per class for a ClassStats, per instance for a dataset, which runs the
-same code with each instance as its own group of count 1 (S = X).
+The rotated solve. Given G = V diag(g) V^T (:attr:`ClassStats.gram_eig`)
+and V^T xbar_c (:attr:`ClassStats.rotated_means`), :func:`_solve_rotated`
+returns W V: M V costs d_s c d_v, L's eigenpairs come from a c x c
+problem when 2c <= d_s, W V maps the means as (W V)(V^T xbar_c), and
+tr(W G W^T) = sum_j g_j ||(W V)_:j||^2. An iteration of the training loop
+thus costs O(d_s d_v (c + d_s) + d_s^3), with no d_v^2 term and no m;
+W = (W V) V^T is one d_s d_v^2 product.
 """
 
 from __future__ import annotations
@@ -71,14 +58,10 @@ from .linalg import SylvesterSystem, _eig_solve, as_matrix, as_number, sym_eig
 
 @dataclass(frozen=True)
 class HyperParams:
-    """Weights and budgets for training and prototype adjustment.
-
-    ``lambda1``/``gamma1`` blend seen prototypes with their mapped class
-    means; ``lambda2``/``gamma2`` blend unseen prototypes with their k
-    nearest seen prototypes. ``alpha`` weighs the centroid regularizer,
-    ``beta`` the relaxed mapping constraint (must stay positive or the
-    constraint disappears and the solve can become singular).
-    """
+    """Weights and budgets for training and prototype adjustment: the
+    seen (``lambda1``, ``gamma1``) and unseen (``lambda2``, ``gamma2``, ``k``)
+    blends, and the centroid (``alpha``) and constraint (``beta``) terms
+    of the objective; ``beta`` > 0, or the solve can become singular."""
 
     # The blend weights follow the reported grid-search values; alpha and
     # beta were fixed on the synthetic suite and are package defaults, not
@@ -212,12 +195,9 @@ class ClassStats:
 
 
 def _class_sums(x, labels):
-    """Ascending class ids, counts and feature sums (d_v, c) of ``labels``.
-
-    When each class is one contiguous run of columns (as
-    :func:`zsadjust.data.split` returns them) the runs are summed in
-    place; any other order is summed from one class-sorted copy.
-    """
+    """Ascending class ids, counts and feature sums (d_v, c) of ``labels``:
+    in place when each class is one run of columns (as
+    :func:`zsadjust.data.split` returns them), else from a sorted copy."""
     starts = np.flatnonzero(np.r_[True, labels[1:] != labels[:-1]])
     run_ids = labels[starts]
     order = np.argsort(run_ids)
@@ -230,29 +210,19 @@ def _class_sums(x, labels):
 
 
 def class_stats(seen):
-    """Class-level statistics n, S and G of a LabeledDataset, with no
-    within-class scatter G_w (nothing needs it formed); a ClassStats is
-    returned as it is, so every caller that takes either gets its
-    statistics here.
+    """The class statistics n, S and G of a LabeledDataset; a ClassStats
+    is returned as it is. Raises DataError when finite features overflow
+    in G.
 
-    The columns are reduced in blocks of ``block_width(d_v)`` views of
-    the features, with no copy: one Gram product per block, added up.
-    ``zsadjust train`` feeds the same accumulator the seen columns of a
-    features file in blocks of the same width, so the library and the
-    command give the same bits at one BLAS thread count; a dataset of
-    one block gives those of a single product over all columns.
-
-    Computed once per dataset: the ClassStats, its arrays made
-    read-only, is kept with the dataset (whose own arrays are read-only
-    views), and with it the :attr:`~ClassStats.gram_eig` and
-    :attr:`~ClassStats.rotated_means` that a training caches. Repeated
-    ``train``, ``sweep_k``, ``class_mean_map`` and ablation runs on one
-    dataset then pay for the Gram product and eigh(d_v) once; the
-    dataset holds G, V, S and V^T Xbar, 2 d_v^2 + 2 d_v c floats (about
-    17 MB at d_v = 1024, c = 40). Their bits are those of the first
-    call's BLAS thread count, so results repeat at a fixed count.
-
-    Raises DataError when finite features overflow in G.
+    The columns are reduced in views of ``block_width(d_v)`` columns, one
+    Gram product per block, added up: the accumulator that ``zsadjust
+    train`` feeds from a features file, so the library and the command
+    give the same bits at one BLAS thread count. The ClassStats, its
+    arrays read-only, is kept with the dataset, and so are the
+    :attr:`~ClassStats.gram_eig` and :attr:`~ClassStats.rotated_means`
+    that a training caches (2 d_v^2 + 2 d_v c floats): later calls on the
+    dataset skip the Gram product and eigh(d_v), with the bits of the
+    first call's BLAS thread count.
     """
     if isinstance(seen, ClassStats):
         return seen
@@ -308,8 +278,7 @@ def _stats(data):
 
 def class_mean_map(model, seen):
     """Mean of ``W @ x`` per class of ``seen`` (a LabeledDataset or its
-    ClassStats), computed as ``W @ mean(x)`` from :func:`class_stats`
-    without encoding each instance.
+    ClassStats), as ``W @ mean(x)`` from :func:`class_stats`.
 
     Returns
     -------
@@ -338,17 +307,11 @@ def _sq_cols(a):
 
 
 def objective(model, data, prototypes, centroids, hp, stats=None):
-    """Value of the training objective J(W) at the model's weights.
-
-    ``prototypes`` and ``centroids`` hold one column per group of
-    ``data`` (see the module docstring). ``stats``, given with a
-    dataset, is its :func:`class_stats`, checked against it; then they
-    hold one column per class and nothing is computed over the
-    instances.
-    """
-    # The training loop hands the dataset and its statistics, not the
-    # statistics alone, because perfbench/run.py sizes this call from
-    # its dataset argument; hence this one ``stats`` option.
+    """Value of the training objective J(W) at the model's weights, for
+    ``prototypes`` and ``centroids`` of one column per group of ``data``.
+    ``stats``, given with a dataset, is its :func:`class_stats`, checked
+    against it; then they hold one column per class."""
+    # ``stats`` serves the dataset branch of trainer._alternate
     if stats is None:
         stats = _stats(data)
     elif (stats.sums.shape[0] != data.feature_dim
@@ -362,9 +325,8 @@ def objective(model, data, prototypes, centroids, hp, stats=None):
 
 def _objective(stats, wwt, spread, mapped, prototypes, centroids, hp):
     """J(W) from the class statistics, W W^T, tr(W G W^T) (``spread``)
-    and the mapped class means W xbar_c, with no d_v-sized temporary:
-    the cycle term is tr G - 2 sum_c n_c p_c^T W xbar_c
-    + sum_c n_c p_c^T W W^T p_c."""
+    and the mapped class means W xbar_c, summed as the module docstring
+    sets out."""
     n = stats.counts
     spread -= float(n @ _sq_cols(mapped))      # tr(W G_w W^T)
     cycle = float(np.trace(stats.gram)) + float(n @ np.einsum(
@@ -409,12 +371,8 @@ def _finite(*parts):
 
 
 def assemble_system(data, prototypes, centroids, hp):
-    """Build the normal-equation system L W + W R + M = 0.
-
-    L = P diag(n) P^T, R = (alpha + beta) G,
-    M = -[(1 + beta) P + alpha O] S^T, with P and O of one column per
-    group of ``data`` (n = 1 and S = X per instance of a dataset).
-    """
+    """The normal-equation system L W + W R + M = 0 of the module
+    docstring, for P and O of one column per group of ``data``."""
     stats = _stats(data)
     b, a = _normal_equation(stats, *_columns(stats, prototypes, centroids),
                             hp)
@@ -438,11 +396,9 @@ def _l_eig(b, thin):
 
 
 def _solve_rotated(stats, p, o, hp, ridge_on_failure):
-    """W V of :func:`solve_weights`, for V the eigenvectors of G, with
-    M V = -(A diag(n)) (V^T Xbar)^T from the cached rotated means. P and
-    O are taken as :func:`_columns` returns them, with no check; features
-    with no rows (d_v = 0, no eigenvalue of G to pivot on) are a
-    DataError."""
+    """W V of :func:`solve_weights`, the rotated solve of the module
+    docstring, for P and O as :func:`_columns` returns them (unchecked).
+    Features with no rows leave no pivot: a DataError."""
     if not stats.gram.size:
         raise DataError("the features have no rows")
     b, a = _normal_equation(stats, p, o, hp)
@@ -455,13 +411,9 @@ def _solve_rotated(stats, p, o, hp, ridge_on_failure):
 
 
 def solve_weights(data, prototypes, centroids, hp, ridge_on_failure=False):
-    """Minimize J(W) in closed form; returns a MappingModel.
-
-    P and O as in :func:`assemble_system`. The solve runs in the
-    eigenbasis V of G (:func:`_solve_rotated`); W = (W V) V^T is its one
-    d_s d_v^2 product. Propagates SolverError from a singular eigenvalue
-    pair unless ``ridge_on_failure`` requests the explicit ridge retry.
-    """
+    """Minimize J(W) in closed form; returns a MappingModel. P and O as in
+    :func:`assemble_system`. Raises SolverError on a singular eigenvalue
+    pair unless ``ridge_on_failure`` asks for the ridge retry."""
     stats = _stats(data)
     return MappingModel(_solve_rotated(
         stats, *_columns(stats, prototypes, centroids), hp, ridge_on_failure)

@@ -1,56 +1,41 @@
 """Alternating optimization: closed-form weight solves interleaved with
 prototype adjustment.
 
-The schedule is:
+The schedule. An initial solve with ``alpha = 0`` on the original
+prototypes, since the class centroids depend on W. Then each iteration
+maps the class means W xbar_c once from the current W (they pull the
+seen prototypes and are the centroids), adjusts the seen prototypes,
+adjusts the unseen prototypes and re-solves the full objective on the
+adjusted seen prototypes. Both adjustments anchor on the original table.
+The unseen prototypes reach no solve, so the weights do not depend on
+their blend. Every solve and objective runs from the seen class
+statistics, as :mod:`zsadjust.mapping` sets out: the loop keeps W V and
+forms W = (W V) V^T at the end (given a dataset, each objective forms W
+and W G too).
 
-1. Initial solve with ``alpha = 0`` and the original prototypes (class
-   centroids depend on W and are undefined before a first weight
-   estimate exists).
-2. Per iteration: map the class means W xbar_c once from the current
-   W (they pull the seen prototypes and are the class centroids),
-   adjust seen prototypes, adjust unseen prototypes, then re-solve the
-   full objective with the adjusted seen prototypes. Both adjustments
-   anchor on the original table, and the last iteration's adjusted
-   prototypes are returned as a plain
-   :class:`~zsadjust.data.PrototypeTable`. The unseen prototypes never
-   reach a solve, so the weights do not depend on the unseen blend.
+The carried blocks. The loop carries arrays, not tables. Once per call
+it gathers the seen prototypes P0 in class id order (that of the
+statistics and of the k-NN search) and the unseen prototypes Q with
+their norms. An iteration forms P_t = lambda1 P0 + gamma1 O, searches
+and blends Q against P_t (P0 for ``unseen_neighbors="original"``) and
+solves on a C-order copy of P_t that lives only through the solve.
+Across iterations the loop holds P0, Q, Q's norms, P_t and the unseen
+blend. The gather of the classes with data, which the first solve and
+the objective read, is dropped once a seen blend replaces it (with
+gamma1 = 0 it stays, as the objective's block). Each trace shift is
+taken as soon as its block is replaced, so the old block is dropped
+before the search and the solve. No iteration copies a table, looks up
+an id or re-checks an array the loop made.
 
-Every solve and objective runs from the class statistics of the seen
-data alone: the counts, the class feature sums and the Gram product
-X X^T, given instead of the dataset (as ``zsadjust train`` streams them
-from a features file) or computed once and kept with it
-(:func:`zsadjust.mapping.class_stats`), and one eigh(d_v) =
-V diag(g) V^T and V^T xbar_c. The loop keeps W V, not W: an iteration
-costs O(d_s d_v (c + d_s) + d_s^3) for c seen classes, with no d_v^2
-term and no m. W = (W V) V^T is formed at the end; given a dataset,
-each objective also forms W and W G (d_s d_v^2).
+The validation order: the neighbor flag before any statistics are
+computed, the class ids before the first solve and, with the seen blend
+on, each seen class's instances after it. In an iteration the unseen
+search runs before the solve, so its errors come first.
 
-The loop carries arrays, not tables. It gathers two blocks of the
-original table once per call: the seen prototypes P0, their columns in
-class id order (the order of the class statistics and of the k-NN
-search), and the unseen prototypes Q with their column norms. An
-iteration forms P_t = lambda1 P0 + gamma1 O and checks it once, searches
-and blends Q against P_t (or P0 for ``unseen_neighbors="original"``),
-and solves on a C-order copy of P_t that lives only through the solve.
-Across iterations it holds P0, Q and its norms, and one current block
-of each kind: P_t and the unseen blend. The gather of the classes with
-data, which the first solve and the objective read, is dropped once a
-seen blend replaces it (with gamma1 = 0 it stays, as the objective's
-block). Each trace shift is taken as soon as its block is replaced, so
-that the previous block is dropped then, before the search and the
-solve. It returns the seen block that the last search read, for a
-k-sweep.
-The arguments are validated once: the neighbor flag before any
-statistics are computed, the class ids before the first solve and, when
-the seen blend is on, each seen class's instances after it. No iteration copies a
-table, looks up an id or re-checks an array that the loop made itself;
-tables are built only for what the loop returns.
-
-The loop stops after ``hp.iterations`` rounds or as soon as the relative
-weight change ``||dW||_F / ||W||_F`` drops below ``hp.tol``. Each
-completed iteration appends a trace record. Note that the objective is
-not guaranteed to decrease across iterations: prototype adjustment
-changes the objective itself between solves.
+The stop rule: after ``hp.iterations`` rounds, or once the relative
+weight change ||dW||_F / ||W||_F drops below ``hp.tol``. Each completed
+iteration appends a trace record. The objective need not decrease:
+adjustment changes the objective itself between solves.
 """
 
 from __future__ import annotations
@@ -133,21 +118,10 @@ def train(seen, table, hp, unseen_neighbors="adjusted",
 
 def _alternate(seen, table, hp, unseen_neighbors="adjusted",
                ridge_on_failure=False, trace=True):
-    """The loop of :func:`train`.
-
-    Returns ``(model, adjusted, trace, source)``: train's three results
-    and the seen block (d_s, s), in class id order, that the unseen
-    search of the last iteration read: P_t for ``"adjusted"``, P0 for
-    ``"original"``, ``None`` after zero iterations. Only the seen
-    columns reach the solves: everything but the unseen columns of
-    ``adjusted`` and the ``unseen_shift`` records is independent of k,
-    lambda2 and gamma2. ``trace=False`` skips what only those need (the
-    unseen search and blend, the objective, the shifts): ``adjusted`` is
-    then the seen-adjusted table and the trace empty. Given the class
-    statistics alone, it reads nothing else of the data; given the
-    dataset, it checks them. It carries the blocks that the module
-    docstring describes.
-    """
+    """:func:`train`'s three results and ``source``, the seen block that
+    the last unseen search read (None after zero iterations). With
+    ``trace=False`` it runs no unseen search or blend, no objective and
+    no shift: ``adjusted`` is the seen-adjusted table, the trace empty."""
     if unseen_neighbors not in ("adjusted", "original"):
         raise ValueError("unseen_neighbors must be 'adjusted' or 'original'")
     stats = class_stats(seen)
@@ -155,18 +129,14 @@ def _alternate(seen, table, hp, unseen_neighbors="adjusted",
     if stats.counts.size == 0:
         raise DataError("cannot train on an empty seen dataset")
 
-    # the prototypes of the classes with data, gathered in id order: the
-    # objective's block until a seen blend replaces it
+    # the objective's block until a seen blend replaces it
     p_obj = expand_per_instance(table, stats.class_ids)
     unseen = stats.class_ids[~np.isin(stats.class_ids, table.seen_ids)]
     if unseen.size:
         raise DataError(f"seen data of unseen classes {unseen.tolist()}")
     (g, v), means = stats.gram_eig, stats.rotated_means
 
-    # Initial weights: cycle objective only, hard constraint relaxed,
-    # no centroid term yet. Each solve's W V maps the class means once.
-    # The solve takes P in C order, in a copy that lives only through it;
-    # the objective and the search take the column-gather layout.
+    # step 1 of the schedule, on a C-order copy of P for the solve
     try:
         w_hat = _solve_rotated(stats, np.ascontiguousarray(p_obj),
                                np.zeros(p_obj.shape),
@@ -214,12 +184,9 @@ def _alternate(seen, table, hp, unseen_neighbors="adjusted",
         delta = float(np.linalg.norm(w_hat, "fro")
                       / max(np.linalg.norm(new_hat, "fro"), 1e-300))
         if trace:
-            # perfbench/run.py sizes the work of mapping.objective from
-            # its dataset argument, and perfbench/test_run.py::
-            # test_absent_target_and_failed_counter_read_missing needs
-            # this call. Once the benchmark sizes it from the ClassStats
-            # shapes (ROADMAP item 1), this loop calls one objective on
-            # ``stats`` alone and the branch goes.
+            # the dataset branch: perfbench/run.py sizes mapping.objective
+            # from its dataset argument, and perfbench/test_run.py's
+            # test_absent_target_and_failed_counter_read_missing needs it
             if data is None:
                 obj = _objective(stats, new_hat @ new_hat.T,
                                  float(g @ _sq_cols(new_hat)), mapped, p_obj,
@@ -259,11 +226,9 @@ class BenchmarkResult:
 
 def benchmark_training(data, hp, repeats=1, **train_kwargs):
     """Median and max wall-clock of ``train`` over ``repeats`` runs on
-    ``data``, a ``(seen, prototype_table)`` pair, ``seen`` a dataset or
-    its ClassStats. A dataset keeps its statistics once computed (see
-    :func:`zsadjust.mapping.class_stats`), so each run gets a fresh
-    ``replace(seen)`` of the same arrays, with nothing cached: it times
-    its own eigh(d_v), and for a dataset its own Gram product."""
+    ``data``, a ``(seen, prototype_table)`` pair. Each run trains on a
+    fresh ``replace(seen)`` with nothing cached, so it times its own
+    eigh(d_v) and, for a dataset, its own Gram product."""
     as_number(repeats, "repeats", 1, int)
     seen, table = data
 

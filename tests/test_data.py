@@ -38,20 +38,37 @@ def test_csv_parse(tmp_path):
                           np.array([[1.0, 2.0], [3.0, 4.0]]))
 
 
+# signed zeros, subnormals, the float range and values whose shortest
+# repr is not their %.17g text
+EDGE_VALUES = np.array([
+    [0.0, -0.0, 5e-324, -2.2250738585072014e-308 / 3],
+    [np.finfo(float).max, -np.finfo(float).max, 1e16, 1e17],
+    [1 / 3, -1 / 3, 0.1, 123456789.125],
+])
+
+
 @pytest.mark.parametrize("fmt, shape", [
     pytest.param("binary", (10, 7), id="binary"),
     pytest.param("csv", (10, 7), id="csv"),
     pytest.param("binary", (0, 3), id="binary-0x3"),
     pytest.param("binary", (3, 0), id="binary-3x0"),
+    pytest.param("csv", (3, 0), id="csv-3x0"),
+    pytest.param("csv", (0, 4), id="csv-0x4"),
+    pytest.param("csv", (1, 1), id="csv-1x1"),
+    pytest.param("csv", None, id="csv-edge-values"),
 ])
 def test_write_then_read_bit_identical(tmp_path, fmt, shape):
     rng = np.random.default_rng(0)
-    a = rng.standard_normal(shape)
+    a = EDGE_VALUES if shape is None else rng.standard_normal(shape)
     path = tmp_path / "m.dat"
     save_matrix(path, a, fmt=fmt)
-    b = load_matrix(path)
-    assert b.shape == shape
-    assert np.array_equal(b, a)
+    if fmt == "csv":    # the bytes of one %.17g f-string per value
+        assert path.read_bytes() == "".join(
+            ",".join(f"{x:.17g}" for x in row) + "\n" for row in a).encode()
+    if fmt == "binary" or a.size:   # a CSV file of no values has no shape
+        b = load_matrix(path)
+        assert b.shape == a.shape
+        assert np.array_equal(b, a)
 
 
 def test_format_sniffing(tmp_path):

@@ -16,7 +16,7 @@ from zsadjust.data import (
 )
 from zsadjust.errors import DataError, SolverError
 from zsadjust.inference import evaluate
-from zsadjust.linalg import SylvesterSystem, as_matrix
+from zsadjust.linalg import SylvesterSystem, as_matrix, solve_sylvester
 from zsadjust.mapping import HyperParams, MappingModel
 from zsadjust.trainer import train
 
@@ -73,6 +73,23 @@ def test_cli_fault(tmp_path, capsys, argv, files, code, prefix):
     out, err = capsys.readouterr()
     assert err.startswith(prefix)
     assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("command", ["train", "sweep-k", "bench"])
+def test_solver_hint_names_the_cli_flag(tmp_path, capsys, command):
+    argv = [command, "--lambda1", "0", "--gamma1", "1", "--k", "2",
+            *_files(tmp_path), "--out", str(tmp_path / "out")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "Retry with --ridge-retry to regularize L." in err
+    assert "ridge_on_failure" not in err
+
+
+def test_library_solver_hint_names_the_parameter():
+    system = SylvesterSystem(np.zeros((2, 2)), np.zeros((2, 2)),
+                             np.ones((2, 2)))
+    with pytest.raises(SolverError, match=r"Retry with ridge_on_failure=True"):
+        solve_sylvester(system)
 
 
 # CSV features (8 x 24): each fault edits the lines of the file; the
