@@ -134,8 +134,9 @@ def _nearest(vecs, queries, query_norms, k):
     (norms ``query_norms``): best first, exact ties toward the smaller id,
     NaN last. The first j ranks are those of a search for j."""
     _check_k(k, vecs.shape[1])
-    sims = (vecs.T @ queries) / np.outer(np.linalg.norm(vecs, axis=0),
-                                         query_norms)
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN: ranked last
+        sims = (vecs.T @ queries) / np.outer(np.linalg.norm(vecs, axis=0),
+                                             query_norms)
     # Sort key: best first, a NaN similarity (overflowed norms) last.
     key = -sims
     key[np.isnan(key)] = np.inf
@@ -155,13 +156,21 @@ def _nearest(vecs, queries, query_norms, k):
     return top, sims[top, cols]
 
 
+def _col_norms(a):
+    """The column norms of ``a``, inf where one overflows: such a
+    column's similarities are 0 or NaN, which :func:`_nearest` ranks
+    last."""
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(a, axis=0)
+
+
 def _knn(source, queries, k):
     """:func:`_nearest` of the query columns among the seen prototypes
     of the table ``source``: the seen ids and vectors sorted by id, and
     the rows and similarities of the k best."""
     ids, _, vecs = _seen_block(source)
     return (ids, vecs,
-            *_nearest(vecs, queries, np.linalg.norm(queries, axis=0), k))
+            *_nearest(vecs, queries, _col_norms(queries), k))
 
 
 def knn_seen(table, unseen_id, k):

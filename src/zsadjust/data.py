@@ -30,8 +30,11 @@ entry is checked. Then, as if the whole matrix were checked and then
 normalized: the first non-finite entry in row-major order, the first
 feature column whose norm overflows, the first zero feature column, and
 last a prototype column that cannot be normalized. No block from the
-first faulty one on is handed on. An OSError while an input file is
-opened or read is a DataError that names the file.
+first faulty one on is handed on. ``eval``'s row-band pass meets these
+faults in that order; a held block that meets one has the matrix read
+again by that pass, which keeps nothing and raises the first. An
+OSError while an input file is opened or read is a DataError that names
+the file.
 """
 
 from __future__ import annotations
@@ -516,57 +519,56 @@ def _stream_columns(columns, name, take, keep, kept, unit=False):
     height = max(1, BLOCK_BYTES // (128 * max(1, span)))   # rows per band
     buf = np.empty((rows if hold else min(height, rows), span), dtype="<f8")
     fill = used = 0     # taken columns waiting in buf; columns kept so far
-    bad = None          # (row, col) of the first non-finite entry
-    faults = (None, None)   # first columns whose norm overflows, is zero
     start = 0
     while start < cols:
         new = buf[:, fill:fill + min(span - fill, cols - start)]
         w = new.shape[1]
         kept_idx = np.flatnonzero(keep[start:start + w])
         taken_idx = np.flatnonzero(take[start:start + w])
-        clean = bad is None and faults == (None, None)
         squares = np.zeros(w)
-        # past a fault, only the rows above it can hold an earlier one
-        for top in range(0, rows if bad is None else bad[0], height):
+        for top in range(0, rows, height):
             band = new[top:top + height] if hold else new[:rows - top]
             read(start, top, band)
             finite = np.isfinite(band)
             if not finite.all():
                 row, col = divmod(int(np.argmin(finite)), w)
-                bad = min(bad or (top + row, start + col),
-                          (top + row, start + col))
-                break
-            if unit and bad is None:
-                _add_squares(squares, band)
-            if clean:
-                _take_columns(kept[top:top + band.shape[0],
-                                   used:used + kept_idx.size],
-                              band, kept_idx)
-                if taken_idx.size and taken_idx[-1] >= taken_idx.size:
-                    _take_columns(band, band, taken_idx)   # not yet in front
-        if bad is None and unit:
-            norms, found = _norms(squares, start)
-            faults = tuple(old if old is not None else now
-                           for old, now in zip(faults, found))
-        if bad is None and faults == (None, None):
+                _first_fault(columns, name, unit, hold)
+                raise DataError(f"{name} contains a non-finite entry at row "
+                                f"{top + row}, col {start + col}")
             if unit:
-                kept[:, used:used + kept_idx.size] /= norms[kept_idx]
-                new[:, :taken_idx.size] /= norms[taken_idx]
-            used += kept_idx.size
-            fill += taken_idx.size
-            if fill >= width:
-                yield buf[:, :width]
-                fill -= width   # at most the spare columns, moved to the front
-                buf[:, :fill] = buf[:, width:width + fill]
-        else:
-            fill = 0
+                _add_squares(squares, band)
+            _take_columns(kept[top:top + band.shape[0],
+                               used:used + kept_idx.size], band, kept_idx)
+            if taken_idx.size and taken_idx[-1] >= taken_idx.size:
+                _take_columns(band, band, taken_idx)   # not yet in front
+        if unit:
+            norms, faults = _norms(squares, start)
+            if faults != (None, None):
+                _first_fault(columns, name, unit, hold)
+                _raise_norm_fault("feature", *faults)
+            kept[:, used:used + kept_idx.size] /= norms[kept_idx]
+            new[:, :taken_idx.size] /= norms[taken_idx]
+        used += kept_idx.size
+        fill += taken_idx.size
+        if fill >= width:
+            yield buf[:, :width]
+            fill -= width   # at most the spare columns, moved to the front
+            buf[:, :fill] = buf[:, width:width + fill]
         start += w
-    if bad is not None:
-        raise DataError(f"{name} contains a non-finite entry at row "
-                        f"{bad[0]}, col {bad[1]}")
-    _raise_norm_fault("feature", *faults)
     if fill:
         yield buf[:, :fill]
+
+
+def _first_fault(columns, name, unit, hold):
+    """With ``hold``, read ``columns`` again in row bands, keeping
+    nothing, and raise the first fault in the Streaming section's order;
+    return if the read finds none."""
+    if hold:
+        (rows, cols), _ = columns
+        none = np.zeros(cols, dtype=bool)
+        for _ in _stream_columns(columns, name, none, none,
+                                 np.empty((rows, 0)), unit):
+            pass
 
 
 def _take_columns(dst, src, idx):
@@ -656,14 +658,17 @@ def synthesize(spec):
     next ``unseen_count`` unseen, each ``per_class`` adjacent columns."""
     rng = np.random.default_rng(spec.seed)
     n_classes = spec.seen_count + spec.unseen_count
-
-    protos = rng.standard_normal((spec.d_s, n_classes))
-    protos /= np.linalg.norm(protos, axis=0, keepdims=True)
-    gmap = rng.standard_normal((spec.d_v, spec.d_s)) / np.sqrt(spec.d_v)
-
     m = n_classes * spec.per_class
-    features = np.empty((spec.d_v, m))
-    labels = np.repeat(np.arange(n_classes), spec.per_class)
+    try:
+        protos = rng.standard_normal((spec.d_s, n_classes))
+        protos /= np.linalg.norm(protos, axis=0, keepdims=True)
+        gmap = rng.standard_normal((spec.d_v, spec.d_s)) / np.sqrt(spec.d_v)
+        features = np.empty((spec.d_v, m))
+        labels = np.repeat(np.arange(n_classes), spec.per_class)
+    except (MemoryError, ValueError, OverflowError):    # numpy's size limits
+        need = 8 * (spec.d_v * (m + spec.d_s) + spec.d_s * n_classes + m)
+        raise DataError(f"{spec} asks for {need} bytes, more memory than "
+                        f"can be allocated") from None
     for c in range(n_classes):
         gen = gmap
         if c >= spec.seen_count and spec.shift_sigma > 0:

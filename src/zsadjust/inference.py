@@ -15,7 +15,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adjustment import _blend_neighbors, _nearest, _with_columns
+from .adjustment import (
+    _blend_neighbors,
+    _col_norms,
+    _nearest,
+    _with_columns,
+)
 from .errors import DataError
 from .linalg import as_number
 from .mapping import ClassStats
@@ -39,9 +44,13 @@ def _candidate_block(table):
     if unseen.size == 0:
         raise DataError("prototype table has no unseen classes")
     cols = unseen[np.argsort(table.class_ids[unseen])]
-    vecs = table.vectors[:, cols]
-    return (table.class_ids[cols],
-            vecs / np.linalg.norm(vecs, axis=0, keepdims=True))
+    ids, vecs = table.class_ids[cols], table.vectors[:, cols]
+    norms = _col_norms(vecs)
+    if not np.isfinite(norms).all():
+        raise DataError(f"cannot rank unseen classes "
+                        f"{ids[~np.isfinite(norms)].tolist()}: their "
+                        f"prototype norms overflow; rescale the prototypes")
+    return ids, vecs / norms
 
 
 def _check_fits(model, feature_dim, table):
@@ -63,9 +72,13 @@ def _check_direction(direction):
 def _unit_instances(model, features, direction):
     """The instance columns as compared, ``W x`` (or ``x`` for "visual"),
     unit-normalized, and the mask of the zero ones (left at 0)."""
-    lhs = (model.encode(features) if direction == "semantic"
-           else np.asarray(features, dtype=np.float64))
-    norms = np.linalg.norm(lhs, axis=0, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        lhs = (model.encode(features) if direction == "semantic"
+               else np.asarray(features, dtype=np.float64))
+        norms = np.linalg.norm(lhs, axis=0, keepdims=True)
+    if not np.isfinite(norms).all():
+        raise DataError("cannot rank an instance whose norm overflows; "
+                        "rescale the features or the model")
     zero = norms[0] == 0.0
     return lhs / np.where(norms == 0.0, 1.0, norms), zero
 
@@ -125,8 +138,9 @@ def predict(model, x, table, direction="semantic"):
     Raises
     ------
     DataError
-        If ``model`` does not fit ``x`` and ``table``, or if the mapped
-        instance is the zero vector (cosine undefined).
+        If ``model`` does not fit ``x`` and ``table``, if the mapped
+        instance is the zero vector (cosine undefined), or if its norm or
+        an unseen prototype's overflows.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     _check_fits(model, x.size, table)
@@ -178,7 +192,8 @@ def evaluate(model, unseen, table, ks=(1, 5), direction="semantic"):
     Raises
     ------
     DataError
-        If ``model`` does not fit the features or ``table``.
+        If ``model`` does not fit the features or ``table``, or if the
+        norm of a compared instance or of an unseen prototype overflows.
     """
     tic = time.perf_counter()
     _check_fits(model, unseen.feature_dim, table)
@@ -244,8 +259,7 @@ def sweep_k(seen, unseen, table, hp, k_values, direction="semantic",
     if blends:
         unseen_cols = np.flatnonzero(~table.seen)
         queries = table.vectors[:, unseen_cols]
-        top, sims = _nearest(source, queries,
-                             np.linalg.norm(queries, axis=0),
+        top, sims = _nearest(source, queries, _col_norms(queries),
                              min(max(h.k for h in hps), source.shape[1]))
     instances = _unit_instances(model, unseen.features, direction)
     out = {}

@@ -18,8 +18,11 @@ The pivot floor: every pair sum lam_i + sig_j must exceed
 ``PIVOT_FLOOR * (max|lam| + max|sig|)``. A smaller pair signals an
 ill-posed objective (say, rank-deficient data with no constraint
 weight) and is a SolverError, unless the caller opts into one retry
-with the ridge L + eps I, eps = 1e-8 trace(L) / p. The floor is
-relative, so rescaling L and R together does not change the decision.
+with the ridge L + eps I, eps = 1e-8 trace(L) / p. Where that eps would
+not clear the floor (features large next to the prototypes, since the
+floor grows with max|sig|), eps = 3 floor - 2 min(lam_i + sig_j), which
+clears it by construction. The floor is relative, so rescaling L and R
+together does not change the decision.
 """
 
 from __future__ import annotations
@@ -82,7 +85,11 @@ def is_symmetric(a):
     pass)."""
     if a.shape[0] != a.shape[1]:
         return False
-    scale = np.linalg.norm(a, "fro")
+    with np.errstate(over="ignore"):    # then compared at unit scale
+        scale = np.linalg.norm(a, "fro")
+    if np.isinf(scale):
+        a = a / np.abs(a).max()
+        scale = np.linalg.norm(a, "fro")
     return float(np.linalg.norm(a - a.T, "fro")) <= SYMMETRY_RTOL * max(
         scale, 1e-300)
 
@@ -161,11 +168,13 @@ def _eig_solve(l_eig, sig, m_hat, ridge_on_failure, null=0.0):
     -(null + sig_j); the ridge shifts lam and ``null`` by eps."""
     lam, u = l_eig
     thin = u.shape[1] < u.shape[0]
-    pair_min = (min(lam[0], null) if thin else lam[0]) + sig[0]
-    floor = PIVOT_FLOOR * (np.abs(lam).max() + np.abs(sig).max())
+    pair_min, floor = _pivots(lam, sig, null if thin else None)
     if not pair_min > floor:
         if ridge_on_failure:
             eps = 1e-8 * float(lam.sum()) / u.shape[0]
+            low, high = _pivots(lam + eps, sig, null + eps if thin else None)
+            if not low > high:
+                eps = 3 * floor - 2 * pair_min
             return _eig_solve((lam + eps, u), sig, m_hat, False, null + eps)
         raise SolverError(
             f"singular eigenvalue pair: min(lam_i + sig_j) = {pair_min:.3e} "
@@ -181,6 +190,13 @@ def _eig_solve(l_eig, sig, m_hat, ridge_on_failure, null=0.0):
         w_hat += np.divide(np.subtract(m_hat, rest, out=rest), null + sig,
                            out=rest)
     return np.negative(w_hat, out=w_hat)
+
+
+def _pivots(lam, sig, null):
+    """``(min(lam_i + sig_j), pivot floor)``, with ``null`` among the
+    lam_i unless it is None."""
+    low = lam[0] if null is None else min(lam[0], null)
+    return low + sig[0], PIVOT_FLOOR * (np.abs(lam).max() + np.abs(sig).max())
 
 
 def solve_sylvester(system, ridge_on_failure=False):

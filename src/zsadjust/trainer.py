@@ -49,6 +49,7 @@ from .adjustment import (
     _blend,
     _blend_neighbors,
     _check_present,
+    _col_norms,
     _nearest,
     _seen_block,
     _with_columns,
@@ -154,7 +155,7 @@ def _alternate(seen, table, hp, unseen_neighbors="adjusted",
     unseen_cols = np.flatnonzero(~table.seen)
     q = table.vectors[:, unseen_cols]
     searches = trace and hp.gamma2 != 0.0
-    q_norms = np.linalg.norm(q, axis=0)
+    q_norms = _col_norms(q)
     p_t, u = p0, q
     records = []
 

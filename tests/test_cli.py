@@ -7,6 +7,7 @@ import pytest
 from zsadjust.cli import COMMAND_OPTS, HYPER_OPTS, _build, _resolve, \
     build_parser, main
 from zsadjust.data import (
+    LabeledDataset,
     SynthSpec,
     load_labels,
     load_matrix,
@@ -16,6 +17,9 @@ from zsadjust.data import (
     save_prototypes,
 )
 from zsadjust.mapping import HyperParams
+from zsadjust.trainer import train
+
+from test_fault_table import RANK_TWO_HP, _rank_two
 
 SYNTH_DATA = ["--synth", "--synth-dv", "16", "--synth-ds", "6",
               "--synth-seen", "8", "--synth-unseen", "3",
@@ -510,6 +514,40 @@ def test_bare_boolean_flag_means_true(tmp_path):
     # the ridge retry is on
     assert main(["train", "--ridge-retry", *_degenerate_files(tmp_path),
                  "--k", "1", "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("scale", [100.0, 1000.0])
+def test_ridge_retry_clears_the_floor_for_large_features(tmp_path, scale):
+    # the pivot floor grows with max|sig|, which large features raise,
+    # and 1e-8 trace(L) / p does not: the retry's eps then clears the
+    # floor by construction, in the library and in the CLI
+    seen, table = _rank_two(unseen_ids=[])
+    seen = LabeledDataset(seen.features * scale, seen.labels, 8)
+    model, _, _ = train(seen, table, RANK_TWO_HP, ridge_on_failure=True)
+    assert np.isfinite(model.weights).all()
+    data, table = _rank_two()
+    paths = [str(tmp_path / name) for name in
+             ("features.zsm", "labels.txt", "prototypes.zsm", "partition.txt")]
+    save_matrix(paths[0], data.features * scale)
+    save_labels(paths[1], data.labels)
+    save_prototypes(table, *paths[2:])
+    out = tmp_path / "out"
+    assert main(["train", "--ridge-retry", "--features", paths[0],
+                 "--labels", paths[1], "--prototypes", paths[2],
+                 "--partition", paths[3], "--lambda1", "0", "--gamma1", "1",
+                 "--k", "2", "--iters", "2", "--out", str(out)]) == 0
+    assert np.isfinite(load_matrix(out / "model.zsm")).all()
+
+
+def test_unallocatable_synth_size_is_data_error(tmp_path, capsys):
+    assert main(["synth", "--synth-per-class", "10000000000000",
+                 "--out", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("data error: SynthSpec(d_v=50, d_s=20, "
+                          "seen_count=40, unseen_count=10, "
+                          "per_class=10000000000000,")
+    assert "asks for 204000000000016000 bytes" in err
+    assert "Traceback" not in out + err
 
 
 @pytest.mark.parametrize("command", ["synth", "train"])

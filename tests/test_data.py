@@ -332,6 +332,21 @@ def test_synthesize_prototypes_on_unit_sphere():
     assert np.allclose(np.linalg.norm(table.vectors, axis=0), 1.0)
 
 
+@pytest.mark.parametrize("spec, need", [
+    (SynthSpec(per_class=10**13), 204000000000016000),  # 178 PiB
+    # more columns than numpy can index
+    (SynthSpec(per_class=10**20), 2040000000000000000016000),
+    (SynthSpec(d_v=10**17, d_s=3), 1002400000000000011200),
+])
+def test_synthesize_unallocatable_size_is_data_error(spec, need):
+    # each first allocation that fails asks for more than 2**57 bytes,
+    # beyond any address space: it fails before any memory is touched
+    with pytest.raises(DataError) as exc:
+        synthesize(spec)
+    assert str(exc.value) == (f"{spec} asks for {need} bytes, more memory "
+                              f"than can be allocated")
+
+
 def test_synth_spec_validation():
     with pytest.raises(DataError, match="positive"):
         SynthSpec(per_class=0)

@@ -10,6 +10,7 @@ from zsadjust.data import LabeledDataset, PrototypeTable, SynthSpec, split, synt
 from zsadjust.errors import DataError
 from zsadjust.inference import EvalReport, evaluate, predict, skewness, sweep_k
 from zsadjust.mapping import HyperParams, MappingModel
+from zsadjust.trainer import train
 
 from oracles import cosine_similarity
 
@@ -59,6 +60,25 @@ def test_predict_tie_breaks_toward_smaller_id():
     model = MappingModel(np.eye(2))
     ranked = predict(model, np.array([1.0, 1.0]), table)
     assert [c for c, _ in ranked] == [1, 2]
+
+
+def test_overflowing_norms_are_data_errors():
+    # a finite unseen prototype or instance whose norm overflows cannot
+    # be ranked by cosine; the seen-neighbour search ranks it last
+    vecs = np.array([[1.0, 0.0, 1e200, 1.0], [0.0, 1.0, 1e200, 1.0]])
+    table = _table(vecs, [True, True, False, False])
+    data = LabeledDataset(np.ones((2, 2)), [2, 3], 4)
+    with pytest.raises(DataError, match=r"cannot rank unseen classes \[2\]: "
+                                        r"their prototype norms overflow"):
+        evaluate(MappingModel(np.eye(2)), data, table)
+    model, _, _ = train(LabeledDataset(np.eye(2), [0, 1], 4), table,
+                        HyperParams(k=1, iterations=1))
+    assert np.isfinite(model.weights).all()
+    huge = LabeledDataset(np.array([[1.0, 1e200], [0.0, 1e200]]), [2, 2], 3)
+    with pytest.raises(DataError, match="cannot rank an instance whose norm "
+                                        "overflows"):
+        evaluate(MappingModel(np.eye(2)), huge, _table(vecs[:, [0, 1, 3]],
+                                                       [True, True, False]))
 
 
 def test_predict_zero_mapped_instance_rejected():

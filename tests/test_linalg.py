@@ -8,6 +8,7 @@ from zsadjust.linalg import (
     SylvesterSystem,
     _eig_solve,
     as_matrix,
+    is_symmetric,
     solve_sylvester,
     sym_eig,
 )
@@ -80,6 +81,15 @@ def test_sylvester_singular_pair_raises():
     M = np.ones((2, 2))
     with pytest.raises(SolverError, match="singular eigenvalue pair"):
         solve_sylvester(SylvesterSystem(L, R, M))
+
+
+def test_symmetry_of_a_matrix_whose_norm_overflows():
+    # finite entries whose Frobenius norm overflows are compared at unit
+    # scale, with no overflow warning
+    a = np.array([[1e200, 3e200], [3e200, 2e200]])
+    assert is_symmetric(a)
+    a[0, 1] *= 1.5
+    assert not is_symmetric(a)
 
 
 def test_sylvester_ridge_retry():
