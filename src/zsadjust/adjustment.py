@@ -29,7 +29,7 @@ import numpy as np
 
 from .data import PrototypeTable
 from .errors import DataError
-from .mapping import _sq_cols, class_mean_map
+from .mapping import _check_fits, _sq_cols, class_mean_map
 
 
 # Unused by the package: kept only because perfbench/run.py traces it.
@@ -49,14 +49,17 @@ def adjust_seen(table, model, seen, hp):
     Raises
     ------
     DataError
-        If a seen class of ``table`` has no instances in ``seen``, or if
-        a blend is the zero vector (say ``lambda1 = 0`` and a class whose
-        mapped features average to 0) or its norm overflows (a huge
-        ``lambda1`` or ``gamma1``); the message names the classes.
+        If ``model`` does not fit ``seen`` and ``table``, if a seen class
+        of ``table`` has no instances in ``seen``, or if a blend is the
+        zero vector (say ``lambda1 = 0`` and a class whose mapped
+        features average to 0) or its norm overflows (a huge ``lambda1``
+        or ``gamma1``); the message names the classes.
     """
     if hp.gamma1 == 0.0:
         return table
-    return _blend_seen(table, *class_mean_map(model, seen), hp)
+    present_ids, means = class_mean_map(model, seen)  # checks the features
+    _check_fits(model, semantic_dim=table.semantic_dim)
+    return _blend_seen(table, present_ids, means, hp)
 
 
 def _blend_seen(table, present_ids, means, hp):
@@ -191,12 +194,16 @@ def adjust_unseen(table, hp, neighbors=None):
     Raises
     ------
     DataError
-        If k exceeds the number of seen classes, or if a blend's norm
+        If ``neighbors`` has another semantic dimension than ``table``,
+        if k exceeds the number of seen classes, or if a blend's norm
         overflows (a huge ``lambda2`` or ``gamma2``); the message names
         the classes.
     """
     if hp.gamma2 == 0.0:
         return table
+    if neighbors is not None and neighbors.semantic_dim != table.semantic_dim:
+        raise DataError(f"neighbors have {neighbors.semantic_dim} semantic "
+                        f"dimensions, the table has {table.semantic_dim}")
     unseen = np.flatnonzero(~table.seen)
     queries = table.vectors[:, unseen]
     _, vecs, top, sims = _knn(table if neighbors is None else neighbors,

@@ -1,11 +1,14 @@
 """Command-line entry point: the ``zsadjust`` subcommands of
-:func:`build_parser`. README.md gives their options, config files, exit
-codes and messages."""
+``COMMAND_OPTS``, parsed by one parser per process. :func:`main`
+resolves a run's options and dispatches to its ``cmd_<name>``, looked up
+at call time. README.md gives their options, config files, exit codes
+and messages."""
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -31,9 +34,9 @@ from .data import (
     synthesize,
 )
 from .errors import ConfigError, DataError, SolverError
-from .inference import _check_fits, evaluate, sweep_k
+from .inference import evaluate, sweep_k
 from .linalg import as_number
-from .mapping import HyperParams, MappingModel, _stats_of_blocks
+from .mapping import HyperParams, MappingModel, _check_fits, _stats_of_blocks
 from .trainer import benchmark_training, train
 
 EXIT_OK = 0
@@ -161,13 +164,18 @@ DATA_OPTS = [
     *SYNTH_OPTS,
 ]
 
-# each subcommand's option tables, read by the parser and the resolver
+# each subcommand's help and option tables; main runs "a-b" as cmd_a_b
 COMMAND_OPTS = {
-    "synth": [SYNTH_OPTS, COMMON_OPTS],
-    "train": [DATA_OPTS, HYPER_OPTS, TRAIN_OPTS, COMMON_OPTS, EVAL_OPTS],
-    "eval": [MODEL_OPTS, DATA_OPTS, COMMON_OPTS, EVAL_OPTS],
-    "sweep-k": [SWEEP_OPTS, DATA_OPTS, HYPER_OPTS, TRAIN_OPTS, COMMON_OPTS],
-    "bench": [BENCH_OPTS, DATA_OPTS, HYPER_OPTS, TRAIN_OPTS, COMMON_OPTS],
+    "synth": ("generate a synthetic dataset on disk",
+              [SYNTH_OPTS, COMMON_OPTS]),
+    "train": ("train and evaluate, writing artifacts",
+              [DATA_OPTS, HYPER_OPTS, TRAIN_OPTS, COMMON_OPTS, EVAL_OPTS]),
+    "eval": ("score an existing model",
+             [MODEL_OPTS, DATA_OPTS, COMMON_OPTS, EVAL_OPTS]),
+    "sweep-k": ("Hit@1 over a range of k values",
+                [SWEEP_OPTS, DATA_OPTS, HYPER_OPTS, TRAIN_OPTS, COMMON_OPTS]),
+    "bench": ("time the training loop",
+              [BENCH_OPTS, DATA_OPTS, HYPER_OPTS, TRAIN_OPTS, COMMON_OPTS]),
 }
 
 
@@ -206,7 +214,7 @@ def _resolve(args):
     if getattr(args, "config", None):
         config = _read_config(args.config)
 
-    tables = [opt for table in COMMAND_OPTS[args.command] for opt in table]
+    tables = [opt for table in COMMAND_OPTS[args.command][1] for opt in table]
     known = {_dest(flag) for flag, *_ in tables} - {"config"}
     for key in config:
         if key not in known:
@@ -271,7 +279,7 @@ def _load_run_data(opts, unseen=True, model=None):
     labels = _check_labels(labels, cols, class_count)
     seen = _seen_mask(labels, table)
     if model is not None:
-        _check_fits(model, rows, table)
+        _check_fits(model, rows, table.semantic_dim)
     elif not seen.any():
         raise DataError("seen partition is empty: nothing to train on")
     keep = ~seen if unseen else np.zeros_like(seen)
@@ -341,8 +349,7 @@ def _write_report(report, out_dir):
 # subcommands
 
 
-def cmd_synth(args):
-    opts = _resolve(args)
+def cmd_synth(opts):
     out_dir = _out_dir(opts)
     dataset, table, gmap = synthesize(_build(SynthSpec, opts))
     save_matrix(os.path.join(out_dir, F_FEATURES), dataset.features)
@@ -355,8 +362,7 @@ def cmd_synth(args):
     return EXIT_OK
 
 
-def cmd_train(args):
-    opts = _resolve(args)
+def cmd_train(opts):
     hp = _build(HyperParams, opts)
     out_dir = _out_dir(opts)
     table, seen, unseen = _load_run_data(opts)
@@ -388,8 +394,7 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def cmd_eval(args):
-    opts = _resolve(args)
+def cmd_eval(opts):
     out_dir = _out_dir(opts)
     weights = load_matrix(_require_file(opts.model, "--model"))
     model = MappingModel(weights)
@@ -402,8 +407,7 @@ def cmd_eval(args):
     return EXIT_OK
 
 
-def cmd_sweep_k(args):
-    opts = _resolve(args)
+def cmd_sweep_k(opts):
     hp = _build(HyperParams, opts)
     out_dir = _out_dir(opts)
     table, seen, unseen = _load_run_data(opts)
@@ -421,8 +425,7 @@ def cmd_sweep_k(args):
     return EXIT_OK
 
 
-def cmd_bench(args):
-    opts = _resolve(args)
+def cmd_bench(opts):
     hp = _build(HyperParams, opts)
     out_dir = _out_dir(opts)
     # streamed once and untimed, as train streams them: each repeat
@@ -442,6 +445,7 @@ def cmd_bench(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="zsadjust",
@@ -449,30 +453,23 @@ def build_parser():
                     "feature-space adjustment.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, func in (
-        ("synth", "generate a synthetic dataset on disk", cmd_synth),
-        ("train", "train and evaluate, writing artifacts", cmd_train),
-        ("eval", "score an existing model", cmd_eval),
-        ("sweep-k", "Hit@1 over a range of k values", cmd_sweep_k),
-        ("bench", "time the training loop", cmd_bench),
-    ):
+    for name, (help_text, tables) in COMMAND_OPTS.items():
         p = sub.add_parser(name, help=help_text)
-        for table in COMMAND_OPTS[name]:
+        for table in tables:
             _add_opts(p, table)
-        p.set_defaults(func=func)
-
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on a usage error and 0 after --help
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
-        code = args.func(args)
+        # looked up now: a cmd_* replaced in this module (by a tracer) runs
+        code = globals()["cmd_" + args.command.replace("-", "_")](
+            _resolve(args))
         sys.stdout.flush()
         return code
     except BrokenPipeError:

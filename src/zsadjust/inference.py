@@ -23,7 +23,7 @@ from .adjustment import (
 )
 from .errors import DataError
 from .linalg import as_number
-from .mapping import ClassStats
+from .mapping import ClassStats, _check_fits
 from .trainer import _alternate
 
 
@@ -51,17 +51,6 @@ def _candidate_block(table):
                         f"{ids[~np.isfinite(norms)].tolist()}: their "
                         f"prototype norms overflow; rescale the prototypes")
     return ids, vecs / norms
-
-
-def _check_fits(model, feature_dim, table):
-    """DataError unless ``model`` maps ``feature_dim``-dimensional
-    features into the semantic space of ``table``."""
-    if model.visual_dim != feature_dim:
-        raise DataError(f"model expects {model.visual_dim}-dimensional "
-                        f"features, data has {feature_dim}")
-    if model.semantic_dim != table.semantic_dim:
-        raise DataError(f"model maps into {model.semantic_dim} semantic "
-                        f"dimensions, prototypes have {table.semantic_dim}")
 
 
 def _check_direction(direction):
@@ -143,7 +132,7 @@ def predict(model, x, table, direction="semantic"):
         an unseen prototype's overflows.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
-    _check_fits(model, x.size, table)
+    _check_fits(model, x.size, table.semantic_dim)
     _check_direction(direction)
     ids, sims = _ranked(model, _unit_instances(model, x[:, None], direction),
                         table, direction)
@@ -196,7 +185,7 @@ def evaluate(model, unseen, table, ks=(1, 5), direction="semantic"):
         norm of a compared instance or of an unseen prototype overflows.
     """
     tic = time.perf_counter()
-    _check_fits(model, unseen.feature_dim, table)
+    _check_fits(model, unseen.feature_dim, table.semantic_dim)
     _check_direction(direction)
     ks = sorted({int(as_number(k, "k", 1, int)) for k in ks})
     if not ks:

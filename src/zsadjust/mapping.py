@@ -112,6 +112,17 @@ class MappingModel:
         return self.weights.T @ np.asarray(s, dtype=np.float64)
 
 
+def _check_fits(model, feature_dim=None, semantic_dim=None):
+    """DataError unless ``model`` maps ``feature_dim``-dimensional
+    features into ``semantic_dim`` dimensions, each checked when given."""
+    if feature_dim is not None and model.visual_dim != feature_dim:
+        raise DataError(f"model expects {model.visual_dim}-dimensional "
+                        f"features, data has {feature_dim}")
+    if semantic_dim is not None and model.semantic_dim != semantic_dim:
+        raise DataError(f"model maps into {model.semantic_dim} semantic "
+                        f"dimensions, prototypes have {semantic_dim}")
+
+
 def expand_per_instance(table, labels):
     """Prototype matrix with column i the prototype of class ``labels[i]``.
 
@@ -287,6 +298,7 @@ def class_mean_map(model, seen):
     means : ndarray, shape (d_s, c)
     """
     stats = class_stats(seen)
+    _check_fits(model, stats.gram.shape[0])
     return stats.class_ids, model.weights @ (stats.sums / stats.counts)
 
 
@@ -317,6 +329,9 @@ def objective(model, data, prototypes, centroids, hp, stats=None):
     elif (stats.sums.shape[0] != data.feature_dim
             or stats.counts.sum() != data.instance_count):
         raise DataError("class statistics do not match the dataset")
+    # shapes only: an F-ordered P from the training loop is not copied
+    _check_groups(stats, prototypes, centroids)
+    _check_fits(model, stats.gram.shape[0], np.shape(prototypes)[0])
     w = model.weights
     return _objective(stats, w @ w.T, float(np.sum(w * (w @ stats.gram))),
                       (w @ stats.sums) / stats.counts, prototypes,
@@ -339,8 +354,20 @@ def _objective(stats, wwt, spread, mapped, prototypes, centroids, hp):
 def objective_gradient(model, data, prototypes, centroids, hp):
     """Analytic gradient dJ/dW, i.e. L W + W R + M of the normal equation."""
     sys_ = assemble_system(data, prototypes, centroids, hp)
+    _check_fits(model, sys_.R.shape[0], sys_.L.shape[0])
     w = model.weights
     return sys_.L @ w + w @ sys_.R + sys_.M
+
+
+def _check_groups(stats, prototypes, centroids):
+    """DataError unless P and O are both (d_s, groups of ``stats``)."""
+    p, o = np.shape(prototypes), np.shape(centroids)
+    groups = stats.counts.size
+    if len(p) != 2 or p[1] != groups or o != p:
+        raise DataError(
+            f"prototypes and centroids must both be (d_s, {groups}), one "
+            f"column per group; got {p} and {o}"
+        )
 
 
 def _columns(stats, prototypes, centroids):
@@ -349,12 +376,7 @@ def _columns(stats, prototypes, centroids):
     :func:`assemble_system` run on their arguments."""
     p = as_matrix(prototypes, "prototypes")
     o = as_matrix(centroids, "centroids")
-    groups = stats.counts.size
-    if p.shape[1] != groups or o.shape != p.shape:
-        raise DataError(
-            f"prototypes and centroids must both be (d_s, {groups}), one "
-            f"column per group; got {p.shape} and {o.shape}"
-        )
+    _check_groups(stats, p, o)
     return p, o
 
 

@@ -603,11 +603,25 @@ def test_closed_stdout_ends_quietly(tmp_path, monkeypatch, capsys, argv,
 def test_default_options_build_default_dataclasses():
     # every option default comes from the dataclass field it sets
     parser = build_parser()
-    for command, tables in COMMAND_OPTS.items():
+    for command, (_, tables) in COMMAND_OPTS.items():
         opts = _resolve(parser.parse_args([command]))
         assert _build(SynthSpec, opts) == SynthSpec(), command
         if HYPER_OPTS in tables:
             assert _build(HyperParams, opts) == HyperParams(), command
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_main_runs_the_command_of_the_module_at_call_time(monkeypatch):
+    # a tracer replaces cli.cmd_train after the parser exists
+    assert main(["train"]) == 1     # --features is required
+    seen = []
+    monkeypatch.setattr("zsadjust.cli.cmd_train",
+                        lambda opts: seen.append(opts.k) or 7)
+    assert main(["train", *SYNTH]) == 7
+    assert seen == [3]
 
 
 @pytest.mark.parametrize("option, message", [

@@ -4,7 +4,7 @@
 import numpy as np
 import pytest
 
-from zsadjust.adjustment import knn_seen
+from zsadjust.adjustment import adjust_seen, adjust_unseen, knn_seen
 from zsadjust.cli import main
 from zsadjust.data import (
     LabeledDataset,
@@ -17,7 +17,15 @@ from zsadjust.data import (
 from zsadjust.errors import DataError, SolverError
 from zsadjust.inference import evaluate
 from zsadjust.linalg import SylvesterSystem, as_matrix, solve_sylvester
-from zsadjust.mapping import HyperParams, MappingModel
+from zsadjust.mapping import (
+    HyperParams,
+    MappingModel,
+    class_centroids,
+    class_mean_map,
+    class_stats,
+    objective,
+    objective_gradient,
+)
 from zsadjust.trainer import train
 
 # lambda1 = 0 and gamma1 = 1 make the seen prototypes W xbar_c, of rank 2
@@ -152,6 +160,14 @@ def _evaluate(table, direction):
 _, TABLE = _rank_two()
 ALL_SEEN = PrototypeTable(TABLE.class_ids, TABLE.vectors,
                           np.ones(8, dtype=bool))
+SEEN = _rank_two(unseen_ids=[])[0]
+# the 6 seen classes' statistics and prototypes, and models that do not
+# fit them: 5 features, 3 or 1 semantic dimensions
+STATS, P6 = class_stats(SEEN), TABLE.vectors[:, :6]
+WIDE, TALL, ROW = (MappingModel(np.ones(shape))
+                   for shape in ((4, 5), (3, 8), (1, 8)))
+FEATURES_5 = "model expects 5-dimensional features, data has 8"
+SEMANTIC_3 = "model maps into 3 semantic dimensions, prototypes have 4"
 
 LIBRARY_FAULTS = {
     # case: (call of tmp_path, exception type, message prefix)
@@ -177,6 +193,34 @@ LIBRARY_FAULTS = {
     "non-symmetric R": (lambda _: SylvesterSystem(
         np.eye(2), np.array([[1.0, 2.0], [0.0, 1.0]]), np.zeros((2, 2))),
         ValueError, "R must be square and symmetric"),
+    "objective of a one-column O": (lambda _: objective(
+        MappingModel(np.ones((4, 8))), STATS, P6, P6[:, :1], HyperParams()),
+        DataError, r"prototypes and centroids must both be \(d_s, 6\), one "
+                   r"column per group; got \(4, 6\) and \(4, 1\)"),
+    "objective of a wider model": (lambda _: objective(
+        WIDE, STATS, P6, P6, HyperParams()), DataError, FEATURES_5),
+    "objective of a taller model": (lambda _: objective(
+        TALL, STATS, P6, P6, HyperParams()), DataError, SEMANTIC_3),
+    "objective_gradient of a wider model": (lambda _: objective_gradient(
+        WIDE, STATS, P6, P6, HyperParams()), DataError, FEATURES_5),
+    "objective_gradient of a taller model": (lambda _: objective_gradient(
+        TALL, STATS, P6, P6, HyperParams()), DataError, SEMANTIC_3),
+    "class_mean_map of a wider model": (
+        lambda _: class_mean_map(WIDE, SEEN), DataError, FEATURES_5),
+    "class_centroids of a wider model": (
+        lambda _: class_centroids(WIDE, SEEN), DataError, FEATURES_5),
+    "adjust_seen of a wider model": (lambda _: adjust_seen(
+        TABLE, WIDE, SEEN, HyperParams()), DataError, FEATURES_5),
+    "adjust_seen of a taller model": (lambda _: adjust_seen(
+        TABLE, TALL, SEEN, HyperParams()), DataError, SEMANTIC_3),
+    # a 1-row model's mapped means broadcast over the 4 prototype rows
+    "adjust_seen of a one-row model": (lambda _: adjust_seen(
+        TABLE, ROW, SEEN, HyperParams()), DataError,
+        "model maps into 1 semantic dimensions, prototypes have 4"),
+    "adjust_unseen of neighbors of another dimension": (
+        lambda _: adjust_unseen(TABLE, HyperParams(k=2), neighbors=(
+            PrototypeTable(np.arange(8), np.ones((3, 8)), TABLE.seen))),
+        DataError, "neighbors have 3 semantic dimensions, the table has 4"),
 }
 
 

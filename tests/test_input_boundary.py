@@ -431,7 +431,7 @@ BASE = {"train": SMALL, "bench": SMALL,
         "sweep-k": [*SMALL, ("k-list", "1,2")]}
 # each numeric option once, with the first of these commands that has it
 NUMERIC = sorted({flag: command for command in reversed(BASE)
-                  for table in COMMAND_OPTS[command]
+                  for table in COMMAND_OPTS[command][1]
                   for flag, conv, default, *_ in table
                   if isinstance(default, (int, float, tuple))
                   and not isinstance(default, bool)}.items())

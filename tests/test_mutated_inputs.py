@@ -25,9 +25,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import zsadjust.cli
 import zsadjust.data
-from zsadjust.cli import build_parser, main
+from zsadjust.cli import main
 from zsadjust.data import (
     load_labels,
     load_matrix,
@@ -163,12 +162,6 @@ def _library(paths, flag):
         return str(exc), None
 
 
-# one parser serves every example: building it is most of the time of a
-# run that fails on its first file
-PARSER = build_parser()
-
-
-@mock.patch.object(zsadjust.cli, "build_parser", lambda: PARSER)
 @settings(derandomize=True, deadline=None, database=None, max_examples=150)
 @given(data=st.data())
 def test_mutated_input_is_a_message(base, data):
