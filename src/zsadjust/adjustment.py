@@ -18,9 +18,11 @@ always passes as the original, so blends never compound.
 
 Each rule is written once, on prototype blocks (d_s x n arrays):
 :func:`_blend`, the k-NN search :func:`_nearest` and the neighbour blend
-:func:`_blend_neighbors`. The training loop and
-:func:`zsadjust.inference.sweep_k` call them on the blocks they carry;
-the public functions gather the blocks of a :class:`PrototypeTable`.
+:func:`_blend_neighbors`. A :class:`PrototypeTable` becomes blocks one
+way: :func:`_side` gathers one side in class id order, :func:`_queries`
+the unseen prototypes in table order, and :func:`_with_columns` writes a
+blended block back. The training loop, :func:`zsadjust.inference.sweep_k`,
+the ranking and the public functions here all go through them.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import numpy as np
 
 from .data import PrototypeTable
 from .errors import DataError
+from .linalg import as_number
 from .mapping import _check_fits, _sq_cols, class_mean_map
 
 
@@ -59,21 +62,11 @@ def adjust_seen(table, model, seen, hp):
         return table
     present_ids, means = class_mean_map(model, seen)  # checks the features
     _check_fits(model, semantic_dim=table.semantic_dim)
-    return _blend_seen(table, present_ids, means, hp)
-
-
-def _blend_seen(table, present_ids, means, hp):
-    """:func:`adjust_seen` from the mapped means (d_s, c) of the sorted
-    classes ``present_ids``, as :func:`class_mean_map` returns them."""
-    if hp.gamma1 == 0.0:
-        return table
-    seen_ids = table.seen_ids
-    _check_present(seen_ids, present_ids)
-    seen = np.flatnonzero(table.seen)
-    return _with_columns(table, seen, _blend(
-        "seen", hp, table.vectors[:, seen],
-        means[:, np.searchsorted(present_ids, seen_ids)], table.class_ids,
-        seen))
+    _check_present(table.seen_ids, present_ids)
+    ids, cols, vecs = _side(table, True)
+    return _with_columns(table, cols, _blend(
+        "seen", hp, vecs, means[:, np.searchsorted(present_ids, ids)],
+        table.class_ids, cols))
 
 
 def _check_present(seen_ids, present_ids):
@@ -117,18 +110,25 @@ def _blend(kind, hp, anchor, pull, class_ids, cols):
     return out
 
 
-def _check_k(k, seen_count):
-    if k > seen_count:
-        raise DataError(
-            f"k={k} exceeds the number of seen classes ({seen_count})")
+def _check_k(k, count):
+    if k > count:
+        raise DataError(f"k={k} exceeds the number of seen classes ({count})")
 
 
-def _seen_block(table):
-    """The seen class ids of ``table`` in ascending order, their columns
-    and their prototypes (d_s, s), gathered in that order."""
-    seen = np.flatnonzero(table.seen)
-    cols = seen[np.argsort(table.class_ids[seen])]
+def _side(table, seen):
+    """The ascending class ids of the seen (``seen`` True) or unseen side
+    of ``table``, their columns and their prototypes (d_s, n), in order."""
+    cols = np.flatnonzero(table.seen == seen)
+    cols = cols[np.argsort(table.class_ids[cols])]
     return table.class_ids[cols], cols, table.vectors[:, cols]
+
+
+def _queries(table):
+    """The unseen columns of ``table`` in table order, their prototypes
+    (d_s, u) and the :func:`_col_norms` of those."""
+    cols = np.flatnonzero(~table.seen)
+    vecs = table.vectors[:, cols]
+    return cols, vecs, _col_norms(vecs)
 
 
 def _nearest(vecs, queries, query_norms, k):
@@ -160,27 +160,20 @@ def _nearest(vecs, queries, query_norms, k):
 
 
 def _col_norms(a):
-    """The column norms of ``a``, inf where one overflows: such a
-    column's similarities are 0 or NaN, which :func:`_nearest` ranks
-    last."""
+    """The column norms of ``a``, inf where one overflows: such a column's
+    similarities are 0 or NaN, which :func:`_nearest` ranks last."""
     with np.errstate(over="ignore"):
         return np.linalg.norm(a, axis=0)
-
-
-def _knn(source, queries, k):
-    """:func:`_nearest` of the query columns among the seen prototypes
-    of the table ``source``: the seen ids and vectors sorted by id, and
-    the rows and similarities of the k best."""
-    ids, _, vecs = _seen_block(source)
-    return (ids, vecs,
-            *_nearest(vecs, queries, _col_norms(queries), k))
 
 
 def knn_seen(table, unseen_id, k):
     """The k seen classes most cosine-similar to an unseen prototype: a
     list of ``(seen class id, similarity)``, best first, exact ties toward
-    the smaller class id."""
-    ids, _, top, sims = _knn(table, table.vector(unseen_id)[:, None], k)
+    the smaller class id. ``k`` must be a positive integer."""
+    as_number(k, "k", 1, int)
+    query = table.vector(unseen_id)[:, None]
+    ids, _, vecs = _side(table, True)
+    top, sims = _nearest(vecs, query, _col_norms(query), k)
     return [(int(ids[j]), float(s)) for j, s in zip(top[:, 0], sims[:, 0])]
 
 
@@ -204,12 +197,11 @@ def adjust_unseen(table, hp, neighbors=None):
     if neighbors is not None and neighbors.semantic_dim != table.semantic_dim:
         raise DataError(f"neighbors have {neighbors.semantic_dim} semantic "
                         f"dimensions, the table has {table.semantic_dim}")
-    unseen = np.flatnonzero(~table.seen)
-    queries = table.vectors[:, unseen]
-    _, vecs, top, sims = _knn(table if neighbors is None else neighbors,
-                              queries, hp.k)
-    return _with_columns(table, unseen, _blend_neighbors(
-        queries, vecs, top, sims, hp, table.class_ids, unseen))
+    cols, queries, norms = _queries(table)
+    _, _, vecs = _side(table if neighbors is None else neighbors, True)
+    top, sims = _nearest(vecs, queries, norms, hp.k)
+    return _with_columns(table, cols, _blend_neighbors(
+        queries, vecs, top, sims, hp, table.class_ids, cols))
 
 
 def _blend_neighbors(queries, vecs, top, sims, hp, class_ids, cols):

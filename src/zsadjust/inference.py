@@ -19,6 +19,8 @@ from .adjustment import (
     _blend_neighbors,
     _col_norms,
     _nearest,
+    _queries,
+    _side,
     _with_columns,
 )
 from .errors import DataError
@@ -40,11 +42,9 @@ def skewness(values):
 
 def _candidate_block(table):
     """Unseen candidates sorted by ascending class id, unit-normalized."""
-    unseen = np.flatnonzero(~table.seen)
-    if unseen.size == 0:
+    ids, _, vecs = _side(table, False)
+    if ids.size == 0:
         raise DataError("prototype table has no unseen classes")
-    cols = unseen[np.argsort(table.class_ids[unseen])]
-    ids, vecs = table.class_ids[cols], table.vectors[:, cols]
     norms = _col_norms(vecs)
     if not np.isfinite(norms).all():
         raise DataError(f"cannot rank unseen classes "
@@ -246,9 +246,8 @@ def sweep_k(seen, unseen, table, hp, k_values, direction="semantic",
         seen, table, hps[0], trace=False, **train_kwargs)
     blends = source is not None and hp.gamma2 != 0.0
     if blends:
-        unseen_cols = np.flatnonzero(~table.seen)
-        queries = table.vectors[:, unseen_cols]
-        top, sims = _nearest(source, queries, _col_norms(queries),
+        unseen_cols, queries, norms = _queries(table)
+        top, sims = _nearest(source, queries, norms,
                              min(max(h.k for h in hps), source.shape[1]))
     instances = _unit_instances(model, unseen.features, direction)
     out = {}

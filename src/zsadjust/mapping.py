@@ -321,13 +321,12 @@ def _sq_cols(a):
 def objective(model, data, prototypes, centroids, hp, stats=None):
     """Value of the training objective J(W) at the model's weights, for
     ``prototypes`` and ``centroids`` of one column per group of ``data``.
-    ``stats``, given with a dataset, is its :func:`class_stats`, checked
-    against it; then they hold one column per class."""
+    ``stats``, given with a dataset, must be the :func:`class_stats` it
+    keeps; then they hold one column per class."""
     # ``stats`` serves the dataset branch of trainer._alternate
     if stats is None:
         stats = _stats(data)
-    elif (stats.sums.shape[0] != data.feature_dim
-            or stats.counts.sum() != data.instance_count):
+    elif stats is not class_stats(data):
         raise DataError("class statistics do not match the dataset")
     # shapes only: an F-ordered P from the training loop is not copied
     _check_groups(stats, prototypes, centroids)

@@ -49,9 +49,9 @@ from .adjustment import (
     _blend,
     _blend_neighbors,
     _check_present,
-    _col_norms,
     _nearest,
-    _seen_block,
+    _queries,
+    _side,
     _with_columns,
 )
 from .errors import DataError, SolverError
@@ -151,11 +151,9 @@ def _alternate(seen, table, hp, unseen_neighbors="adjusted",
     blends_seen = hp.gamma1 != 0.0
     if blends_seen:     # then stats.class_ids are all seen ids, sorted
         _check_present(table.seen_ids, stats.class_ids)
-    _, seen_cols, p0 = _seen_block(table)
-    unseen_cols = np.flatnonzero(~table.seen)
-    q = table.vectors[:, unseen_cols]
+    _, seen_cols, p0 = _side(table, True)
+    unseen_cols, q, q_norms = _queries(table)
     searches = trace and hp.gamma2 != 0.0
-    q_norms = _col_norms(q)
     p_t, u = p0, q
     records = []
 

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from zsadjust.adjustment import _blend_seen, adjust_unseen
+from zsadjust.adjustment import _blend, _check_present, adjust_unseen
 from zsadjust.linalg import SylvesterSystem, solve_sylvester
 from zsadjust.mapping import (
     MappingModel,
@@ -164,6 +164,23 @@ def per_instance_train(seen, table, hp):
 # the training loop over whole prototype tables
 
 
+def _seen_blend(table, class_ids, means, hp):
+    """``table`` with each seen column p, in table order, replaced by
+    lambda1 p + gamma1 o, o the column of ``means`` of its class in the
+    sorted ``class_ids``; ``table`` itself when gamma1 = 0. The rule and
+    its errors are the package's :func:`_blend`."""
+    if hp.gamma1 == 0.0:
+        return table
+    _check_present(table.seen_ids, class_ids)
+    cols = np.flatnonzero(table.seen)
+    vectors = table.vectors.copy()
+    vectors[:, cols] = _blend(
+        "seen", hp, table.vectors[:, cols],
+        means[:, np.searchsorted(class_ids, table.seen_ids)],
+        table.class_ids, cols)
+    return table.with_vectors(vectors)
+
+
 def table_loop(seen, table, hp, unseen_neighbors="adjusted", trace=True):
     """The loop of :func:`zsadjust.trainer._alternate` written over
     tables: each iteration blends the seen columns into a copy of the
@@ -187,7 +204,7 @@ def table_loop(seen, table, hp, unseen_neighbors="adjusted", trace=True):
     adjusted, seen_adjusted, records = table, None, []
     for _ in range(hp.iterations):
         prev = adjusted
-        seen_adjusted = _blend_seen(table, stats.class_ids, centroids, hp)
+        seen_adjusted = _seen_blend(table, stats.class_ids, centroids, hp)
         if trace:
             adjusted = adjust_unseen(seen_adjusted, hp, neighbors)
         proto = expand_per_instance(seen_adjusted, stats.class_ids)

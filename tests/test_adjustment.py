@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zsadjust.adjustment import _knn, adjust_seen, adjust_unseen, knn_seen
+from zsadjust.adjustment import (
+    _col_norms,
+    _nearest,
+    _side,
+    adjust_seen,
+    adjust_unseen,
+    knn_seen,
+)
 from zsadjust.data import LabeledDataset, PrototypeTable
 from zsadjust.errors import DataError
 from zsadjust.mapping import HyperParams, MappingModel
@@ -153,10 +160,10 @@ def test_knn_undefined_similarity_ranked_last():
        huge_queries=st.sets(st.integers(0, 3)))
 def test_knn_prefix_equals_smaller_search(seed, n_seen, n_query, huge,
                                           huge_queries):
-    # the first k ranks of a search at any larger k are the search at k:
-    # ids, vectors, rows and similarities, exactly. Integer prototypes
-    # with copied columns tie exactly; entries of 1e200 overflow a norm
-    # (similarity 0) or, with an overflowing dot product, give NaN.
+    # the first k ranks of a search at any larger k are the search at k,
+    # rows and similarities, exactly. Integer prototypes with copied
+    # columns tie exactly; entries of 1e200 overflow a norm (similarity
+    # 0) or, with an overflowing dot product, give NaN.
     rng = np.random.default_rng(seed)
     n = n_seen + 2                  # two unseen columns are never chosen
     vecs = rng.integers(-2, 3, size=(3, n)).astype(float)
@@ -170,12 +177,12 @@ def test_knn_prefix_equals_smaller_search(seed, n_seen, n_query, huge,
     with np.errstate(over="ignore", invalid="ignore"):
         source = PrototypeTable(3 * rng.permutation(n) + 1, vecs[:, perm],
                                 (np.arange(n) < n_seen)[perm])
-        searches = [_knn(source, queries, k) for k in range(1, n_seen + 1)]
-    for k, (ids, found, top, sims) in enumerate(searches, 1):
+        _, _, found = _side(source, True)
+        searches = [_nearest(found, queries, _col_norms(queries), k)
+                    for k in range(1, n_seen + 1)]
+    for k, (top, sims) in enumerate(searches, 1):
         assert top.shape == sims.shape == (k, n_query)
-        for big_ids, big_found, big_top, big_sims in searches[k - 1:]:
-            assert np.array_equal(big_ids, ids)
-            assert np.array_equal(big_found, found)
+        for big_top, big_sims in searches[k - 1:]:
             assert np.array_equal(big_top[:k], top)
             assert np.array_equal(big_sims[:k], sims, equal_nan=True)
 

@@ -157,6 +157,16 @@ def _evaluate(table, direction):
     evaluate(MappingModel(np.zeros((4, 8))), data, table, direction=direction)
 
 
+def _objective_of_other_stats(_):
+    # two datasets of 5 features and 12 instances, of 3 and 4 classes
+    rng = np.random.default_rng(0)
+    a, b = (LabeledDataset(rng.standard_normal((5, 12)), np.arange(12) % c,
+                           c) for c in (3, 4))
+    z = np.zeros((2, 4))
+    objective(MappingModel(np.ones((2, 5))), a, z, z, HyperParams(),
+              stats=class_stats(b))
+
+
 _, TABLE = _rank_two()
 ALL_SEEN = PrototypeTable(TABLE.class_ids, TABLE.vectors,
                           np.ones(8, dtype=bool))
@@ -221,6 +231,22 @@ LIBRARY_FAULTS = {
         lambda _: adjust_unseen(TABLE, HyperParams(k=2), neighbors=(
             PrototypeTable(np.arange(8), np.ones((3, 8)), TABLE.seen))),
         DataError, "neighbors have 3 semantic dimensions, the table has 4"),
+    "objective with another dataset's statistics": (
+        _objective_of_other_stats, DataError,
+        "class statistics do not match the dataset"),
+    "knn_seen of k=0": (lambda _: knn_seen(TABLE, 6, 0), ValueError,
+                        "k must be a positive integer"),
+    "knn_seen of k=2.0": (lambda _: knn_seen(TABLE, 6, 2.0), ValueError,
+                          r"k must be an integer, got 2\.0"),
+    "save_matrix of an unknown format": (lambda tmp_path: save_matrix(
+        tmp_path / "a.zsm", np.ones((2, 2)), fmt="bogus"), ValueError,
+        "unknown matrix format: 'bogus'"),
+    "load_matrix of an unknown format": (lambda tmp_path: load_matrix(
+        tmp_path / "a.zsm", fmt="bogus"), ValueError,
+        "unknown matrix format: 'bogus'"),
+    "non-square L": (lambda _: SylvesterSystem(
+        np.ones((2, 3)), np.eye(3), np.zeros((2, 3))), ValueError,
+        "L must be square and symmetric"),
 }
 
 

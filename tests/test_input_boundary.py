@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from zsadjust.adjustment import _knn
+from zsadjust.adjustment import _col_norms, _nearest, _side
 from zsadjust.cli import COMMAND_OPTS, _read_config, main
 from zsadjust.data import (
     LabeledDataset,
@@ -473,7 +473,7 @@ def test_any_numeric_string_exits_cleanly(tmp_path, option, text, in_config):
 
 
 # ---------------------------------------------------------------------------
-# property test: _knn against a full stable sort
+# property test: _side and _nearest against a full stable sort
 
 
 @st.composite
@@ -505,7 +505,8 @@ def test_knn_matches_full_stable_argsort(data, n_seen, n_unseen, d_s):
     k = data.draw(st.integers(1, n_seen))
 
     with np.errstate(all="ignore"):
-        got_ids, _, top, sims = _knn(source, queries, k)
+        got_ids, _, found = _side(source, True)
+        top, sims = _nearest(found, queries, _col_norms(queries), k)
         order = np.argsort(source.seen_ids)
         vecs = source.vectors[:, np.flatnonzero(source.seen)[order]]
         cos = (vecs.T @ queries) / np.outer(np.linalg.norm(vecs, axis=0),

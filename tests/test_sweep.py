@@ -138,8 +138,7 @@ def test_sweep_searches_once_and_encodes_once(k_values, statistics):
              (trainer, "objective"), (trainer, "_objective"),
              (trainer, "_nearest"), (trainer, "_blend_neighbors"),
              (trainer, "_solve_rotated"), (inference, "_ranked"),
-             (trainer, "_seen_block"), (adjustment, "_seen_block"),
-             (adjustment, "_knn")]
+             (trainer, "_side"), (adjustment, "_side")]
     with contextlib.ExitStack() as stack:
         for owner, name in spies:
             stack.enter_context(_counted(calls, owner, name))
@@ -150,7 +149,7 @@ def test_sweep_searches_once_and_encodes_once(k_values, statistics):
     assert calls == Counter({
         "inference._nearest": 1, "MappingModel.encode": 1,
         "trainer._solve_rotated": 4, "inference._ranked": len(k_values),
-        "trainer._seen_block": 1})
+        "trainer._side": 1})
     assert got == _train_per_k(seen, unseen, table, hp, k_values)
 
 

@@ -10,7 +10,7 @@ import pytest
 
 import zsadjust
 from zsadjust import trainer
-from zsadjust.adjustment import _blend_seen, adjust_seen, adjust_unseen
+from zsadjust.adjustment import adjust_seen, adjust_unseen
 from zsadjust.data import LabeledDataset, PrototypeTable, SynthSpec, split, synthesize
 from zsadjust.errors import DataError, SolverError
 from zsadjust.mapping import (
@@ -90,7 +90,11 @@ def test_first_iteration_matches_manual_replay():
     w0_hat = _solve_rotated(stats, *_columns(stats, p0, np.zeros_like(p0)),
                             replace(hp, alpha=0.0), False)
     o1 = w0_hat @ stats.rotated_means
-    step = _blend_seen(table, stats.class_ids, o1, hp)
+    cols = np.flatnonzero(table.seen)
+    vectors = table.vectors.copy()
+    vectors[:, cols] = hp.lambda1 * vectors[:, cols] + hp.gamma1 * o1[
+        :, np.searchsorted(stats.class_ids, table.seen_ids)]
+    step = table.with_vectors(vectors)
     adj = adjust_unseen(step, hp)
     p1 = expand_per_instance(adj, stats.class_ids)
     model1 = solve_weights(stats, p1, o1, hp)
