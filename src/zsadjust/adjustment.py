@@ -169,9 +169,14 @@ def _col_norms(a):
 def knn_seen(table, unseen_id, k):
     """The k seen classes most cosine-similar to an unseen prototype: a
     list of ``(seen class id, similarity)``, best first, exact ties toward
-    the smaller class id. ``k`` must be a positive integer."""
+    the smaller class id. ``k`` must be a positive integer, and a seen
+    ``unseen_id`` is a DataError."""
     as_number(k, "k", 1, int)
-    query = table.vector(unseen_id)[:, None]
+    col = table.column_of(unseen_id)
+    if table.seen[col]:
+        raise DataError(f"class {unseen_id} is seen; knn_seen takes an "
+                        f"unseen class")
+    query = table.vectors[:, [col]]
     ids, _, vecs = _side(table, True)
     top, sims = _nearest(vecs, query, _col_norms(query), k)
     return [(int(ids[j]), float(s)) for j, s in zip(top[:, 0], sims[:, 0])]

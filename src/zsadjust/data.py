@@ -150,7 +150,8 @@ class PrototypeTable:
         Unique class ids, one per column of ``vectors``.
     vectors : ndarray, shape (d_s, n)
     seen : ndarray of bool, shape (n,)
-        True where the class has training instances.
+        True where the class has training instances; given as booleans
+        or 0/1, anything else is a DataError.
     """
 
     class_ids: np.ndarray
@@ -160,7 +161,10 @@ class PrototypeTable:
     def __post_init__(self):
         ids = _ids(self.class_ids, "class ids")
         vecs = as_matrix(self.vectors, "prototypes")
-        seen = np.asarray(self.seen, dtype=bool)
+        tags = np.asarray(self.seen)
+        seen = tags.astype(bool, copy=False)
+        if not np.array_equal(seen, tags):
+            raise DataError("seen tags must be booleans or 0/1")
         if ids.ndim != 1 or seen.shape != ids.shape or vecs.shape[1] != ids.shape[0]:
             raise DataError("class_ids, vectors and seen tags must align")
         if ids.size == 0:

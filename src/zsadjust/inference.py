@@ -1,8 +1,14 @@
 """Zero-shot prediction, Hit@k scoring, and hubness diagnostics.
 
 A test instance x is mapped to ``W @ x`` and the unseen classes of a
-PrototypeTable are ranked by the cosine similarity of their prototypes,
-ties toward the smaller class id. Hit@k is the fraction of instances
+PrototypeTable are ranked by cosine similarity, ties toward the smaller
+class id. Both directions score the one product ``p . (W x)`` of a
+prototype p and the mapped instance, and differ only in two norms::
+
+    semantic (default):  p . (W x) / (|p| |W x|)      = cos(W x, p)
+    visual:              p . (W x) / (|W^T p| |x|)    = cos(x, W^T p)
+
+so no ranking works in feature space. Hit@k is the fraction of instances
 whose true class is in the top k. The hubness diagnostic, reported and
 never gated, is the sample skewness of the 1-NN in-degree over the
 candidate prototypes.
@@ -24,8 +30,8 @@ from .adjustment import (
     _with_columns,
 )
 from .errors import DataError
-from .linalg import as_number
-from .mapping import ClassStats, _check_fits
+from .linalg import as_matrix, as_number
+from .mapping import ClassStats, _check_fits, _sq_cols
 from .trainer import _alternate
 
 
@@ -40,54 +46,47 @@ def skewness(values):
     return m3 / m2 ** 1.5
 
 
-def _candidate_block(table):
-    """Unseen candidates sorted by ascending class id, unit-normalized."""
-    ids, _, vecs = _side(table, False)
-    if ids.size == 0:
-        raise DataError("prototype table has no unseen classes")
-    norms = _col_norms(vecs)
-    if not np.isfinite(norms).all():
-        raise DataError(f"cannot rank unseen classes "
-                        f"{ids[~np.isfinite(norms)].tolist()}: their "
-                        f"prototype norms overflow; rescale the prototypes")
-    return ids, vecs / norms
-
-
 def _check_direction(direction):
     if direction not in ("semantic", "visual"):
         raise ValueError("direction must be 'semantic' or 'visual'")
 
 
 def _unit_instances(model, features, direction):
-    """The instance columns as compared, ``W x`` (or ``x`` for "visual"),
-    unit-normalized, and the mask of the zero ones (left at 0)."""
+    """The instance columns mapped, ``W x``, each divided by the norm its
+    cosine takes (``|W x|``, or ``|x|`` for "visual"), and the mask of the
+    zero ones (left at 0)."""
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        lhs = (model.encode(features) if direction == "semantic"
-               else np.asarray(features, dtype=np.float64))
-        norms = np.linalg.norm(lhs, axis=0, keepdims=True)
-    if not np.isfinite(norms).all():
+        mapped = model.encode(features)
+        norms = (np.linalg.norm(mapped, axis=0) if direction == "semantic"
+                 else np.sqrt(_sq_cols(features)))
+    if not (np.isfinite(norms).all() and (direction == "semantic"
+                                          or np.isfinite(mapped).all())):
         raise DataError("cannot rank an instance whose norm overflows; "
                         "rescale the features or the model")
-    zero = norms[0] == 0.0
-    return lhs / np.where(norms == 0.0, 1.0, norms), zero
+    return mapped / np.where(norms == 0.0, 1.0, norms), norms == 0.0
 
 
 def _ranked(model, instances, table, direction):
     """``(ids, sims)``: the unseen candidates of ``table`` in ascending id
     order, and their cosine similarity (c, m) to each column of
-    :func:`_unit_instances`, NaN in the columns of zero instances."""
+    :func:`_unit_instances`, NaN in the columns of zero instances. A
+    candidate p is divided by ``|p|``, or ``|W^T p|`` for "visual"."""
     unit, zero = instances
     if unit.shape[1] == 0:
         raise DataError("cannot evaluate an empty dataset")
-    ids, cand = _candidate_block(table)
-    rhs = cand                                # compare W x to prototypes
-    if direction == "visual":
-        rhs = model.decode(cand)              # compare x to W^T p
-        rhs_norm = np.linalg.norm(rhs, axis=0, keepdims=True)
-        if np.any(rhs_norm == 0.0):
-            raise DataError("a decoded prototype is the zero vector")
-        rhs = rhs / rhs_norm
-    sims = rhs.T @ unit
+    ids, _, vecs = _side(table, False)
+    if ids.size == 0:
+        raise DataError("prototype table has no unseen classes")
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        scale = _col_norms(vecs if direction == "semantic"
+                           else model.decode(vecs))
+    if np.any(scale == 0.0):
+        raise DataError("a decoded prototype is the zero vector")
+    if not np.isfinite(scale).all():
+        raise DataError(f"cannot rank unseen classes "
+                        f"{ids[~np.isfinite(scale)].tolist()}: their "
+                        f"prototype norms overflow; rescale the prototypes")
+    sims = (vecs / scale).T @ unit
     sims[:, zero] = np.nan
     return ids, sims
 
@@ -126,16 +125,21 @@ def predict(model, x, table, direction="semantic"):
 
     Raises
     ------
+    ValueError
+        If ``x`` is not 1-D or has a non-finite entry (named by its row).
     DataError
         If ``model`` does not fit ``x`` and ``table``, if the mapped
         instance is the zero vector (cosine undefined), or if its norm or
-        an unseen prototype's overflows.
+        an unseen prototype's (decoded, for "visual") overflows.
     """
-    x = np.asarray(x, dtype=np.float64).ravel()
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError(f"x must be 1-D, got shape {x.shape}")
     _check_fits(model, x.size, table.semantic_dim)
     _check_direction(direction)
-    ids, sims = _ranked(model, _unit_instances(model, x[:, None], direction),
-                        table, direction)
+    x = as_matrix(x[:, None], "x")
+    ids, sims = _ranked(model, _unit_instances(model, x, direction), table,
+                        direction)
     sims = sims[:, 0]
     if np.isnan(sims[0]):
         raise DataError("mapped instance is the zero vector; cannot rank")
@@ -182,7 +186,8 @@ def evaluate(model, unseen, table, ks=(1, 5), direction="semantic"):
     ------
     DataError
         If ``model`` does not fit the features or ``table``, or if the
-        norm of a compared instance or of an unseen prototype overflows.
+        norm of a compared instance or of an unseen prototype (decoded,
+        for "visual") overflows.
     """
     tic = time.perf_counter()
     _check_fits(model, unseen.feature_dim, table.semantic_dim)

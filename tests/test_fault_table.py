@@ -15,7 +15,7 @@ from zsadjust.data import (
     save_prototypes,
 )
 from zsadjust.errors import DataError, SolverError
-from zsadjust.inference import evaluate
+from zsadjust.inference import evaluate, predict
 from zsadjust.linalg import SylvesterSystem, as_matrix, solve_sylvester
 from zsadjust.mapping import (
     HyperParams,
@@ -152,9 +152,8 @@ def _empty_csv(tmp_path):
     load_matrix(path, fmt="csv")
 
 
-def _evaluate(table, direction):
-    data, _ = _rank_two(seen_ids=[])
-    evaluate(MappingModel(np.zeros((4, 8))), data, table, direction=direction)
+def _evaluate(table, direction, model=MappingModel(np.zeros((4, 8)))):
+    evaluate(model, UNSEEN, table, direction=direction)
 
 
 def _objective_of_other_stats(_):
@@ -168,6 +167,7 @@ def _objective_of_other_stats(_):
 
 
 _, TABLE = _rank_two()
+UNSEEN = _rank_two(seen_ids=[])[0]
 ALL_SEEN = PrototypeTable(TABLE.class_ids, TABLE.vectors,
                           np.ones(8, dtype=bool))
 SEEN = _rank_two(unseen_ids=[])[0]
@@ -178,6 +178,8 @@ WIDE, TALL, ROW = (MappingModel(np.ones(shape))
                    for shape in ((4, 5), (3, 8), (1, 8)))
 FEATURES_5 = "model expects 5-dimensional features, data has 8"
 SEMANTIC_3 = "model maps into 3 semantic dimensions, prototypes have 4"
+# W x stays finite for the unseen instances, but |W^T p| overflows
+HUGE = MappingModel(np.random.default_rng(0).standard_normal((4, 8)) * 1e300)
 
 LIBRARY_FAULTS = {
     # case: (call of tmp_path, exception type, message prefix)
@@ -247,6 +249,28 @@ LIBRARY_FAULTS = {
     "non-square L": (lambda _: SylvesterSystem(
         np.ones((2, 3)), np.eye(3), np.zeros((2, 3))), ValueError,
         "L must be square and symmetric"),
+    "knn_seen of a seen class": (lambda _: knn_seen(TABLE, 0, 2), DataError,
+                                 "class 0 is seen; knn_seen takes an unseen"),
+    "predict of a 2-D x": (lambda _: predict(
+        MappingModel(np.ones((4, 12))), np.ones((3, 4)), TABLE), ValueError,
+        r"x must be 1-D, got shape \(3, 4\)"),
+    "predict of a NaN in x": (lambda _: predict(
+        MappingModel(np.ones((4, 8))), np.where(np.arange(8) == 3, np.nan, 1),
+        TABLE), ValueError, "x contains a non-finite entry at row 3, col 0"),
+    "fractional seen tags": (lambda _: PrototypeTable(
+        np.arange(2), np.eye(2), np.array([0.5, 0.0])), DataError,
+        "seen tags must be booleans or 0/1"),
+    "seen tags other than 0/1": (lambda _: PrototypeTable(
+        np.arange(2), np.eye(2), [2, 0]), DataError,
+        "seen tags must be booleans or 0/1"),
+    "visual evaluate of decoded norms that overflow": (
+        lambda _: _evaluate(TABLE, "visual", HUGE), DataError,
+        r"cannot rank unseen classes \[6, 7\]: their prototype norms "
+        r"overflow"),
+    "visual predict of decoded norms that overflow": (lambda _: predict(
+        HUGE, UNSEEN.features[:, 0], TABLE, direction="visual"), DataError,
+        r"cannot rank unseen classes \[6, 7\]: their prototype norms "
+        r"overflow"),
 }
 
 
