@@ -19,10 +19,11 @@ always passes as the original, so blends never compound.
 Each rule is written once, on prototype blocks (d_s x n arrays):
 :func:`_blend`, the k-NN search :func:`_nearest` and the neighbour blend
 :func:`_blend_neighbors`. A :class:`PrototypeTable` becomes blocks one
-way: :func:`_side` gathers one side in class id order, :func:`_queries`
-the unseen prototypes in table order, and :func:`_with_columns` writes a
-blended block back. The training loop, :func:`zsadjust.inference.sweep_k`,
-the ranking and the public functions here all go through them.
+way: :func:`_side` gathers one side in class id order, once per side, and
+:func:`_with_columns` writes a blended block back into the table's own
+column order. The training loop, :func:`zsadjust.inference.sweep_k`, the
+ranking and the public functions here all go through them, so no result
+depends on the order in which a table lists its classes.
 """
 
 from __future__ import annotations
@@ -62,11 +63,10 @@ def adjust_seen(table, model, seen, hp):
         return table
     present_ids, means = class_mean_map(model, seen)  # checks the features
     _check_fits(model, semantic_dim=table.semantic_dim)
-    _check_present(table.seen_ids, present_ids)
     ids, cols, vecs = _side(table, True)
+    _check_present(ids, present_ids)
     return _with_columns(table, cols, _blend(
-        "seen", hp, vecs, means[:, np.searchsorted(present_ids, ids)],
-        table.class_ids, cols))
+        "seen", hp, vecs, means[:, np.searchsorted(present_ids, ids)], ids))
 
 
 def _check_present(seen_ids, present_ids):
@@ -88,11 +88,11 @@ def _with_columns(table, cols, block):
 _WEIGHTS = {"seen": ("lambda1", "gamma1"), "unseen": ("lambda2", "gamma2")}
 
 
-def _blend(kind, hp, anchor, pull, class_ids, cols):
+def _blend(kind, hp, anchor, pull, ids):
     """``lambda * anchor + gamma * pull`` with the ``kind`` ("seen" or
     "unseen") weights of ``hp``; column j is the prototype of the class
-    ``class_ids[cols[j]]``. A blend that is zero or has no finite norm is
-    a DataError naming its classes in the order of ``class_ids``."""
+    ``ids[j]``, the ids ascending. A blend that is zero or has no finite
+    norm is a DataError naming its classes."""
     names = _WEIGHTS[kind]
     lam, gam = (getattr(hp, name) for name in names)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
@@ -105,8 +105,7 @@ def _blend(kind, hp, anchor, pull, class_ids, cols):
                                          f"{' and '.join(names)}")):
         if bad.any():
             raise DataError(f"{kind} adjustment blends the prototypes of "
-                            f"classes {class_ids[np.sort(cols[bad])].tolist()}"
-                            f" {what}")
+                            f"classes {ids[bad].tolist()} {what}")
     return out
 
 
@@ -123,23 +122,15 @@ def _side(table, seen):
     return table.class_ids[cols], cols, table.vectors[:, cols]
 
 
-def _queries(table):
-    """The unseen columns of ``table`` in table order, their prototypes
-    (d_s, u) and the :func:`_col_norms` of those."""
-    cols = np.flatnonzero(~table.seen)
-    vecs = table.vectors[:, cols]
-    return cols, vecs, _col_norms(vecs)
-
-
-def _nearest(vecs, queries, query_norms, k):
+def _nearest(vecs, queries, k):
     """Rows (k, q) and similarities (k, q) of the k columns of ``vecs``
-    (seen prototypes in id order) most cosine-similar to each query column
-    (norms ``query_norms``): best first, exact ties toward the smaller id,
-    NaN last. The first j ranks are those of a search for j."""
+    (seen prototypes in id order) most cosine-similar to each column of
+    ``queries``: best first, exact ties toward the smaller id, NaN last.
+    The first j ranks are those of a search for j."""
     _check_k(k, vecs.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):  # NaN: ranked last
         sims = (vecs.T @ queries) / np.outer(np.linalg.norm(vecs, axis=0),
-                                             query_norms)
+                                             _col_norms(queries))
     # Sort key: best first, a NaN similarity (overflowed norms) last.
     key = -sims
     key[np.isnan(key)] = np.inf
@@ -176,9 +167,8 @@ def knn_seen(table, unseen_id, k):
     if table.seen[col]:
         raise DataError(f"class {unseen_id} is seen; knn_seen takes an "
                         f"unseen class")
-    query = table.vectors[:, [col]]
     ids, _, vecs = _side(table, True)
-    top, sims = _nearest(vecs, query, _col_norms(query), k)
+    top, sims = _nearest(vecs, table.vectors[:, [col]], k)
     return [(int(ids[j]), float(s)) for j, s in zip(top[:, 0], sims[:, 0])]
 
 
@@ -202,16 +192,16 @@ def adjust_unseen(table, hp, neighbors=None):
     if neighbors is not None and neighbors.semantic_dim != table.semantic_dim:
         raise DataError(f"neighbors have {neighbors.semantic_dim} semantic "
                         f"dimensions, the table has {table.semantic_dim}")
-    cols, queries, norms = _queries(table)
+    ids, cols, queries = _side(table, False)
     _, _, vecs = _side(table if neighbors is None else neighbors, True)
-    top, sims = _nearest(vecs, queries, norms, hp.k)
+    top, sims = _nearest(vecs, queries, hp.k)
     return _with_columns(table, cols, _blend_neighbors(
-        queries, vecs, top, sims, hp, table.class_ids, cols))
+        queries, vecs, top, sims, hp, ids))
 
 
-def _blend_neighbors(queries, vecs, top, sims, hp, class_ids, cols):
+def _blend_neighbors(queries, vecs, top, sims, hp, ids):
     """A new block: the unseen blend of the prototypes ``queries`` (the
-    classes ``class_ids[cols]``) from the first ``hp.k`` ranks of their
+    classes ``ids``, ascending) from the first ``hp.k`` ranks of their
     :func:`_nearest` search ``top, sims`` among ``vecs`` at any k >=
     ``hp.k``."""
     _check_k(hp.k, vecs.shape[1])
@@ -223,6 +213,5 @@ def _blend_neighbors(queries, vecs, top, sims, hp, class_ids, cols):
     # a rank at a time: the gathered block is d_s x q, not d_s x k x q
     pull = sum(vecs[:, top[j]] * weights[j] for j in range(hp.k))
     out = queries.copy(order="K")
-    out[:, live] = _blend("unseen", hp, queries[:, live], pull, class_ids,
-                          cols[live])
+    out[:, live] = _blend("unseen", hp, queries[:, live], pull, ids[live])
     return out

@@ -45,6 +45,7 @@ import struct
 import warnings
 from dataclasses import dataclass, fields
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -207,9 +208,6 @@ class PrototypeTable:
             raise DataError(f"class {class_id} has no prototype")
         return int(hits[0])
 
-    def vector(self, class_id):
-        return self.vectors[:, self.column_of(class_id)].copy()
-
     def with_vectors(self, vectors):
         """Copy of the table with replaced prototype columns."""
         return PrototypeTable(self.class_ids.copy(), vectors, self.seen.copy())
@@ -330,14 +328,22 @@ def _binary_shape(fh, path):
     return rows, cols
 
 
+# rows joined at a time: a row array costs about 100 bytes beyond its
+# values, and this many cost little beside the chunks
+_CSV_CHUNK = 256
+
+
 def _load_csv(path):
     """The CSV matrix ``path`` as one float64 array: its rows are parsed a
-    line at a time and joined once, so that the rows and the array are
-    the most it holds."""
-    rows = list(_csv_rows(path))
-    if not rows:
+    line at a time, joined ``_CSV_CHUNK`` at a time and the chunks joined
+    once, so that, for short rows as for long ones, the chunks and the
+    array are about the most it holds."""
+    rows, chunks = _csv_rows(path), []
+    while chunk := list(islice(rows, _CSV_CHUNK)):
+        chunks.append(np.stack(chunk))
+    if not chunks:
         raise DataError(f"{path}: empty matrix file")
-    return np.concatenate(rows).reshape(len(rows), -1)
+    return np.concatenate(chunks)
 
 
 def _csv_rows(path):

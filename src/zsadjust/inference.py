@@ -8,10 +8,12 @@ prototype p and the mapped instance, and differ only in two norms::
     semantic (default):  p . (W x) / (|p| |W x|)      = cos(W x, p)
     visual:              p . (W x) / (|W^T p| |x|)    = cos(x, W^T p)
 
-so no ranking works in feature space. Hit@k is the fraction of instances
-whose true class is in the top k. The hubness diagnostic, reported and
-never gated, is the sample skewness of the 1-NN in-degree over the
-candidate prototypes.
+so no ranking works in feature space. The candidates are ranked as one
+block of prototypes in class id order: the unseen side of the table or,
+in :func:`sweep_k`, each k's blend of it. Hit@k is the fraction of
+instances whose true class is in the top k. The hubness diagnostic,
+reported and never gated, is the sample skewness of the 1-NN in-degree
+over the candidate prototypes.
 """
 
 from __future__ import annotations
@@ -21,14 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adjustment import (
-    _blend_neighbors,
-    _col_norms,
-    _nearest,
-    _queries,
-    _side,
-    _with_columns,
-)
+from .adjustment import _blend_neighbors, _col_norms, _nearest, _side
 from .errors import DataError
 from .linalg import as_matrix, as_number
 from .mapping import ClassStats, _check_fits, _sq_cols
@@ -54,7 +49,9 @@ def _check_direction(direction):
 def _unit_instances(model, features, direction):
     """The instance columns mapped, ``W x``, each divided by the norm its
     cosine takes (``|W x|``, or ``|x|`` for "visual"), and the mask of the
-    zero ones (left at 0)."""
+    zero ones (left at 0). No instance is a DataError."""
+    if features.shape[1] == 0:
+        raise DataError("cannot evaluate an empty dataset")
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         mapped = model.encode(features)
         norms = (np.linalg.norm(mapped, axis=0) if direction == "semantic"
@@ -66,17 +63,21 @@ def _unit_instances(model, features, direction):
     return mapped / np.where(norms == 0.0, 1.0, norms), norms == 0.0
 
 
-def _ranked(model, instances, table, direction):
-    """``(ids, sims)``: the unseen candidates of ``table`` in ascending id
-    order, and their cosine similarity (c, m) to each column of
-    :func:`_unit_instances`, NaN in the columns of zero instances. A
-    candidate p is divided by ``|p|``, or ``|W^T p|`` for "visual"."""
-    unit, zero = instances
-    if unit.shape[1] == 0:
-        raise DataError("cannot evaluate an empty dataset")
+def _candidates(table):
+    """The ascending ids and the prototypes (d_s, c) of the unseen classes
+    of ``table``; none is a DataError."""
     ids, _, vecs = _side(table, False)
     if ids.size == 0:
         raise DataError("prototype table has no unseen classes")
+    return ids, vecs
+
+
+def _ranked(model, instances, ids, vecs, direction):
+    """The cosine similarity (c, m) of the candidates ``vecs``, the
+    classes ``ids``, to each column of :func:`_unit_instances`, NaN in the
+    columns of zero instances. A candidate p is divided by ``|p|``, or
+    ``|W^T p|`` for "visual"."""
+    unit, zero = instances
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         scale = _col_norms(vecs if direction == "semantic"
                            else model.decode(vecs))
@@ -88,21 +89,29 @@ def _ranked(model, instances, table, direction):
                         f"prototype norms overflow; rescale the prototypes")
     sims = (vecs / scale).T @ unit
     sims[:, zero] = np.nan
-    return ids, sims
+    return sims
 
 
-def _true_ranks(ids, sims, labels):
-    """Each instance's class row in ``sims``, its rank (the candidates
-    above it, plus tied ones of smaller id) and if its similarity is NaN."""
-    missing = sorted(set(labels.tolist()) - set(ids.tolist()))
-    if missing:
-        raise DataError(f"labels without an unseen prototype: {missing}")
-    true_idx = np.searchsorted(ids, labels)
-    true = sims[true_idx, np.arange(labels.size)]
-    cand = np.arange(ids.size)[:, None]
+def _label_rows(ids, labels):
+    """Each label's row in the ascending candidate ``ids``; a label that
+    is not among them is a DataError."""
+    rows = np.minimum(np.searchsorted(ids, labels), ids.size - 1)
+    missing = labels[ids[rows] != labels]
+    if missing.size:
+        raise DataError(f"labels without an unseen prototype: "
+                        f"{np.unique(missing).tolist()}")
+    return rows
+
+
+def _true_ranks(sims, rows):
+    """Each instance's rank, the candidates above its class's row ``rows``
+    in ``sims`` plus tied ones of smaller id, and if its similarity is
+    NaN."""
+    true = sims[rows, np.arange(rows.size)]
+    cand = np.arange(sims.shape[0])[:, None]
     rank_of = np.count_nonzero(
-        (sims > true) | ((sims == true) & (cand < true_idx)), axis=0)
-    return true_idx, rank_of, np.isnan(true)
+        (sims > true) | ((sims == true) & (cand < rows)), axis=0)
+    return rank_of, np.isnan(true)
 
 
 def predict(model, x, table, direction="semantic"):
@@ -137,10 +146,9 @@ def predict(model, x, table, direction="semantic"):
         raise ValueError(f"x must be 1-D, got shape {x.shape}")
     _check_fits(model, x.size, table.semantic_dim)
     _check_direction(direction)
-    x = as_matrix(x[:, None], "x")
-    ids, sims = _ranked(model, _unit_instances(model, x, direction), table,
-                        direction)
-    sims = sims[:, 0]
+    instances = _unit_instances(model, as_matrix(x[:, None], "x"), direction)
+    ids, vecs = _candidates(table)
+    sims = _ranked(model, instances, ids, vecs, direction)[:, 0]
     if np.isnan(sims[0]):
         raise DataError("mapped instance is the zero vector; cannot rank")
     # the stable sort keeps the candidates' id order as the tie-break
@@ -195,9 +203,12 @@ def evaluate(model, unseen, table, ks=(1, 5), direction="semantic"):
     ks = sorted({int(as_number(k, "k", 1, int)) for k in ks})
     if not ks:
         raise ValueError("ks must name at least one k")
-    ids, sims = _ranked(model, _unit_instances(model, unseen.features,
-                                               direction), table, direction)
-    true_idx, rank_of, zero = _true_ranks(ids, sims, unseen.labels)
+    instances = _unit_instances(model, unseen.features, direction)
+    ids, vecs = _candidates(table)
+    sims = _ranked(model, instances, ids, vecs, direction)
+    del instances, vecs     # not to be held beside the rank temporaries
+    true_idx = _label_rows(ids, unseen.labels)
+    rank_of, zero = _true_ranks(sims, true_idx)
 
     hit_at = {k: float(np.mean((rank_of < k) & ~zero)) for k in ks}
 
@@ -233,10 +244,12 @@ def sweep_k(seen, unseen, table, hp, k_values, direction="semantic",
     One training and one search serve every k. Only the seen prototypes
     reach the weight solves, so the weights, the seen-adjusted prototypes
     and the stopping iteration do not depend on k: the loop runs once,
-    with no trace. The seen block its last search read is searched once,
-    at the largest k that fits, and the instances are mapped once; each k
-    blends its first k ranks onto the seen-adjusted table
-    (:func:`zsadjust.adjustment._blend_neighbors`) and scores Hit@1.
+    with no trace. The instances are mapped and checked once, as are the
+    unseen classes and the labels, so these faults come before any k's.
+    The unseen block is searched once among the seen block that the
+    loop's last search read, at the largest k that fits. Each k blends its
+    first k ranks (:func:`zsadjust.adjustment._blend_neighbors`), and that
+    blend is ranked as a block and scored for Hit@1.
     """
     _check_direction(direction)
     hps = [replace(hp, k=k) for k in k_values]
@@ -247,20 +260,20 @@ def sweep_k(seen, unseen, table, hp, k_values, direction="semantic",
     if unseen.feature_dim != width:
         raise DataError(f"unseen features are {unseen.feature_dim}-"
                         f"dimensional, seen features {width}-dimensional")
-    model, adjusted, _, source = _alternate(
-        seen, table, hps[0], trace=False, **train_kwargs)
+    model, _, _, source = _alternate(seen, table, hps[0], trace=False,
+                                     **train_kwargs)
+    instances = _unit_instances(model, unseen.features, direction)
+    ids, queries = _candidates(table)
+    rows = _label_rows(ids, unseen.labels)
     blends = source is not None and hp.gamma2 != 0.0
     if blends:
-        unseen_cols, queries, norms = _queries(table)
-        top, sims = _nearest(source, queries, norms,
+        top, sims = _nearest(source, queries,
                              min(max(h.k for h in hps), source.shape[1]))
-    instances = _unit_instances(model, unseen.features, direction)
     out = {}
     for hp_k in hps:
-        scored = (_with_columns(adjusted, unseen_cols, _blend_neighbors(
-            queries, source, top, sims, hp_k, table.class_ids, unseen_cols))
-                  if blends else adjusted)
-        _, rank_of, zero = _true_ranks(
-            *_ranked(model, instances, scored, direction), unseen.labels)
+        block = (_blend_neighbors(queries, source, top, sims, hp_k, ids)
+                 if blends else queries)
+        rank_of, zero = _true_ranks(
+            _ranked(model, instances, ids, block, direction), rows)
         out[int(hp_k.k)] = float(np.mean((rank_of < 1) & ~zero))
     return out

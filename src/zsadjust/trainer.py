@@ -14,18 +14,19 @@ forms W = (W V) V^T at the end (given a dataset, each objective forms W
 and W G too).
 
 The carried blocks. The loop carries arrays, not tables. Once per call
-it gathers the seen prototypes P0 in class id order (that of the
-statistics and of the k-NN search) and the unseen prototypes Q with
-their norms. An iteration forms P_t = lambda1 P0 + gamma1 O, searches
-and blends Q against P_t (P0 for ``unseen_neighbors="original"``) and
-solves on a C-order copy of P_t that lives only through the solve.
-Across iterations the loop holds P0, Q, Q's norms, P_t and the unseen
-blend. The gather of the classes with data, which the first solve and
-the objective read, is dropped once a seen blend replaces it (with
-gamma1 = 0 it stays, as the objective's block). Each trace shift is
-taken as soon as its block is replaced, so the old block is dropped
-before the search and the solve. No iteration copies a table, looks up
-an id or re-checks an array the loop made.
+it gathers the seen prototypes P0 and, when it searches, the unseen
+prototypes Q, each in class id order (that of the statistics and of the
+k-NN search), so that no result depends on the table's column order. An
+iteration forms P_t = lambda1 P0 + gamma1 O, searches and blends Q
+against P_t (P0 for ``unseen_neighbors="original"``) and solves on a
+C-order copy of P_t that lives only through the solve. Across
+iterations the loop holds P0, Q, P_t and the unseen blend. The gather
+of the classes with data, which the first solve and the objective read,
+is dropped once a seen blend replaces it (with gamma1 = 0 it stays, as
+the objective's block). Each trace shift is taken as soon as its block
+is replaced, so the old block is dropped before the search and the
+solve. No iteration copies a table, looks up an id or re-checks an
+array the loop made.
 
 The validation order: the neighbor flag before any statistics are
 computed, the class ids before the first solve and, with the seen blend
@@ -50,7 +51,6 @@ from .adjustment import (
     _blend_neighbors,
     _check_present,
     _nearest,
-    _queries,
     _side,
     _with_columns,
 )
@@ -149,12 +149,14 @@ def _alternate(seen, table, hp, unseen_neighbors="adjusted",
     if hp.iterations == 0:
         return MappingModel(w_hat @ v.T), table, TrainingTrace(()), None
     blends_seen = hp.gamma1 != 0.0
+    seen_ids, seen_cols, p0 = _side(table, True)
     if blends_seen:     # then stats.class_ids are all seen ids, sorted
-        _check_present(table.seen_ids, stats.class_ids)
-    _, seen_cols, p0 = _side(table, True)
-    unseen_cols, q, q_norms = _queries(table)
+        _check_present(seen_ids, stats.class_ids)
     searches = trace and hp.gamma2 != 0.0
-    p_t, u = p0, q
+    if searches:
+        unseen_ids, unseen_cols, q = _side(table, False)
+        u = q
+    p_t = p0
     records = []
 
     for it in range(1, hp.iterations + 1):
@@ -162,16 +164,15 @@ def _alternate(seen, table, hp, unseen_neighbors="adjusted",
         seen_shift = unseen_shift = 0.0
         try:
             if blends_seen:
-                blended = _blend("seen", hp, p0, centroids, table.class_ids,
-                                 seen_cols)
+                blended = _blend("seen", hp, p0, centroids, seen_ids)
                 if trace:
                     seen_shift = _shift(blended, p_t)
                 p_t = p_obj = blended
             source = p0 if unseen_neighbors == "original" else p_t
             if searches:    # before the solve: its errors come first
-                top, sims = _nearest(source, q, q_norms, hp.k)
+                top, sims = _nearest(source, q, hp.k)
                 blended = _blend_neighbors(q, source, top, sims, hp,
-                                           table.class_ids, unseen_cols)
+                                           unseen_ids)
                 unseen_shift = _shift(blended, u)
                 u = blended
             new_hat = _solve_rotated(stats, np.ascontiguousarray(p_obj),

@@ -85,7 +85,8 @@ def per_class_adjust_unseen(table, hp, neighbors=None):
         if total <= 0.0:
             continue  # no positive similarity: left unchanged
         weights /= total
-        neigh = np.stack([source.vector(c) for c, _ in ranked], axis=1)
+        neigh = np.stack([source.vectors[:, source.column_of(c)]
+                          for c, _ in ranked], axis=1)
         vectors[:, i] = (hp.lambda2 * table.vectors[:, i]
                          + hp.gamma2 * (neigh @ weights))
     return vectors
@@ -164,20 +165,25 @@ def per_instance_train(seen, table, hp):
 # the training loop over whole prototype tables
 
 
+def _id_ordered(table, mask):
+    """The columns of ``table`` where ``mask`` holds, by ascending id."""
+    cols = np.flatnonzero(mask)
+    return cols[np.argsort(table.class_ids[cols])]
+
+
 def _seen_blend(table, class_ids, means, hp):
-    """``table`` with each seen column p, in table order, replaced by
-    lambda1 p + gamma1 o, o the column of ``means`` of its class in the
-    sorted ``class_ids``; ``table`` itself when gamma1 = 0. The rule and
-    its errors are the package's :func:`_blend`."""
+    """``table`` with each seen column p replaced by lambda1 p + gamma1 o,
+    o the column of ``means`` of its class in the sorted ``class_ids``;
+    ``table`` itself when gamma1 = 0. The rule and its errors are the
+    package's :func:`_blend`, on the seen columns by ascending id."""
     if hp.gamma1 == 0.0:
         return table
-    _check_present(table.seen_ids, class_ids)
-    cols = np.flatnonzero(table.seen)
+    cols = _id_ordered(table, table.seen)
+    ids = table.class_ids[cols]
+    _check_present(ids, class_ids)
     vectors = table.vectors.copy()
-    vectors[:, cols] = _blend(
-        "seen", hp, table.vectors[:, cols],
-        means[:, np.searchsorted(class_ids, table.seen_ids)],
-        table.class_ids, cols)
+    vectors[:, cols] = _blend("seen", hp, table.vectors[:, cols],
+                              means[:, np.searchsorted(class_ids, ids)], ids)
     return table.with_vectors(vectors)
 
 
@@ -186,7 +192,8 @@ def table_loop(seen, table, hp, unseen_neighbors="adjusted", trace=True):
     tables: each iteration blends the seen columns into a copy of the
     whole table, searches and blends the unseen columns into another
     copy, gathers the solve's prototypes by class id and checks them
-    again, and takes both shifts from the tables. The rules are the
+    again, and takes both shifts from the tables' columns by ascending
+    id. The rules are the
     package's table functions; what it checks is the block bookkeeping
     of the package's loop. Returns ``(weights, adjusted, seen_adjusted,
     records)`` with ``seen_adjusted`` None after zero iterations and
@@ -223,8 +230,9 @@ def table_loop(seen, table, hp, unseen_neighbors="adjusted", trace=True):
                 obj = objective(MappingModel(new_hat @ v.T), data, proto,
                                 centroids, hp, stats=stats)
             shifts = [float(np.linalg.norm(
-                adjusted.vectors[:, mask] - prev.vectors[:, mask], "fro"))
-                for mask in (table.seen, ~table.seen)]
+                adjusted.vectors[:, cols] - prev.vectors[:, cols], "fro"))
+                for cols in (_id_ordered(table, table.seen),
+                             _id_ordered(table, ~table.seen))]
             records.append((obj, delta, *shifts))
         w_hat, centroids = new_hat, mapped
         if delta < hp.tol:

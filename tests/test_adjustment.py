@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zsadjust.adjustment import (
-    _col_norms,
     _nearest,
     _side,
     adjust_seen,
@@ -178,8 +177,7 @@ def test_knn_prefix_equals_smaller_search(seed, n_seen, n_query, huge,
         source = PrototypeTable(3 * rng.permutation(n) + 1, vecs[:, perm],
                                 (np.arange(n) < n_seen)[perm])
         _, _, found = _side(source, True)
-        searches = [_nearest(found, queries, _col_norms(queries), k)
-                    for k in range(1, n_seen + 1)]
+        searches = [_nearest(found, queries, k) for k in range(1, n_seen + 1)]
     for k, (top, sims) in enumerate(searches, 1):
         assert top.shape == sims.shape == (k, n_query)
         for big_top, big_sims in searches[k - 1:]:
@@ -238,7 +236,8 @@ def test_adjust_unseen_weights_normalize_to_one():
     weights = np.array([max(s, 0.0) for _, s in ranked])
     weights /= weights.sum()
     assert abs(weights.sum() - 1.0) <= 1e-12
-    blend = sum(w * table.vector(c) for w, (c, _) in zip(weights, ranked))
+    blend = sum(w * table.vectors[:, table.column_of(c)]
+                for w, (c, _) in zip(weights, ranked))
     out = adjust_unseen(table, hp)
     assert np.allclose(out.vectors[:, 5], 0.8 * unseen + 0.2 * blend,
                        atol=1e-12)
@@ -353,7 +352,8 @@ def test_adjust_unseen_matches_per_class_oracle(seed, k, source):
                                         table.vectors))
     for cid in table.unseen_ids:
         got = knn_seen(mixed, cid, k)
-        want = per_class_knn(src, table.vector(cid), k)
+        want = per_class_knn(src, table.vectors[:, table.column_of(cid)],
+                             k)
         assert [c for c, _ in got] == [c for c, _ in want]
     hp = HyperParams(k=k)
     out = adjust_unseen(table, hp, neighbors=neighbors)

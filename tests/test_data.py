@@ -388,10 +388,13 @@ def test_synthesize_checks_features_without_a_full_mask():
     assert peak - features.nbytes < features.size / 2
 
 
-def test_csv_load_peaks_at_about_two_arrays(tmp_path):
-    # the parsed rows and the array they are joined into; lists of Python
-    # floats peaked at about 6.6 times the array
-    a = np.random.default_rng(0).standard_normal((64, 2000))
+@pytest.mark.parametrize("shape", [(64, 2000), (2000, 64), (20000, 8)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_csv_load_peaks_at_about_two_arrays(tmp_path, shape):
+    # the parsed chunks and the array they are joined into, for long rows
+    # and short ones; lists of Python floats peaked at about 6.6 times the
+    # array, and one ndarray per row at 4.0 times for 20000 x 8
+    a = np.random.default_rng(0).standard_normal(shape)
     path = tmp_path / "m.csv"
     save_matrix(path, a, fmt="csv")
     tracemalloc.start()

@@ -124,8 +124,10 @@ def test_visual_similarities_are_the_decoded_cosine():
     decoded = model.decode(table.vectors[:, 2:])
     oracle = (decoded / np.linalg.norm(decoded, axis=0)).T @ (
         x / np.linalg.norm(x, axis=0))
-    ids, sims = inference._ranked(
-        model, inference._unit_instances(model, x, "visual"), table, "visual")
+    ids, vecs = inference._candidates(table)
+    sims = inference._ranked(
+        model, inference._unit_instances(model, x, "visual"), ids, vecs,
+        "visual")
     assert np.array_equal(ids, table.class_ids[2:])
     assert np.max(np.abs(sims - oracle)) <= 1e-14
     for j in range(x.shape[1]):
@@ -197,7 +199,8 @@ def test_evaluate_matches_bruteforce_recount():
     for i in range(data.instance_count):
         mapped = model.encode(data.features[:, i])
         sims = sorted(
-            ((cosine_similarity(mapped, table.vector(c)), -c) for c in cand_ids),
+            ((cosine_similarity(mapped, table.vectors[:, table.column_of(c)]),
+              -c) for c in cand_ids),
             reverse=True,
         )
         order = [-c for _, c in sims]

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from zsadjust.adjustment import _col_norms, _nearest, _side
+from zsadjust.adjustment import _nearest, _side
 from zsadjust.cli import COMMAND_OPTS, _read_config, main
 from zsadjust.data import (
     LabeledDataset,
@@ -506,7 +506,7 @@ def test_knn_matches_full_stable_argsort(data, n_seen, n_unseen, d_s):
 
     with np.errstate(all="ignore"):
         got_ids, _, found = _side(source, True)
-        top, sims = _nearest(found, queries, _col_norms(queries), k)
+        top, sims = _nearest(found, queries, k)
         order = np.argsort(source.seen_ids)
         vecs = source.vectors[:, np.flatnonzero(source.seen)[order]]
         cos = (vecs.T @ queries) / np.outer(np.linalg.norm(vecs, axis=0),

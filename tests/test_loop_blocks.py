@@ -4,9 +4,8 @@
 the unseen block once, then blends, searches and solves on arrays and
 builds tables only for what it returns. Against the table-level loop of
 ``oracles.table_loop`` it must give the same bits: weights, adjusted
-tables, weight changes and objectives. Only the seen shift may differ,
-by its summation order, when the table's seen columns are not in id
-order.
+tables, weight changes, objectives and both shifts, whatever the order
+of the table's columns.
 """
 
 import weakref
@@ -60,16 +59,12 @@ def _assert_matches_table_loop(seen, table, hp, neighbors):
     assert np.array_equal(adjusted.seen, want_adj.seen)
     assert np.array_equal(adjusted.vectors, want_adj.vectors)
     assert len(trace) == len(want_records)
-    in_id_order = np.all(np.diff(table.seen_ids) > 0)
     for rec, (obj, delta, seen_shift, unseen_shift) in zip(trace.records,
                                                           want_records):
         assert rec.objective == obj
         assert rec.w_delta == delta
+        assert rec.seen_shift == seen_shift
         assert rec.unseen_shift == unseen_shift
-        if in_id_order:
-            assert rec.seen_shift == seen_shift
-        else:
-            assert abs(rec.seen_shift - seen_shift) <= 1e-15 * seen_shift
 
     bare_w, table_back, bare_adj, bare_records = table_loop(
         seen, table, hp, neighbors, trace=False)

@@ -82,7 +82,8 @@ def test_expand_matches_direct_indexing():
     labels = np.array([9, 2, 2, 5, 9])
     out = expand_per_instance(table, labels)
     for i, lab in enumerate(labels):
-        assert np.array_equal(out[:, i], table.vector(lab))
+        assert np.array_equal(out[:, i],
+                              table.vectors[:, table.column_of(lab)])
 
 
 def test_expand_missing_class():

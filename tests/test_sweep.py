@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from zsadjust import adjustment, inference, trainer
 from zsadjust.adjustment import adjust_unseen
-from zsadjust.data import SynthSpec, split, synthesize
+from zsadjust.data import PrototypeTable, SynthSpec, split, synthesize
 from zsadjust.errors import DataError
 from zsadjust.inference import sweep_k
 from zsadjust.mapping import HyperParams, MappingModel, class_stats
@@ -41,14 +41,14 @@ def _data(seed):
 
 def _scored(run):
     """The result of ``run()`` (or the message of its DataError) and
-    the weights and prototypes of every table it ranked (the step that
-    ``evaluate`` and ``sweep_k`` share)."""
+    the weights, candidate ids and candidate prototypes of every ranking
+    it ran (the step that ``evaluate`` and ``sweep_k`` share)."""
     calls = []
     rank = inference._ranked
 
-    def spy(model, instances, table, direction):
-        calls.append((model.weights, table.vectors))
-        return rank(model, instances, table, direction)
+    def spy(model, instances, ids, vecs, direction):
+        calls.append((model.weights, ids, vecs))
+        return rank(model, instances, ids, vecs, direction)
 
     with mock.patch.object(inference, "_ranked", spy):
         try:
@@ -91,9 +91,9 @@ def test_sweep_equals_one_train_per_k(seed, k_values, gamma1, gamma2,
     if isinstance(got, dict):
         assert list(got) == list(want)
     assert len(got_calls) == len(want_calls)
-    for (w, p), (w_want, p_want) in zip(got_calls, want_calls):
-        assert np.array_equal(w, w_want)
-        assert np.array_equal(p, p_want)
+    for got_call, want_call in zip(got_calls, want_calls):
+        for got_array, want_array in zip(got_call, want_call):
+            assert np.array_equal(got_array, want_array)
 
 
 @pytest.mark.parametrize("tol, stops_at", [(0.0, 6), (1e-2, 3)])
@@ -138,18 +138,23 @@ def test_sweep_searches_once_and_encodes_once(k_values, statistics):
              (trainer, "objective"), (trainer, "_objective"),
              (trainer, "_nearest"), (trainer, "_blend_neighbors"),
              (trainer, "_solve_rotated"), (inference, "_ranked"),
-             (trainer, "_side"), (adjustment, "_side")]
+             (trainer, "_side"), (adjustment, "_side"), (inference, "_side"),
+             (inference, "_label_rows"), (inference, "_blend_neighbors")]
     with contextlib.ExitStack() as stack:
         for owner, name in spies:
             stack.enter_context(_counted(calls, owner, name))
         got = sweep_k(class_stats(seen) if statistics else seen, unseen,
                       table, hp, k_values)
     # no objective and no unseen blend in the training: 4 solves only;
-    # the sweep searches the loop's block, gathered once by the loop
+    # one gather per side (the loop's seen block, the sweep's unseen
+    # block), one search and one label check; each k is blended and
+    # ranked once
     assert calls == Counter({
         "inference._nearest": 1, "MappingModel.encode": 1,
         "trainer._solve_rotated": 4, "inference._ranked": len(k_values),
-        "trainer._side": 1})
+        "trainer._side": 1, "inference._side": 1,
+        "inference._label_rows": 1,
+        "inference._blend_neighbors": len(k_values)})
     assert got == _train_per_k(seen, unseen, table, hp, k_values)
 
 
@@ -192,3 +197,22 @@ def test_bad_direction_is_refused_before_training():
             sweep_k(seen, unseen, table, HyperParams(iterations=5), [1, 3],
                     direction="bogus")
     assert calls == Counter()
+
+
+@pytest.mark.parametrize("k_values", [[1, 3], [SEEN + 1, 1]])
+def test_label_fault_comes_before_any_k(k_values):
+    # a label without an unseen prototype does not depend on k: it is found
+    # once, before the first k is blended, an oversized k included
+    seen, unseen, table = _data(0)
+    label = int(unseen.labels[0])
+    keep = table.class_ids != label
+    partial = PrototypeTable(table.class_ids[keep], table.vectors[:, keep],
+                             table.seen[keep])
+    calls = Counter()
+    with _counted(calls, inference, "_blend_neighbors"), \
+            _counted(calls, inference, "_label_rows"):
+        with pytest.raises(DataError, match=rf"labels without an unseen "
+                                            rf"prototype: \[{label}\]$"):
+            sweep_k(seen, unseen, partial, HyperParams(iterations=2),
+                    k_values)
+    assert calls == Counter({"inference._label_rows": 1})
