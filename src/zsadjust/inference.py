@@ -49,18 +49,22 @@ def _check_direction(direction):
 def _unit_instances(model, features, direction):
     """The instance columns mapped, ``W x``, each divided by the norm its
     cosine takes (``|W x|``, or ``|x|`` for "visual"), and the mask of the
-    zero ones (left at 0). No instance is a DataError."""
+    zero ones (left at 0). Both directions take column norms with
+    :func:`zsadjust.mapping._sq_cols`, and the fresh encoding is scaled in
+    place: it is the only d_s x m array. No instance is a DataError."""
     if features.shape[1] == 0:
         raise DataError("cannot evaluate an empty dataset")
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         mapped = model.encode(features)
-        norms = (np.linalg.norm(mapped, axis=0) if direction == "semantic"
-                 else np.sqrt(_sq_cols(features)))
+        norms = np.sqrt(_sq_cols(mapped if direction == "semantic"
+                                 else features))
     if not (np.isfinite(norms).all() and (direction == "semantic"
                                           or np.isfinite(mapped).all())):
         raise DataError("cannot rank an instance whose norm overflows; "
                         "rescale the features or the model")
-    return mapped / np.where(norms == 0.0, 1.0, norms), norms == 0.0
+    zero = norms == 0.0
+    mapped /= np.where(zero, 1.0, norms)
+    return mapped, zero
 
 
 def _candidates(table):
@@ -220,7 +224,8 @@ def evaluate(model, unseen, table, ks=(1, 5), direction="semantic"):
     per_class = dict(zip(ids[present].tolist(),
                          (class_hits[present] / counts[present]).tolist()))
 
-    first = np.argmax(sims[:, ~zero], axis=0)
+    # a zero instance's column is all NaN: drop its argmax, not the column
+    first = np.argmax(sims, axis=0)[~zero]
     in_degree = np.bincount(first, minlength=ids.size)
     return EvalReport(
         hit_at=hit_at,

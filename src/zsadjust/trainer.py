@@ -122,7 +122,8 @@ def _alternate(seen, table, hp, unseen_neighbors="adjusted",
     """:func:`train`'s three results and ``source``, the seen block that
     the last unseen search read (None after zero iterations). With
     ``trace=False`` it runs no unseen search or blend, no objective and
-    no shift: ``adjusted`` is the seen-adjusted table, the trace empty."""
+    no shift, and builds no table: ``adjusted`` is None, the trace
+    empty."""
     if unseen_neighbors not in ("adjusted", "original"):
         raise ValueError("unseen_neighbors must be 'adjusted' or 'original'")
     stats = class_stats(seen)
@@ -147,7 +148,8 @@ def _alternate(seen, table, hp, unseen_neighbors="adjusted",
     centroids = w_hat @ means
 
     if hp.iterations == 0:
-        return MappingModel(w_hat @ v.T), table, TrainingTrace(()), None
+        return (MappingModel(w_hat @ v.T), table if trace else None,
+                TrainingTrace(()), None)
     blends_seen = hp.gamma1 != 0.0
     seen_ids, seen_cols, p0 = _side(table, True)
     if blends_seen:     # then stats.class_ids are all seen ids, sorted
@@ -202,6 +204,8 @@ def _alternate(seen, table, hp, unseen_neighbors="adjusted",
         if delta < hp.tol:
             break
 
+    if not trace:
+        return MappingModel(w_hat @ v.T), None, TrainingTrace(()), source
     adjusted = _with_columns(table, seen_cols, p_t) if blends_seen else table
     if searches:
         adjusted = _with_columns(adjusted, unseen_cols, u)

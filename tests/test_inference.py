@@ -146,13 +146,39 @@ def test_evaluate_holds_no_feature_sized_temporary(direction):
                           np.repeat(np.arange(2, 6), 250), 6)
     table = _table(rng.standard_normal((5, 6)), [True, True] + [False] * 4)
     model = MappingModel(rng.standard_normal((5, 512)))
+    assert _eval_peak(model, data, table, direction) < data.features.nbytes / 4
+    # where W x (d_s x m) dominates, it is the only such array: no
+    # squared copy for its norms, no divided copy, no masked copy of the
+    # similarities
+    data = LabeledDataset(rng.standard_normal((8, 4000)),
+                          np.repeat(np.arange(2, 12), 400), 12)
+    table = _table(rng.standard_normal((85, 12)), [True, True] + [False] * 10)
+    model = MappingModel(rng.standard_normal((85, 8)))
+    encoding = 85 * 4000 * 8
+    assert _eval_peak(model, data, table, direction) < 1.5 * encoding
+
+
+def _eval_peak(model, data, table, direction):
     tracemalloc.start()
     try:
         evaluate(model, data, table, direction=direction)
-        _, peak = tracemalloc.get_traced_memory()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < data.features.nbytes / 4
+
+
+@pytest.mark.parametrize("m", [1, 7])
+@pytest.mark.parametrize("direction", ["semantic", "visual"])
+def test_unit_instances_are_the_scaled_encoding(direction, m):
+    rng = np.random.default_rng(m)
+    x = rng.standard_normal((9, m))
+    model = MappingModel(rng.standard_normal((6, 9)))
+    mapped = model.encode(x)
+    want = mapped / np.linalg.norm(mapped if direction == "semantic" else x,
+                                   axis=0)
+    unit, zero = inference._unit_instances(model, x, direction)
+    np.testing.assert_array_max_ulp(unit, want, maxulp=4)
+    assert not zero.any()
 
 
 def _eval_setup(seed=0, n_unseen=4, per_class=6, d_s=5, d_v=6, noise=0.3):
@@ -227,6 +253,25 @@ def test_evaluate_counts_zero_mapped_as_miss():
     # is a forced miss
     assert report.hit_at[1] == 0.5
     assert report.per_class_accuracy == {1: 0.5}
+
+
+@pytest.mark.parametrize("direction", ["semantic", "visual"])
+def test_hubness_leaves_out_a_zero_instance(direction):
+    # each of three candidates is the nearest of one instance: in-degree
+    # (1, 1, 1), skewness 0; the zero instance, counted at any candidate,
+    # would make it (2, 1, 1)
+    vecs = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+                     [1.0, 0.0, 0.0, 1.0]])
+    table = _table(vecs, [True, False, False, False])
+    model = MappingModel(np.hstack([np.eye(3), np.zeros((3, 1))]))
+    x = np.vstack([vecs[:, [1, 2, 3]], np.ones((1, 3))])
+    x = np.hstack([x, np.zeros((4, 1))])
+    data = LabeledDataset(x, np.array([1, 2, 3, 1]), 4)
+    report = evaluate(model, data, table, ks=(1,), direction=direction)
+    assert report.zero_mapped == 1
+    assert report.hit_at[1] == 0.75
+    assert report.hubness_skewness == 0.0
+    assert skewness([2, 1, 1]) != 0.0
 
 
 def test_evaluate_monotone_in_k():
