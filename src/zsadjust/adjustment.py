@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import PrototypeTable
+from .data import PrototypeTable, _rows
 from .errors import DataError
 from .linalg import as_number
 from .mapping import _check_fits, _sq_cols, class_mean_map
@@ -64,16 +64,8 @@ def adjust_seen(table, model, seen, hp):
     present_ids, means = class_mean_map(model, seen)  # checks the features
     _check_fits(model, semantic_dim=table.semantic_dim)
     ids, cols, vecs = _side(table, True)
-    _check_present(ids, present_ids)
-    return _with_columns(table, cols, _blend(
-        "seen", hp, vecs, means[:, np.searchsorted(present_ids, ids)], ids))
-
-
-def _check_present(seen_ids, present_ids):
-    """DataError listing the ``seen_ids`` that ``present_ids`` lacks."""
-    missing = seen_ids[~np.isin(seen_ids, present_ids)]
-    if missing.size:
-        raise DataError(f"seen classes without instances: {missing.tolist()}")
+    pull = means[:, _rows(present_ids, ids, "seen classes without instances:")]
+    return _with_columns(table, cols, _blend("seen", hp, vecs, pull, ids))
 
 
 def _with_columns(table, cols, block):

@@ -23,7 +23,6 @@ from .data import (
     _matrix_columns,
     _raise_norm_fault,
     _read_lines,
-    _seen_mask,
     _stream_columns,
     load_labels,
     load_matrix,
@@ -277,7 +276,7 @@ def _load_run_data(opts, unseen=True, model=None):
     if rows == 0:
         raise DataError(f"{name}: the features have no rows")
     labels = _check_labels(labels, cols, class_count)
-    seen = _seen_mask(labels, table)
+    seen = table.seen[table._columns_of(labels)]
     if model is not None:
         _check_fits(model, rows, table.semantic_dim)
     elif not seen.any():

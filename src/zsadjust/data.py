@@ -2,7 +2,8 @@
 
 Instances are matrix *columns*: a feature matrix is (d_v, m) and a
 prototype matrix (d_s, n_classes), with one integer class id per
-instance column. README.md specifies the file formats.
+instance column. README.md specifies the file formats. Class ids are
+looked up, and the absent ones refused, by :func:`_rows`.
 
 Streaming
 ---------
@@ -64,22 +65,34 @@ def block_width(rows):
     return max(1, BLOCK_BYTES // (8 * max(1, rows)))
 
 
-def _ids(values, name):
-    """``values`` as int64; a non-integer is a DataError naming ``name``."""
+def _ids(values, name, flat=False):
+    """``values`` as int64; a non-integer, or with ``flat`` an array that
+    is not 1-D, is a DataError naming ``name``."""
     a = np.asarray(values)
     with np.errstate(invalid="ignore"):     # checked on the next line
         ids = a.astype(np.int64, copy=False) if a.dtype.kind in "iuf" else None
     if ids is None or not np.array_equal(ids, a):
         raise DataError(f"{name} must be integers")
+    if flat and ids.ndim != 1:
+        raise DataError(f"{name} must be 1-D, got shape {ids.shape}")
     return ids
+
+
+def _rows(ids, wanted, what):
+    """The position of each of the ids ``wanted`` in the ascending
+    ``ids``, which may be empty; those it lacks are the DataError
+    ``what`` followed by their ascending list."""
+    rows = np.minimum(np.searchsorted(ids, wanted), ids.size - 1)
+    missing = wanted if ids.size == 0 else wanted[ids[rows] != wanted]
+    if missing.size:
+        raise DataError(f"{what} {np.unique(missing).tolist()}")
+    return rows
 
 
 def _check_labels(labels, columns, class_count):
     """``labels`` as int64: one per column of a matrix with ``columns``
     columns, each in ``[0, class_count)``."""
-    labels = _ids(labels, "labels")
-    if labels.ndim != 1:
-        raise DataError(f"labels must be 1-D, got shape {labels.shape}")
+    labels = _ids(labels, "labels", flat=True)
     if labels.shape[0] != columns:
         raise DataError(
             f"expected one label per instance column: "
@@ -207,6 +220,13 @@ class PrototypeTable:
         if hits.size == 0:
             raise DataError(f"class {class_id} has no prototype")
         return int(hits[0])
+
+    def _columns_of(self, labels):
+        """The column of each of the class ids ``labels``; an id without
+        one is a DataError."""
+        order = np.argsort(self.class_ids)
+        return order[_rows(self.class_ids[order], labels,
+                           "labels without a prototype:")]
 
     def with_vectors(self, vectors):
         """Copy of the table with replaced prototype columns."""
@@ -637,20 +657,10 @@ def split(dataset, table):
     """Partition instances into (seen, unseen) datasets by class tag.
     Every label must have a prototype, and the seen side must be nonempty.
     """
-    seen_mask = _seen_mask(dataset.labels, table)
+    seen_mask = table.seen[table._columns_of(dataset.labels)]
     if not seen_mask.any():
         raise DataError("seen partition is empty: nothing to train on")
     return _columns(dataset, seen_mask), _columns(dataset, ~seen_mask)
-
-
-def _seen_mask(labels, table):
-    """Per instance label, whether its class is seen; every label must
-    have a prototype."""
-    present = np.unique(labels)
-    missing = present[~np.isin(present, table.class_ids)]
-    if missing.size:
-        raise DataError(f"labels without a prototype: {missing.tolist()}")
-    return np.isin(labels, table.seen_ids)
 
 
 def _columns(dataset, mask):

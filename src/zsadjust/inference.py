@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .adjustment import _blend_neighbors, _col_norms, _nearest, _side
+from .data import _rows
 from .errors import DataError
 from .linalg import as_matrix, as_number
 from .mapping import ClassStats, _check_fits, _sq_cols
@@ -96,15 +97,7 @@ def _ranked(model, instances, ids, vecs, direction):
     return sims
 
 
-def _label_rows(ids, labels):
-    """Each label's row in the ascending candidate ``ids``; a label that
-    is not among them is a DataError."""
-    rows = np.minimum(np.searchsorted(ids, labels), ids.size - 1)
-    missing = labels[ids[rows] != labels]
-    if missing.size:
-        raise DataError(f"labels without an unseen prototype: "
-                        f"{np.unique(missing).tolist()}")
-    return rows
+_NO_CANDIDATE = "labels without an unseen prototype:"
 
 
 def _true_ranks(sims, rows):
@@ -211,7 +204,7 @@ def evaluate(model, unseen, table, ks=(1, 5), direction="semantic"):
     ids, vecs = _candidates(table)
     sims = _ranked(model, instances, ids, vecs, direction)
     del instances, vecs     # not to be held beside the rank temporaries
-    true_idx = _label_rows(ids, unseen.labels)
+    true_idx = _rows(ids, unseen.labels, _NO_CANDIDATE)
     rank_of, zero = _true_ranks(sims, true_idx)
 
     hit_at = {k: float(np.mean((rank_of < k) & ~zero)) for k in ks}
@@ -269,7 +262,7 @@ def sweep_k(seen, unseen, table, hp, k_values, direction="semantic",
                                      **train_kwargs)
     instances = _unit_instances(model, unseen.features, direction)
     ids, queries = _candidates(table)
-    rows = _label_rows(ids, unseen.labels)
+    rows = _rows(ids, unseen.labels, _NO_CANDIDATE)
     blends = source is not None and hp.gamma2 != 0.0
     if blends:
         top, sims = _nearest(source, queries,

@@ -51,7 +51,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import block_width
+from .data import _ids, block_width
 from .errors import DataError
 from .linalg import SylvesterSystem, _eig_solve, as_matrix, as_number, sym_eig
 
@@ -137,16 +137,15 @@ def expand_per_instance(table, labels):
     Returns
     -------
     ndarray, shape (d_s, m)
+
+    Raises
+    ------
+    DataError
+        If ``labels`` is not a 1-D array of integers, or if a label has
+        no prototype in ``table``.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    order = np.argsort(table.class_ids)
-    ids = table.class_ids[order]
-    pos = np.minimum(np.searchsorted(ids, labels), ids.size - 1)
-    found = ids[pos] == labels
-    if not found.all():
-        missing = np.unique(labels[~found]).tolist()
-        raise DataError(f"labels without a prototype: {missing}")
-    return table.vectors[:, order[pos]]
+    return table.vectors[:, table._columns_of(_ids(labels, "labels",
+                                                   flat=True))]
 
 
 @dataclass(frozen=True)

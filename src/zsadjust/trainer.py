@@ -49,11 +49,11 @@ import numpy as np
 from .adjustment import (
     _blend,
     _blend_neighbors,
-    _check_present,
     _nearest,
     _side,
     _with_columns,
 )
+from .data import _rows
 from .errors import DataError, SolverError
 from .linalg import as_number
 from .mapping import (
@@ -133,9 +133,8 @@ def _alternate(seen, table, hp, unseen_neighbors="adjusted",
 
     # the objective's block until a seen blend replaces it
     p_obj = expand_per_instance(table, stats.class_ids)
-    unseen = stats.class_ids[~np.isin(stats.class_ids, table.seen_ids)]
-    if unseen.size:
-        raise DataError(f"seen data of unseen classes {unseen.tolist()}")
+    _rows(np.sort(table.seen_ids), stats.class_ids,
+          "seen data of unseen classes")
     (g, v), means = stats.gram_eig, stats.rotated_means
 
     # step 1 of the schedule, on a C-order copy of P for the solve
@@ -153,7 +152,7 @@ def _alternate(seen, table, hp, unseen_neighbors="adjusted",
     blends_seen = hp.gamma1 != 0.0
     seen_ids, seen_cols, p0 = _side(table, True)
     if blends_seen:     # then stats.class_ids are all seen ids, sorted
-        _check_present(seen_ids, stats.class_ids)
+        _rows(stats.class_ids, seen_ids, "seen classes without instances:")
     searches = trace and hp.gamma2 != 0.0
     if searches:
         unseen_ids, unseen_cols, q = _side(table, False)

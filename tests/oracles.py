@@ -13,7 +13,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from zsadjust.adjustment import _blend, _check_present, adjust_unseen
+from zsadjust.adjustment import _blend, adjust_unseen
+from zsadjust.data import _rows
 from zsadjust.linalg import SylvesterSystem, solve_sylvester
 from zsadjust.mapping import (
     MappingModel,
@@ -180,10 +181,10 @@ def _seen_blend(table, class_ids, means, hp):
         return table
     cols = _id_ordered(table, table.seen)
     ids = table.class_ids[cols]
-    _check_present(ids, class_ids)
+    rows = _rows(class_ids, ids, "seen classes without instances:")
     vectors = table.vectors.copy()
     vectors[:, cols] = _blend("seen", hp, table.vectors[:, cols],
-                              means[:, np.searchsorted(class_ids, ids)], ids)
+                              means[:, rows], ids)
     return table.with_vectors(vectors)
 
 

@@ -5,19 +5,31 @@ table's sides in class id order. So training, scoring, prediction, the
 adjustments and the k-sweep give the same bits on a table and on any
 column permutation of it: the weights, every trace and report field but
 the timings, the adjusted prototypes of each class and the text of an
-error that names classes.
+error that names classes. Each lookup of a class id that the table or
+the data lacks names the missing ids in ascending order.
 """
 
 from dataclasses import asdict, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from zsadjust.adjustment import adjust_seen, adjust_unseen
-from zsadjust.data import PrototypeTable, SynthSpec, split, synthesize
+from zsadjust.cli import main
+from zsadjust.data import (
+    LabeledDataset,
+    PrototypeTable,
+    SynthSpec,
+    save_labels,
+    save_matrix,
+    save_prototypes,
+    split,
+    synthesize,
+)
 from zsadjust.errors import DataError
 from zsadjust.inference import evaluate, predict, sweep_k
-from zsadjust.mapping import HyperParams
+from zsadjust.mapping import HyperParams, expand_per_instance
 from zsadjust.trainer import train
 
 SPECS = {
@@ -100,3 +112,81 @@ def test_outputs_do_not_depend_on_column_order(spec, neighbors):
     for seed in range(2):
         _assert_same(_outputs(seen, unseen, _permuted(table, seed), hp,
                               neighbors), want)
+
+
+def _without(table, *class_ids):
+    keep = ~np.isin(table.class_ids, class_ids)
+    return PrototypeTable(table.class_ids[keep], table.vectors[:, keep],
+                          table.seen[keep])
+
+
+def _fewer(seen, *class_ids):
+    keep = ~np.isin(seen.labels, class_ids)
+    return LabeledDataset(seen.features[:, keep], seen.labels[keep],
+                          seen.class_count)
+
+
+def _train_cli(c, table):
+    """``zsadjust train`` on files of ``c.dataset`` and ``table``: it must
+    exit 2 with no traceback, and its first stderr line, without the
+    "data error: " prefix, is raised as the DataError it reports."""
+    paths = [str(c.tmp_path / name) for name in
+             ("features.zsm", "labels.txt", "prototypes.zsm", "partition.txt")]
+    save_matrix(paths[0], c.dataset.features)
+    save_labels(paths[1], c.dataset.labels)
+    save_prototypes(table, *paths[2:])
+    flags = ("--features", "--labels", "--prototypes", "--partition")
+    code = main(["train", *(a for pair in zip(flags, paths) for a in pair),
+                 "--out", str(c.tmp_path / "run")])
+    err = c.capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    raise DataError(err.splitlines()[0].removeprefix("data error: "))
+
+
+# The small spec's classes 0-5 are seen and 6-10 unseen. Each site is a
+# call of the test's namespace and the whole text of its DataError.
+HP = HyperParams(k=3, iterations=2)
+LOOKUPS = {
+    "split": (lambda c: split(c.dataset, _without(c.table, 9, 7)),
+              "labels without a prototype: [7, 9]"),
+    "cli": (lambda c: _train_cli(c, _without(c.table, 9, 7)),
+            "labels without a prototype: [7, 9]"),
+    "expand_per_instance": (lambda c: expand_per_instance(
+        _without(c.table, 9, 7), c.dataset.labels),
+        "labels without a prototype: [7, 9]"),
+    "train on unseen classes": (
+        lambda c: train(c.dataset, c.table, HP),
+        "seen data of unseen classes [6, 7, 8, 9, 10]"),
+    "adjust_seen without instances": (lambda c: adjust_seen(
+        c.table, c.model, _fewer(c.seen, 4, 1), HP),
+        "seen classes without instances: [1, 4]"),
+    # a dataset of no columns: no class ids to look the seen ones up in
+    "adjust_seen of no instances": (lambda c: adjust_seen(
+        c.table, c.model, _fewer(c.seen, *range(6)), HP),
+        "seen classes without instances: [0, 1, 2, 3, 4, 5]"),
+    "train without instances": (lambda c: train(
+        _fewer(c.seen, 4, 1), c.table, HP),
+        "seen classes without instances: [1, 4]"),
+    "evaluate": (lambda c: evaluate(c.model, c.unseen,
+                                    _without(c.table, 9, 7)),
+                 "labels without an unseen prototype: [7, 9]"),
+    "sweep_k": (lambda c: sweep_k(c.seen, c.unseen, _without(c.table, 9, 7),
+                                  HP, [1, 3]),
+                "labels without an unseen prototype: [7, 9]"),
+}
+
+
+@pytest.mark.parametrize("permuted", [False, True])
+@pytest.mark.parametrize("site", LOOKUPS)
+def test_missing_class_ids_are_named_in_ascending_order(tmp_path, capsys,
+                                                        site, permuted):
+    dataset, table, _ = synthesize(SPECS["small"])
+    seen, unseen = split(dataset, table)
+    c = SimpleNamespace(tmp_path=tmp_path, capsys=capsys, dataset=dataset,
+                        seen=seen, unseen=unseen,
+                        table=_permuted(table, 0) if permuted else table,
+                        model=train(seen, table, HP)[0])
+    call, message = LOOKUPS[site]
+    with pytest.raises(DataError) as exc:
+        call(c)
+    assert str(exc.value) == message

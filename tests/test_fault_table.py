@@ -23,6 +23,7 @@ from zsadjust.mapping import (
     class_centroids,
     class_mean_map,
     class_stats,
+    expand_per_instance,
     objective,
     objective_gradient,
 )
@@ -271,6 +272,17 @@ LIBRARY_FAULTS = {
         HUGE, UNSEEN.features[:, 0], TABLE, direction="visual"), DataError,
         r"cannot rank unseen classes \[6, 7\]: their prototype norms "
         r"overflow"),
+    # each label is checked, not cast: 1.5 and True are not class 1, and a
+    # 2-D array is no list of labels
+    "expand_per_instance of a fractional label": (
+        lambda _: expand_per_instance(TABLE, [1.5]), DataError,
+        "labels must be integers$"),
+    "expand_per_instance of a boolean label": (
+        lambda _: expand_per_instance(TABLE, [True]), DataError,
+        "labels must be integers$"),
+    "expand_per_instance of 2-D labels": (
+        lambda _: expand_per_instance(TABLE, [[0, 1]]), DataError,
+        r"labels must be 1-D, got shape \(1, 2\)$"),
 }
 
 

@@ -138,7 +138,7 @@ def test_sweep_searches_once_and_encodes_once(k_values, statistics):
              (trainer, "_nearest"), (trainer, "_blend_neighbors"),
              (trainer, "_solve_rotated"), (inference, "_ranked"),
              (trainer, "_side"), (adjustment, "_side"), (inference, "_side"),
-             (inference, "_label_rows"), (inference, "_blend_neighbors")]
+             (inference, "_rows"), (inference, "_blend_neighbors")]
     with contextlib.ExitStack() as stack:
         for owner, name in spies:
             stack.enter_context(_counted(calls, owner, name))
@@ -152,7 +152,7 @@ def test_sweep_searches_once_and_encodes_once(k_values, statistics):
         "inference._nearest": 1, "MappingModel.encode": 1,
         "trainer._solve_rotated": 4, "inference._ranked": len(k_values),
         "trainer._side": 1, "inference._side": 1,
-        "inference._label_rows": 1,
+        "inference._rows": 1,
         "inference._blend_neighbors": len(k_values)})
     assert got == _train_per_k(seen, unseen, table, hp, k_values)
 
@@ -207,9 +207,9 @@ def test_label_fault_comes_before_any_k(k_values):
                              table.seen[keep])
     calls = Counter()
     with _counted(calls, inference, "_blend_neighbors"), \
-            _counted(calls, inference, "_label_rows"):
+            _counted(calls, inference, "_rows"):
         with pytest.raises(DataError, match=rf"labels without an unseen "
                                             rf"prototype: \[{label}\]$"):
             sweep_k(seen, unseen, partial, HyperParams(iterations=2),
                     k_values)
-    assert calls == Counter({"inference._label_rows": 1})
+    assert calls == Counter({"inference._rows": 1})
