@@ -18,8 +18,10 @@ always passes as the original, so blends never compound.
 
 Each rule is written once, on prototype blocks (d_s x n arrays):
 :func:`_blend`, the k-NN search :func:`_nearest` and the neighbour blend
-:func:`_blend_neighbors`. A :class:`PrototypeTable` becomes blocks one
-way: :func:`_side` gathers one side in class id order, once per side, and
+:func:`_blend_neighbors`, which forms every neighbour mean as one product
+of the seen block with a (seen x queries) weight matrix, k entries a
+column. A :class:`PrototypeTable` becomes blocks one way: :func:`_side`
+gathers one side in class id order, once per side, and
 :func:`_with_columns` writes a blended block back into the table's own
 column order. The training loop, :func:`zsadjust.inference.sweep_k`, the
 ranking and the public functions here all go through them, so no result
@@ -195,15 +197,22 @@ def _blend_neighbors(queries, vecs, top, sims, hp, ids):
     """A new block: the unseen blend of the prototypes ``queries`` (the
     classes ``ids``, ascending) from the first ``hp.k`` ranks of their
     :func:`_nearest` search ``top, sims`` among ``vecs`` at any k >=
-    ``hp.k``."""
+    ``hp.k``. The neighbour means are one product of ``vecs`` with a
+    (seen x queries) weight matrix that holds k entries a column."""
     _check_k(hp.k, vecs.shape[1])
     weights = np.maximum(sims[:hp.k], 0.0)
     total = weights.sum(axis=0)
     # no positive similarity: leave that column unchanged this round
     live = total > 0.0
     top, weights = top[:hp.k, live], weights[:, live] / total[live]
-    # a rank at a time: the gathered block is d_s x q, not d_s x k x q
-    pull = sum(vecs[:, top[j]] * weights[j] for j in range(hp.k))
+    # one product for all ranks: each live query's k weights in its column
+    # of a (seen x queries) matrix, zero elsewhere, freed before _blend's
+    # d_s x q temporaries. The transposes give the means the F order of
+    # the anchor columns, which _blend then adds without a buffer.
+    mix = np.zeros((vecs.shape[1], weights.shape[1]))
+    np.put_along_axis(mix, top, weights, axis=0)
+    pull = (mix.T @ vecs.T).T
+    del mix
     out = queries.copy(order="K")
     out[:, live] = _blend("unseen", hp, queries[:, live], pull, ids[live])
     return out

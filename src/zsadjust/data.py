@@ -215,10 +215,15 @@ class PrototypeTable:
         return self.class_ids[~self.seen]
 
     def column_of(self, class_id):
-        """Column index of ``class_id``; raises DataError if absent."""
-        hits = np.flatnonzero(self.class_ids == class_id)
+        """Column index of ``class_id``, one integer; any other value, or
+        an id that the table lacks, is a DataError."""
+        cid = _ids(class_id, "class ids")
+        if cid.ndim:
+            raise DataError(f"class id must be a scalar, got shape "
+                            f"{cid.shape}")
+        hits = np.flatnonzero(self.class_ids == cid)
         if hits.size == 0:
-            raise DataError(f"class {class_id} has no prototype")
+            raise DataError(f"class {cid} has no prototype")
         return int(hits[0])
 
     def _columns_of(self, labels):

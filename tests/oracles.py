@@ -2,7 +2,8 @@
 
 These deliberately avoid the code paths they validate: the
 matrix-equation solve goes through Kronecker vectorization and a dense
-linear solve, the unseen-prototype blend runs one class at a time, and
+linear solve, the unseen-prototype blend runs one class at a time (or, on
+the package's blocks, one neighbour rank at a time), and
 the per-instance training loop is the reference for the class-level
 statistics that the package trains from. The table-level training loop
 is the reference for the prototype blocks that the package's loop
@@ -91,6 +92,20 @@ def per_class_adjust_unseen(table, hp, neighbors=None):
         vectors[:, i] = (hp.lambda2 * table.vectors[:, i]
                          + hp.gamma2 * (neigh @ weights))
     return vectors
+
+
+def per_rank_blend_neighbors(queries, vecs, top, sims, hp, ids):
+    """:func:`zsadjust.adjustment._blend_neighbors` a rank at a time: the
+    neighbour means sum k gathered d_s x q blocks, each scaled by its
+    rank's weights."""
+    weights = np.maximum(sims[:hp.k], 0.0)
+    total = weights.sum(axis=0)
+    live = total > 0.0
+    top, weights = top[:hp.k, live], weights[:, live] / total[live]
+    pull = sum(vecs[:, top[j]] * weights[j] for j in range(hp.k))
+    out = queries.copy(order="K")
+    out[:, live] = _blend("unseen", hp, queries[:, live], pull, ids[live])
+    return out
 
 
 # ---------------------------------------------------------------------------

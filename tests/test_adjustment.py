@@ -1,9 +1,14 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zsadjust import adjustment
 from zsadjust.adjustment import (
+    _blend_neighbors,
     _nearest,
     _side,
     adjust_seen,
@@ -15,7 +20,12 @@ from zsadjust.errors import DataError
 from zsadjust.mapping import HyperParams, MappingModel
 from zsadjust.trainer import train
 
-from oracles import cosine_similarity, per_class_adjust_unseen, per_class_knn
+from oracles import (
+    cosine_similarity,
+    per_class_adjust_unseen,
+    per_class_knn,
+    per_rank_blend_neighbors,
+)
 
 
 def test_cosine_self():
@@ -362,3 +372,92 @@ def test_adjust_unseen_matches_per_class_oracle(seed, k, source):
     negative = np.all(table.vectors == -np.eye(4)[:, [0]], axis=0)
     assert negative.any()
     assert np.array_equal(out.vectors[:, negative], table.vectors[:, negative])
+
+
+def _assert_blends_agree(got, want, queries, live):
+    """Blended columns within 1e-14 relative in norm, the others the bits
+    of ``queries``."""
+    err = np.linalg.norm(got[:, live] - want[:, live], axis=0)
+    assert np.all(err <= 1e-14 * np.linalg.norm(want[:, live], axis=0))
+    assert np.array_equal(got[:, ~live], queries[:, ~live])
+    assert np.array_equal(want[:, ~live], queries[:, ~live])
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@given(data=st.data(), seed=st.integers(0, 2**16),
+       n_seen=st.integers(1, 8), n_unseen=st.integers(1, 5),
+       huge_seen=st.booleans(), huge_unseen=st.booleans(),
+       negative=st.booleans(), other=st.booleans(),
+       weights=st.sampled_from([(0.8, 0.2), (0.0, 1.0), (2.0, 1.0)]))
+def test_blend_matches_per_rank_oracle(data, seed, n_seen, n_unseen,
+                                       huge_seen, huge_unseen, negative,
+                                       other, weights):
+    # the one product against the per-rank sum, for k up to the number of
+    # seen classes and a search at any larger k. Integer prototypes with
+    # copied columns tie exactly; a seen column of 1e200 overflows its
+    # norm (similarity 0) and, with an unseen one of 1e200, its dot product
+    # (NaN, ranked last). With ``negative`` one unseen class has only
+    # negative similarities.
+    rng = np.random.default_rng(seed)
+    n = n_seen + n_unseen
+    perm = rng.permutation(n)
+    ids, seen = 3 * rng.permutation(n) + 1, (np.arange(n) < n_seen)[perm]
+
+    def prototypes():
+        vecs = rng.integers(-2, 3, size=(3, n)).astype(float)
+        copied = rng.random(n) < 0.4
+        vecs[:, copied] = vecs[:, rng.integers(0, n, size=n)[copied]]
+        if negative:
+            vecs[0, :n_seen] = rng.integers(1, 3, size=n_seen)
+            vecs[:, n_seen] = -np.eye(3)[0]
+        vecs[0, ~vecs.any(axis=0)] = 1.0
+        vecs[:, [j for j, big in ((0, huge_seen), (n - 1, huge_unseen))
+                 if big]] *= 1e200
+        with np.errstate(over="ignore"):    # the norms of those columns
+            return PrototypeTable(ids, vecs[:, perm], seen)
+
+    table = prototypes()
+    neighbors = prototypes() if other else None
+    k = data.draw(st.integers(1, n_seen))
+    hp = HyperParams(lambda2=weights[0], gamma2=weights[1], k=k)
+    ids_u, cols, queries = _side(table, False)
+    _, _, vecs = _side(table if neighbors is None else neighbors, True)
+    top, sims = _nearest(vecs, queries, data.draw(st.integers(k, n_seen)))
+    with np.errstate(invalid="ignore"):     # NaN similarities
+        live = np.maximum(sims[:k], 0.0).sum(axis=0) > 0.0
+
+    got = _blend_neighbors(queries, vecs, top, sims, hp, ids_u)
+    want = per_rank_blend_neighbors(queries, vecs, top, sims, hp, ids_u)
+    _assert_blends_agree(got, want, queries, live)
+    got = adjust_unseen(table, hp, neighbors).vectors
+    with mock.patch.object(adjustment, "_blend_neighbors",
+                           per_rank_blend_neighbors):
+        want = adjust_unseen(table, hp, neighbors).vectors
+    assert np.array_equal(got[:, table.seen], table.vectors[:, table.seen])
+    assert np.array_equal(want[:, table.seen], table.vectors[:, table.seen])
+    _assert_blends_agree(got[:, cols], want[:, cols], queries, live)
+
+
+def _traced_peak(call):
+    """``call()`` and the tracemalloc peak of its allocations."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_blend_peaks_no_higher_than_its_search():
+    # the neighbour means are one product with a (seen x queries) weight
+    # matrix, no larger than the search's similarities. With more seen
+    # classes than semantic dimensions, as here, the blend stays within
+    # the search's peak; a d_s x k x q gather of the neighbours would not
+    rng = np.random.default_rng(0)
+    vecs = rng.standard_normal((50, 200))
+    queries = rng.standard_normal((50, 100))
+    hp = HyperParams(k=20)
+    (top, sims), search = _traced_peak(lambda: _nearest(vecs, queries, hp.k))
+    _, blend = _traced_peak(lambda: _blend_neighbors(
+        queries, vecs, top, sims, hp, np.arange(100)))
+    assert 50 * hp.k * 100 * 8 > search
+    assert blend <= search

@@ -179,6 +179,9 @@ WIDE, TALL, ROW = (MappingModel(np.ones(shape))
                    for shape in ((4, 5), (3, 8), (1, 8)))
 FEATURES_5 = "model expects 5-dimensional features, data has 8"
 SEMANTIC_3 = "model maps into 3 semantic dimensions, prototypes have 4"
+# classes 1 and 3 unseen: True is no class 1, and [3] no class 3
+ODD_UNSEEN = PrototypeTable(np.arange(4), np.eye(4) + 1,
+                            np.arange(4) % 2 == 0)
 # W x stays finite for the unseen instances, but |W^T p| overflows
 HUGE = MappingModel(np.random.default_rng(0).standard_normal((4, 8)) * 1e300)
 
@@ -194,6 +197,12 @@ LIBRARY_FAULTS = {
         DataError, "prototype table must contain at least one class"),
     "knn_seen of an absent id": (lambda _: knn_seen(TABLE, 99, 2),
                                  DataError, "class 99 has no prototype"),
+    # an id is checked, not compared: one integer, as class ids are
+    "knn_seen of a boolean id": (lambda _: knn_seen(ODD_UNSEEN, True, 1),
+                                 DataError, "class ids must be integers$"),
+    "knn_seen of an id in a list": (lambda _: knn_seen(ODD_UNSEEN, [3], 1),
+                                    DataError, r"class id must be a scalar, "
+                                               r"got shape \(1,\)$"),
     "no unseen candidates": (lambda _: _evaluate(ALL_SEEN, "semantic"),
                              DataError, "prototype table has no unseen"),
     "zero decoded prototype": (lambda _: _evaluate(TABLE, "visual"),
