@@ -17,15 +17,22 @@ lambda alone. Both rules anchor on the table passed in, which training
 always passes as the original, so blends never compound.
 
 Each rule is written once, on prototype blocks (d_s x n arrays):
-:func:`_blend`, the k-NN search :func:`_nearest` and the neighbour blend
-:func:`_blend_neighbors`, which forms every neighbour mean as one product
-of the seen block with a (seen x queries) weight matrix, k entries a
-column. A :class:`PrototypeTable` becomes blocks one way: :func:`_side`
-gathers one side in class id order, once per side, and
-:func:`_with_columns` writes a blended block back into the table's own
-column order. The training loop, :func:`zsadjust.inference.sweep_k`, the
-ranking and the public functions here all go through them, so no result
-depends on the order in which a table lists its classes.
+:func:`_blend`, the k-NN search :func:`_nearest`, which ranks a (queries
+x seen) similarity block along its rows, and the neighbour blend
+:func:`_blend_neighbors`. The blend forms its neighbour means in one of
+two ways, by the width of the seen block. From ``_GATHER_RATIO`` (16)
+times k seen classes up, they are k-term sums of each query's gathered
+seen prototypes, taken in query chunks no larger than the search's
+similarities. Below that, they are one product of the seen block with a
+(seen x queries) weight matrix of k entries a column, which costs
+n_seen/k times the multiply-adds but one BLAS call. The two agree up to
+rounding; the timings behind the ratio are given where it is set. A
+:class:`PrototypeTable` becomes blocks one way: :func:`_side` gathers
+one side in class id order, once per side, and :func:`_with_columns`
+writes a blended block back into the table's own column order. The
+training loop, :func:`zsadjust.inference.sweep_k`, the ranking and the
+public functions here all go through them, so no result depends on the
+order in which a table lists its classes.
 """
 
 from __future__ import annotations
@@ -122,26 +129,27 @@ def _nearest(vecs, queries, k):
     ``queries``: best first, exact ties toward the smaller id, NaN last.
     The first j ranks are those of a search for j."""
     _check_k(k, vecs.shape[1])
+    # query-major (q, n_seen): the partition and nonzero run along rows
     with np.errstate(over="ignore", invalid="ignore"):  # NaN: ranked last
-        sims = (vecs.T @ queries) / np.outer(np.linalg.norm(vecs, axis=0),
-                                             _col_norms(queries))
+        sims = (queries.T @ vecs) / np.outer(_col_norms(queries),
+                                             np.linalg.norm(vecs, axis=0))
     # Sort key: best first, a NaN similarity (overflowed norms) last.
     key = -sims
     key[np.isnan(key)] = np.inf
-    # Per column keep the rows at or above the k-th value, only the
+    # Per query keep the seen classes at or above the k-th value, only the
     # smallest-id ones where ties straddle the cut; a stable sort of the k
-    # rows (in id order) then breaks ties toward the smaller id.
-    kth = np.partition(key, k - 1, axis=0)[k - 1]
+    # kept (in id order) then breaks ties toward the smaller id.
+    kth = np.partition(key, k - 1, axis=1)[:, k - 1:k]
     keep = key <= kth
-    if np.count_nonzero(keep) > k * keep.shape[1]:
+    if np.count_nonzero(keep) > k * keep.shape[0]:
         better = key < kth
         tied = key == kth
-        keep = better | (tied & (np.cumsum(tied, axis=0)
-                                 <= k - np.count_nonzero(better, axis=0)))
-    top = np.nonzero(keep.T)[1].reshape(-1, k).T
+        room = k - np.count_nonzero(better, axis=1, keepdims=True)
+        keep = better | (tied & (np.cumsum(tied, axis=1) <= room))
+    top = np.nonzero(keep)[1].reshape(-1, k).T
     cols = np.arange(top.shape[1])
-    top = top[np.argsort(key[top, cols], axis=0, kind="stable"), cols]
-    return top, sims[top, cols]
+    top = top[np.argsort(key[cols, top], axis=0, kind="stable"), cols]
+    return top, sims[cols, top]
 
 
 def _col_norms(a):
@@ -175,12 +183,17 @@ def adjust_unseen(table, hp, neighbors=None):
 
     Raises
     ------
+    TypeError
+        If ``neighbors`` is neither a PrototypeTable nor None.
     DataError
         If ``neighbors`` has another semantic dimension than ``table``,
         if k exceeds the number of seen classes, or if a blend's norm
         overflows (a huge ``lambda2`` or ``gamma2``); the message names
         the classes.
     """
+    if not isinstance(neighbors, (PrototypeTable, type(None))):
+        raise TypeError(f"neighbors must be a PrototypeTable or None, got "
+                        f"{type(neighbors).__name__}")
     if hp.gamma2 == 0.0:
         return table
     if neighbors is not None and neighbors.semantic_dim != table.semantic_dim:
@@ -193,26 +206,67 @@ def adjust_unseen(table, hp, neighbors=None):
         queries, vecs, top, sims, hp, ids))
 
 
+# The neighbour means take the cheaper of two forms. Where the seen block
+# is at least _GATHER_RATIO * k wide, each query gathers its k seen
+# prototypes (:func:`_gathered_means`); below that, one product with a
+# (seen x queries) weight matrix (:func:`_product_means`) is faster: it
+# does n_seen / k times the multiply-adds, but in one BLAS call. Measured
+# per blend call, interleaved (one BLAS thread, numpy 2.4.6 and OpenBLAS
+# 0.3.31 on a 2-core Xeon; d_s 85 and 300, 20 to 500 queries): the gather
+# is the faster from 150-400 seen classes up at k = 12 and from 50-150 up
+# at k = 3, a crossover at 12 to 50 times k. A whole blend call at 1000
+# seen x 500 unseen, d_s = 300 and k = 12 took 2.3 ms with the gather and
+# 5.8 ms with the product; at 20 x 20, d_s = 85, 100 us and 34 us.
+_GATHER_RATIO = 16
+
+
 def _blend_neighbors(queries, vecs, top, sims, hp, ids):
     """A new block: the unseen blend of the prototypes ``queries`` (the
     classes ``ids``, ascending) from the first ``hp.k`` ranks of their
     :func:`_nearest` search ``top, sims`` among ``vecs`` at any k >=
-    ``hp.k``. The neighbour means are one product of ``vecs`` with a
-    (seen x queries) weight matrix that holds k entries a column."""
+    ``hp.k``. The neighbour means are k-term sums of gathered seen
+    prototypes where ``vecs`` has at least ``_GATHER_RATIO * k`` columns,
+    else one product of ``vecs`` with a (seen x queries) weight matrix;
+    the two forms were measured to cross over at 12 to 50 times k seen
+    classes (the comment at ``_GATHER_RATIO`` gives the timings)."""
     _check_k(hp.k, vecs.shape[1])
     weights = np.maximum(sims[:hp.k], 0.0)
     total = weights.sum(axis=0)
     # no positive similarity: leave that column unchanged this round
     live = total > 0.0
     top, weights = top[:hp.k, live], weights[:, live] / total[live]
-    # one product for all ranks: each live query's k weights in its column
-    # of a (seen x queries) matrix, zero elsewhere, freed before _blend's
-    # d_s x q temporaries. The transposes give the means the F order of
-    # the anchor columns, which _blend then adds without a buffer.
-    mix = np.zeros((vecs.shape[1], weights.shape[1]))
-    np.put_along_axis(mix, top, weights, axis=0)
-    pull = (mix.T @ vecs.T).T
-    del mix
+    means = (_gathered_means if vecs.shape[1] >= _GATHER_RATIO * hp.k
+             else _product_means)
+    pull = means(vecs, top, weights)
+    if live.all():      # every column blends: no copy of the block
+        return _blend("unseen", hp, queries, pull, ids)
     out = queries.copy(order="K")
     out[:, live] = _blend("unseen", hp, queries[:, live], pull, ids[live])
     return out
+
+
+def _product_means(vecs, top, weights):
+    """The weighted means of the columns ``top`` (k, q) of ``vecs`` as one
+    product with a (seen x queries) matrix that holds each query's k
+    ``weights`` in its column, zero elsewhere, and is freed on return. The
+    transposes give the means (d_s, q) the F order of the anchor columns,
+    which :func:`_blend` then adds without a buffer."""
+    mix = np.zeros((vecs.shape[1], weights.shape[1]))
+    np.put_along_axis(mix, top, weights, axis=0)
+    return (mix.T @ vecs.T).T
+
+
+def _gathered_means(vecs, top, weights):
+    """:func:`_product_means` as k-term sums: each query's k rows of
+    ``vecs.T`` are gathered and summed with its weights by one batched
+    product. The queries go in chunks, so that no gathered (chunk, k, d_s)
+    block holds more values than the search's (seen x queries)
+    similarities."""
+    (k, q), (d, n) = top.shape, vecs.shape
+    step = max(1, n * q // (k * d))
+    means = np.empty((q, d))
+    for s in range(0, q, step):
+        part = slice(s, s + step)
+        np.matmul(weights[:, part].T[:, None], vecs.T[top[:, part].T],
+                  out=means[part, None])
+    return means.T

@@ -47,6 +47,16 @@ def _check_direction(direction):
         raise ValueError("direction must be 'semantic' or 'visual'")
 
 
+def _each(values, name):
+    """An iterator over ``values``; one that is not iterable (a single k
+    where a list of them is due, say) is a TypeError naming ``name``."""
+    try:
+        return iter(values)
+    except TypeError:
+        raise TypeError(f"{name} must be an iterable of integers, got "
+                        f"{type(values).__name__}") from None
+
+
 def _unit_instances(model, features, direction):
     """The instance columns mapped, ``W x``, each divided by the norm its
     cosine takes (``|W x|``, or ``|x|`` for "visual"), and the mask of the
@@ -189,6 +199,8 @@ def evaluate(model, unseen, table, ks=(1, 5), direction="semantic"):
 
     Raises
     ------
+    TypeError
+        If ``ks`` is not iterable.
     DataError
         If ``model`` does not fit the features or ``table``, or if the
         norm of a compared instance or of an unseen prototype (decoded,
@@ -197,7 +209,7 @@ def evaluate(model, unseen, table, ks=(1, 5), direction="semantic"):
     tic = time.perf_counter()
     _check_fits(model, unseen.feature_dim, table.semantic_dim)
     _check_direction(direction)
-    ks = sorted({int(as_number(k, "k", 1, int)) for k in ks})
+    ks = sorted({int(as_number(k, "k", 1, int)) for k in _each(ks, "ks")})
     if not ks:
         raise ValueError("ks must name at least one k")
     instances = _unit_instances(model, unseen.features, direction)
@@ -235,9 +247,9 @@ def sweep_k(seen, unseen, table, hp, k_values, direction="semantic",
     """Hit@1 as a function of the neighbor count k: ``{k: hit_at_1}``,
     each what ``evaluate`` scores on the table ``train`` returns with that
     k. ``seen`` is what ``train`` takes. ``direction``, every k and the
-    feature widths are checked first; ``k_values`` must name at least one
-    k, and a k beyond the seen classes raises once the k before it are
-    scored.
+    feature widths are checked first; ``k_values``, an iterable, must name
+    at least one k, and a k beyond the seen classes raises once the k
+    before it are scored.
 
     One training and one search serve every k. Only the seen prototypes
     reach the weight solves, so the weights, the seen-adjusted prototypes
@@ -250,7 +262,7 @@ def sweep_k(seen, unseen, table, hp, k_values, direction="semantic",
     blend is ranked as a block and scored for Hit@1.
     """
     _check_direction(direction)
-    hps = [replace(hp, k=k) for k in k_values]
+    hps = [replace(hp, k=k) for k in _each(k_values, "k_values")]
     if not hps:
         raise ValueError("k_values must name at least one k")
     width = (seen.sums if isinstance(seen, ClassStats)

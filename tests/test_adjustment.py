@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from zsadjust import adjustment
 from zsadjust.adjustment import (
+    _GATHER_RATIO,
     _blend_neighbors,
     _nearest,
     _side,
@@ -384,20 +386,28 @@ def _assert_blends_agree(got, want, queries, live):
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=80)
-@given(data=st.data(), seed=st.integers(0, 2**16),
-       n_seen=st.integers(1, 8), n_unseen=st.integers(1, 5),
+@given(data=st.data(), seed=st.integers(0, 2**16), wide=st.booleans(),
+       n_unseen=st.integers(1, 5),
        huge_seen=st.booleans(), huge_unseen=st.booleans(),
        negative=st.booleans(), other=st.booleans(),
        weights=st.sampled_from([(0.8, 0.2), (0.0, 1.0), (2.0, 1.0)]))
-def test_blend_matches_per_rank_oracle(data, seed, n_seen, n_unseen,
+def test_blend_matches_per_rank_oracle(data, seed, wide, n_unseen,
                                        huge_seen, huge_unseen, negative,
                                        other, weights):
-    # the one product against the per-rank sum, for k up to the number of
-    # seen classes and a search at any larger k. Integer prototypes with
-    # copied columns tie exactly; a seen column of 1e200 overflows its
-    # norm (similarity 0) and, with an unseen one of 1e200, its dot product
-    # (NaN, ranked last). With ``negative`` one unseen class has only
-    # negative similarities.
+    # both forms of the neighbour means against the per-rank sum, for a
+    # search at any k' >= k: the product for k up to a narrow seen block,
+    # the gather (``wide``) from _GATHER_RATIO * k seen classes up.
+    # Integer prototypes with copied columns tie exactly; a seen column of
+    # 1e200 overflows its norm (similarity 0) and, with an unseen one of
+    # 1e200, its dot product (NaN, ranked last). With ``negative`` one
+    # unseen class has only negative similarities.
+    if wide:
+        k = data.draw(st.integers(1, 2))
+        n_seen = data.draw(st.integers(_GATHER_RATIO * k,
+                                       _GATHER_RATIO * k + 8))
+    else:
+        n_seen = data.draw(st.integers(1, 8))
+        k = data.draw(st.integers(1, n_seen))
     rng = np.random.default_rng(seed)
     n = n_seen + n_unseen
     perm = rng.permutation(n)
@@ -418,7 +428,6 @@ def test_blend_matches_per_rank_oracle(data, seed, n_seen, n_unseen,
 
     table = prototypes()
     neighbors = prototypes() if other else None
-    k = data.draw(st.integers(1, n_seen))
     hp = HyperParams(lambda2=weights[0], gamma2=weights[1], k=k)
     ids_u, cols, queries = _side(table, False)
     _, _, vecs = _side(table if neighbors is None else neighbors, True)
@@ -448,16 +457,66 @@ def _traced_peak(call):
 
 
 def test_blend_peaks_no_higher_than_its_search():
-    # the neighbour means are one product with a (seen x queries) weight
-    # matrix, no larger than the search's similarities. With more seen
-    # classes than semantic dimensions, as here, the blend stays within
-    # the search's peak; a d_s x k x q gather of the neighbours would not
+    # the neighbour means never outgrow the search's similarities. With
+    # more seen classes than semantic dimensions, as here, the blend stays
+    # within the search's peak, and a d_s x k x q gather of the neighbours
+    # in one block would not. Below _GATHER_RATIO * k seen classes (the
+    # first case) the means are one product with a (seen x queries) weight
+    # matrix; from there (the second) they are gathered in query chunks.
     rng = np.random.default_rng(0)
-    vecs = rng.standard_normal((50, 200))
-    queries = rng.standard_normal((50, 100))
-    hp = HyperParams(k=20)
-    (top, sims), search = _traced_peak(lambda: _nearest(vecs, queries, hp.k))
+    for d_s, n_seen, k in ((50, 200, 20), (100, 200, 12)):
+        vecs = rng.standard_normal((d_s, n_seen))
+        queries = rng.standard_normal((d_s, 100))
+        hp = HyperParams(k=k)
+        (top, sims), search = _traced_peak(lambda: _nearest(vecs, queries,
+                                                            hp.k))
+        _, blend = _traced_peak(lambda: _blend_neighbors(
+            queries, vecs, top, sims, hp, np.arange(100)))
+        assert d_s * k * 100 * 8 > search
+        assert blend <= search
+
+
+def test_blend_of_live_columns_holds_under_four_blocks():
+    # at the criterion-4 shape (d_s = 85, 20 seen x 20 unseen, k = 12),
+    # with blocks as _side gathers them: where every column has a positive
+    # weight, the blend is made from the queries themselves, not from a
+    # copy of them and of their live columns. It then holds the means, the
+    # blend and one temporary: under four d_s x q arrays, where the copies
+    # made five and a half.
+    rng = np.random.default_rng(0)
+    table = PrototypeTable(np.arange(40), rng.standard_normal((85, 40)),
+                           np.arange(40) < 20)
+    ids, _, queries = _side(table, False)
+    _, _, vecs = _side(table, True)
+    hp = HyperParams(k=12)
+    top, sims = _nearest(vecs, queries, hp.k)
+    assert (sims > 0).any(axis=0).all()
     _, blend = _traced_peak(lambda: _blend_neighbors(
-        queries, vecs, top, sims, hp, np.arange(100)))
-    assert 50 * hp.k * 100 * 8 > search
-    assert blend <= search
+        queries, vecs, top, sims, hp, ids))
+    assert blend < 4 * queries.nbytes
+
+
+@pytest.mark.parametrize("n_seen, form", [
+    (3 * _GATHER_RATIO - 1, "_product_means"),
+    (3 * _GATHER_RATIO, "_gathered_means")])
+def test_blend_form_follows_the_seen_width(n_seen, form):
+    # k = 3: below _GATHER_RATIO * k seen classes the means are one
+    # product with a (seen x queries) weight matrix; from there they are
+    # gathered, and no such matrix is made
+    rng = np.random.default_rng(1)
+    n = n_seen + 5
+    table = PrototypeTable(np.arange(n), rng.standard_normal((6, n)),
+                           np.arange(n) < n_seen)
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(adjustment, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return real(*args)
+        return mock.patch.object(adjustment, name, spy)
+
+    with counted("_product_means"), counted("_gathered_means"):
+        adjust_unseen(table, HyperParams(k=3))
+    assert calls == Counter({form: 1})

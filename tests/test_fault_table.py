@@ -15,7 +15,7 @@ from zsadjust.data import (
     save_prototypes,
 )
 from zsadjust.errors import DataError, SolverError
-from zsadjust.inference import evaluate, predict
+from zsadjust.inference import evaluate, predict, sweep_k
 from zsadjust.linalg import SylvesterSystem, as_matrix, solve_sylvester
 from zsadjust.mapping import (
     HyperParams,
@@ -292,6 +292,16 @@ LIBRARY_FAULTS = {
     "expand_per_instance of 2-D labels": (
         lambda _: expand_per_instance(TABLE, [[0, 1]]), DataError,
         r"labels must be 1-D, got shape \(1, 2\)$"),
+    # a wrong Python type is a TypeError that names the parameter
+    "adjust_unseen of neighbors that are no table": (
+        lambda _: adjust_unseen(TABLE, HyperParams(k=2), neighbors="x"),
+        TypeError, "neighbors must be a PrototypeTable or None, got str$"),
+    "evaluate of one k": (lambda _: evaluate(
+        MappingModel(np.ones((4, 8))), UNSEEN, TABLE, ks=5), TypeError,
+        "ks must be an iterable of integers, got int$"),
+    "sweep_k of one k": (lambda _: sweep_k(
+        SEEN, UNSEEN, TABLE, HyperParams(), k_values=3), TypeError,
+        "k_values must be an iterable of integers, got int$"),
 }
 
 
