@@ -1,10 +1,11 @@
 """Dense real-matrix operations and the closed-form mapping-equation solver.
 
-Besides finite-matrix coercion, the check of every scalar parameter and
-symmetric eigendecomposition, this module solves L W + W R + M = 0 for
-symmetric positive semi-definite L and R (Gram matrices of prototypes
-and features) by eigendecomposing both sides, not by a general
-Schur-based method: with L = U diag(lam) U^T and R = V diag(sig) V^T,
+Besides finite-matrix coercion, the checks of every scalar parameter and
+of an argument's Python type, and symmetric eigendecomposition, this
+module solves L W + W R + M = 0 for symmetric positive semi-definite L
+and R (Gram matrices of prototypes and features) by eigendecomposing
+both sides, not by a general Schur-based method: with L = U diag(lam)
+U^T and R = V diag(sig) V^T,
 
     W = U Wt V^T,   Wt[i, j] = -(U^T M V)[i, j] / (lam[i] + sig[j]).
 
@@ -76,6 +77,18 @@ def as_number(value, name, low=0, kind=float, error=ValueError):
     if value < low:
         bound = "a positive integer" if integer and low == 1 else f">= {low}"
         raise error(f"{name} must be {bound}")
+    return value
+
+
+def as_type(value, name, *kinds):
+    """``value`` if it is an instance of one of ``kinds`` (``type(None)``
+    for None); else a TypeError naming the parameter ``name`` and the
+    type it got."""
+    if not isinstance(value, kinds):
+        wanted = " or ".join("None" if kind is type(None)
+                             else f"a {kind.__name__}" for kind in kinds)
+        raise TypeError(f"{name} must be {wanted}, got "
+                        f"{type(value).__name__}")
     return value
 
 

@@ -51,9 +51,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import _ids, block_width
+from .data import LabeledDataset, _ids, block_width
 from .errors import DataError
-from .linalg import SylvesterSystem, _eig_solve, as_matrix, as_number, sym_eig
+from .linalg import (
+    SylvesterSystem,
+    _eig_solve,
+    as_matrix,
+    as_number,
+    as_type,
+    sym_eig,
+)
 
 
 @dataclass(frozen=True)
@@ -221,8 +228,8 @@ def _class_sums(x, labels):
 
 def class_stats(seen):
     """The class statistics n, S and G of a LabeledDataset; a ClassStats
-    is returned as it is. Raises DataError when finite features overflow
-    in G.
+    is returned as it is, and anything else is a TypeError. Raises
+    DataError when finite features overflow in G.
 
     The columns are reduced in views of ``block_width(d_v)`` columns, one
     Gram product per block, added up: the accumulator that ``zsadjust
@@ -234,6 +241,7 @@ def class_stats(seen):
     dataset skip the Gram product and eigh(d_v), with the bits of the
     first call's BLAS thread count.
     """
+    as_type(seen, "seen", LabeledDataset, ClassStats)
     if isinstance(seen, ClassStats):
         return seen
     stats = vars(seen).get("_class_stats")

@@ -28,10 +28,12 @@ is replaced, so the old block is dropped before the search and the
 solve. No iteration copies a table, looks up an id or re-checks an
 array the loop made.
 
-The validation order: the neighbor flag before any statistics are
-computed, the class ids before the first solve and, with the seen blend
-on, each seen class's instances after it. In an iteration the unseen
-search runs before the solve, so its errors come first.
+The validation order: the neighbor flag and the types of ``hp`` and
+``ridge_on_failure`` before any statistics are computed (which checks
+the type of ``seen``), the class ids before the first solve and, with
+the seen blend on, each seen class's instances after it. In an
+iteration the unseen search runs before the solve, so its errors come
+first.
 
 The stop rule: after ``hp.iterations`` rounds, or once the relative
 weight change ||dW||_F / ||W||_F drops below ``hp.tol``. Each completed
@@ -55,8 +57,9 @@ from .adjustment import (
 )
 from .data import _rows
 from .errors import DataError, SolverError
-from .linalg import as_number
+from .linalg import as_number, as_type
 from .mapping import (
+    HyperParams,
     MappingModel,
     _objective,
     _solve_rotated,
@@ -106,6 +109,9 @@ def train(seen, table, hp, unseen_neighbors="adjusted",
     ridge_on_failure : bool
         Passed through to the weight solver.
 
+    A ``seen``, ``hp`` or ``ridge_on_failure`` of another type is a
+    TypeError that names it.
+
     Returns
     -------
     (MappingModel, PrototypeTable, TrainingTrace)
@@ -126,6 +132,8 @@ def _alternate(seen, table, hp, unseen_neighbors="adjusted",
     empty."""
     if unseen_neighbors not in ("adjusted", "original"):
         raise ValueError("unseen_neighbors must be 'adjusted' or 'original'")
+    as_type(hp, "hp", HyperParams)
+    as_type(ridge_on_failure, "ridge_on_failure", bool)
     stats = class_stats(seen)
     data = None if seen is stats else seen
     if stats.counts.size == 0:

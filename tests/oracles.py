@@ -3,8 +3,9 @@
 These deliberately avoid the code paths they validate: the
 matrix-equation solve goes through Kronecker vectorization and a dense
 linear solve, the unseen-prototype blend runs one class at a time (or, on
-the package's blocks, one neighbour rank at a time), and
-the per-instance training loop is the reference for the class-level
+the package's blocks, one neighbour rank at a time), the ranking tail
+builds one mask per comparison and takes np.argmax of the similarities,
+and the per-instance training loop is the reference for the class-level
 statistics that the package trains from. The table-level training loop
 is the reference for the prototype blocks that the package's loop
 carries through its iterations.
@@ -106,6 +107,29 @@ def per_rank_blend_neighbors(queries, vecs, top, sims, hp, ids):
     out = queries.copy(order="K")
     out[:, live] = _blend("unseen", hp, queries[:, live], pull, ids[live])
     return out
+
+
+# ---------------------------------------------------------------------------
+# the ranking tail: each comparison as its own (candidates x instances)
+# mask, and the 1-NN in-degree from np.argmax over the similarity block
+
+
+def mask_true_ranks(sims, rows):
+    """Each instance's rank, the candidates above its class's row ``rows``
+    in ``sims`` plus tied ones of smaller row, and if its similarity is
+    NaN."""
+    true = sims[rows, np.arange(rows.size)]
+    cand = np.arange(sims.shape[0])[:, None]
+    rank_of = np.count_nonzero(
+        (sims > true) | ((sims == true) & (cand < rows)), axis=0)
+    return rank_of, np.isnan(true)
+
+
+def argmax_in_degree(sims, zero):
+    """How often each row of ``sims`` is the first maximum of a column,
+    over the columns not in ``zero``."""
+    return np.bincount(np.argmax(sims, axis=0)[~zero],
+                       minlength=sims.shape[0])
 
 
 # ---------------------------------------------------------------------------

@@ -520,3 +520,17 @@ def test_blend_form_follows_the_seen_width(n_seen, form):
     with counted("_product_means"), counted("_gathered_means"):
         adjust_unseen(table, HyperParams(k=3))
     assert calls == Counter({form: 1})
+
+
+@pytest.mark.parametrize("cap", [1, 3 * 7, 2 * 3 * 7, 5 * 3 * 7])
+def test_gathered_means_are_the_bits_of_any_chunk(monkeypatch, cap):
+    # each query's k-term sum is its own product: one query a chunk (a cap
+    # of 1 or of k * d_s values), two or five give the bits of all 23 in
+    # one chunk, which the similarities' 40 * 23 values allow
+    rng = np.random.default_rng(5)
+    vecs = rng.standard_normal((7, 40))[:, rng.permutation(40)]
+    top, sims = _nearest(vecs, rng.standard_normal((7, 23)), 3)
+    weights = np.abs(sims) / np.abs(sims).sum(axis=0)
+    want = adjustment._gathered_means(vecs, top, weights)
+    monkeypatch.setattr(adjustment, "_CHUNK_VALUES", cap)
+    assert np.array_equal(adjustment._gathered_means(vecs, top, weights), want)

@@ -302,6 +302,28 @@ LIBRARY_FAULTS = {
     "sweep_k of one k": (lambda _: sweep_k(
         SEEN, UNSEEN, TABLE, HyperParams(), k_values=3), TypeError,
         "k_values must be an iterable of integers, got int$"),
+    "evaluate of no table": (lambda _: evaluate(
+        MappingModel(np.ones((4, 8))), UNSEEN, None), TypeError,
+        "table must be a PrototypeTable, got NoneType$"),
+    "evaluate of a bare weight matrix": (lambda _: evaluate(
+        np.ones((4, 8)), UNSEEN, TABLE), TypeError,
+        "model must be a MappingModel, got ndarray$"),
+    "evaluate of a table as its instances": (lambda _: evaluate(
+        MappingModel(np.ones((4, 8))), TABLE, TABLE), TypeError,
+        "unseen must be a LabeledDataset, got PrototypeTable$"),
+    "train of no hyperparameters": (lambda _: train(SEEN, TABLE, None),
+                                    TypeError,
+                                    "hp must be a HyperParams, got NoneType$"),
+    "sweep_k of no hyperparameters": (lambda _: sweep_k(
+        SEEN, UNSEEN, TABLE, None, [1]), TypeError,
+        "hp must be a HyperParams, got NoneType$"),
+    "train of a table as its seen data": (lambda _: train(
+        TABLE, TABLE, HyperParams()), TypeError,
+        "seen must be a LabeledDataset or a ClassStats, got PrototypeTable$"),
+    # a truthy string is no bool: "no" would be taken as True too
+    "train of a ridge flag that is a string": (lambda _: train(
+        SEEN, TABLE, HyperParams(k=2), ridge_on_failure="yes"), TypeError,
+        "ridge_on_failure must be a bool, got str$"),
 }
 
 

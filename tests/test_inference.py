@@ -1,9 +1,12 @@
 import json
 import tracemalloc
 from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zsadjust import inference
 from zsadjust.cli import _write_report
@@ -13,7 +16,7 @@ from zsadjust.inference import EvalReport, evaluate, predict, skewness, sweep_k
 from zsadjust.mapping import HyperParams, MappingModel
 from zsadjust.trainer import train
 
-from oracles import cosine_similarity
+from oracles import argmax_in_degree, cosine_similarity, mask_true_ranks
 
 
 def _table(vectors, seen):
@@ -446,3 +449,60 @@ def test_sweep_refuses_unseen_features_of_another_width(statistics,
     assert str(err.value) == ("unseen features are 15-dimensional, seen "
                               "features 16-dimensional")
     assert solves == []
+
+
+def _tail_ties(rng, c, m):
+    """A model, unseen instances and a table of 2 seen and ``c`` unseen
+    classes, all small integers: unseen prototypes copied from one another
+    tie exactly, in either direction, and the last instance is zero. W is
+    unit upper triangular, so only a zero x maps to zero and no decoded
+    prototype is zero."""
+    w = np.eye(3) + np.triu(rng.integers(-1, 2, size=(3, 3)), 1)
+    vecs = rng.integers(-2, 3, size=(3, c + 2)).astype(float)
+    copied = np.flatnonzero(rng.random(c + 2) < 0.4)
+    vecs[:, copied] = vecs[:, rng.integers(2, c + 2, size=copied.size)]
+    vecs[0, ~vecs.any(axis=0)] = 1.0
+    labels = rng.integers(2, c + 2, size=m)
+    x = np.linalg.solve(w, vecs[:, labels]) + rng.integers(-1, 2, (3, m))
+    x[:, -1] = 0.0
+    return (MappingModel(w), LabeledDataset(x, labels, c + 2),
+            _table(vecs, np.arange(c + 2) < 2))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(seed=st.integers(0, 2**16), c=st.integers(1, 5), m=st.integers(1, 10),
+       distinct=st.booleans(), stray_nan=st.booleans(),
+       direction=st.sampled_from(["semantic", "visual"]))
+def test_ranking_tail_matches_mask_oracle(seed, c, m, distinct, stray_nan,
+                                          direction):
+    # A similarity block as _ranked leaves it, drawn from five values (ties
+    # between candidates, with the true class at a smaller and at a larger
+    # row, and -0.0 against 0.0) or distinct ones, where no tie is counted.
+    # A zero instance's column is all NaN; a stray NaN in another column is
+    # that column's argmax, as np.argmax takes it.
+    rng = np.random.default_rng(seed)
+    sims = (rng.standard_normal((c, m)) if distinct
+            else rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], size=(c, m)))
+    sims[:, rng.random(m) < 0.25] = np.nan
+    if stray_nan:
+        sims[rng.integers(c), rng.integers(m)] = np.nan
+    rows = rng.integers(0, c, size=m)
+    rank_of, zero = inference._true_ranks(sims, rows)
+    want_rank, want_zero = mask_true_ranks(sims, rows)
+    assert np.array_equal(rank_of, want_rank)
+    assert np.array_equal(zero, want_zero)
+    first = inference._first_max(sims)
+    assert np.array_equal(first, np.argmax(sims, axis=0))
+    assert np.array_equal(np.bincount(first[~zero], minlength=c),
+                          argmax_in_degree(sims, zero))
+
+    # evaluate, against the same call through the oracle tail
+    model, unseen, table = _tail_ties(rng, c, m + 1)
+    got = evaluate(model, unseen, table, ks=(1, 2), direction=direction)
+    with mock.patch.object(inference, "_true_ranks", mask_true_ranks), \
+            mock.patch.object(inference, "_first_max",
+                              lambda sims: np.argmax(sims, axis=0)):
+        want = evaluate(model, unseen, table, ks=(1, 2), direction=direction)
+    assert got.zero_mapped >= 1
+    assert replace(got, timing_ms=0.0) == replace(want, timing_ms=0.0)
+
