@@ -19,15 +19,17 @@ always passes as the original, so blends never compound.
 Each rule is written once, on prototype blocks (d_s x n arrays):
 :func:`_blend`, the k-NN search :func:`_nearest`, which ranks a (queries
 x seen) similarity block along its rows, and the neighbour blend
-:func:`_blend_neighbors`. The blend forms its neighbour means in one of
-two ways, by the width of the seen block. From ``_GATHER_RATIO`` (16)
-times k seen classes up, they are k-term sums of each query's gathered
-seen prototypes, taken in query chunks no larger than the search's
-similarities or a cache-sized count. Below that, they are one product
-of the seen block with a (seen x queries) weight matrix of k entries a
-column, which costs n_seen/k times the multiply-adds but one BLAS call.
-The two agree up to rounding; the timings behind the ratio are given
-where it is set. A :class:`PrototypeTable` becomes blocks one way:
+:func:`_blend_neighbors`. The search holds that one block, which it
+turns into its sort key in place, and a one-byte mask of its NaN; its
+other temporaries are taken a cache-sized row chunk at a time. The blend
+forms its neighbour means in one of two ways, by the width of the seen
+block. From ``_GATHER_RATIO`` (16) times k seen classes up, they are
+k-term sums of each query's gathered seen prototypes, taken in query
+chunks no larger than the search's similarities or a cache-sized count.
+Below that, they are one product of the seen block with a (seen x
+queries) weight matrix of k entries a column, which costs n_seen/k times
+the multiply-adds but one BLAS call. The two agree up to rounding; the
+timings behind the ratio are given where it is set. A :class:`PrototypeTable` becomes blocks one way:
 :func:`_side` gathers one side in class id order, once per side, and
 :func:`_with_columns` writes a blended block back into the table's own
 column order. The training loop, :func:`zsadjust.inference.sweep_k`,
@@ -123,22 +125,65 @@ def _side(table, seen):
     return table.class_ids[cols], cols, table.vectors[:, cols]
 
 
+# The most values a chunk holds, a row chunk of the search's temporaries
+# (:func:`_keyed_top`) or a gathered block of :func:`_gathered_means`:
+# 2^16 floats (512 kB) stay in cache. At 1000 seen x 500 unseen, d_s = 300
+# and k = 12, on the F-order blocks that _side gathers, a gather call took
+# 1.05 ms with this cap, 1.92 ms with chunks the size of the similarities
+# and 1.85 ms with a 2^18 cap (medians of 15 interleaved rounds), and a
+# search call 10.4 ms with this cap against 10.6, 10.5 and 10.8 ms with
+# caps of 2^14, 2^15 and 2^17 (medians of 41); one BLAS thread, numpy
+# 2.4.6 and OpenBLAS 0.3.31 on a 2-core Xeon.
+_CHUNK_VALUES = 2 ** 16
+
+
 def _nearest(vecs, queries, k):
     """Rows (k, q) and similarities (k, q) of the k columns of ``vecs``
     (seen prototypes in id order) most cosine-similar to each column of
     ``queries``: best first, exact ties toward the smaller id, NaN last.
-    The first j ranks are those of a search for j."""
+    The first j ranks are those of a search for j.
+
+    The query-major (q, n_seen) product is the only float array of its
+    size, beside a one-byte mask of its NaN: :func:`_keyed_top` turns it
+    into the sort key in place, in row chunks of at most ``_CHUNK_VALUES``
+    values, and the similarities are read back from the key."""
     _check_k(k, vecs.shape[1])
-    # query-major (q, n_seen): the partition and nonzero run along rows
     with np.errstate(over="ignore", invalid="ignore"):  # NaN: ranked last
-        sims = (queries.T @ vecs) / np.outer(_col_norms(queries),
-                                             np.linalg.norm(vecs, axis=0))
-    # Sort key: best first, a NaN similarity (overflowed norms) last.
-    key = -sims
-    key[np.isnan(key)] = np.inf
-    # Per query keep the seen classes at or above the k-th value, only the
-    # smallest-id ones where ties straddle the cut; a stable sort of the k
-    # kept (in id order) then breaks ties toward the smaller id.
+        # np.linalg.norm's sums, without its call overhead, taken first:
+        # their squared copies are freed before the block
+        norms = [np.sqrt((a * a).sum(axis=0)) for a in (queries, vecs)]
+        key = queries.T @ vecs
+        nan = np.empty(key.shape, dtype=bool)
+        step = max(1, _CHUNK_VALUES // vecs.shape[1])
+        if step >= key.shape[0]:
+            top = _keyed_top(key, nan, *norms, k)
+        else:
+            top = np.concatenate([
+                _keyed_top(key[s:s + step], nan[s:s + step],
+                           norms[0][s:s + step], norms[1], k)
+                for s in range(0, key.shape[0], step)])
+    # a stable sort of each query's k (in id order) breaks ties toward the
+    # smaller id
+    top = top.T
+    cols = np.arange(top.shape[1])
+    top = top[np.argsort(key[cols, top], axis=0, kind="stable"), cols]
+    sims = -key[cols, top]
+    if nan.any():
+        sims[nan[cols, top]] = np.nan
+    return top, sims
+
+
+def _keyed_top(key, nan, q_norms, v_norms, k):
+    """Each row's k smallest keys (r, k), in id order, where ``key`` (r,
+    n_seen) holds the products of the columns whose norms are ``q_norms``
+    and ``v_norms``. In place, it becomes the sort key: the negated
+    cosine, best first, a NaN (overflowed norms) set to +inf and so ranked
+    last, and ``nan`` marks those. Per row it keeps the keys at or below
+    the k-th, only the smallest-id ones where ties straddle the cut."""
+    key /= np.outer(q_norms, v_norms)
+    np.negative(key, out=key)
+    np.isnan(key, out=nan)
+    key[nan] = np.inf
     kth = np.partition(key, k - 1, axis=1)[:, k - 1:k]
     keep = key <= kth
     if np.count_nonzero(keep) > k * keep.shape[0]:
@@ -146,17 +191,7 @@ def _nearest(vecs, queries, k):
         tied = key == kth
         room = k - np.count_nonzero(better, axis=1, keepdims=True)
         keep = better | (tied & (np.cumsum(tied, axis=1) <= room))
-    top = (np.flatnonzero(keep) % keep.shape[1]).reshape(-1, k).T
-    cols = np.arange(top.shape[1])
-    top = top[np.argsort(key[cols, top], axis=0, kind="stable"), cols]
-    return top, sims[cols, top]
-
-
-def _col_norms(a):
-    """The column norms of ``a``, inf where one overflows: such a column's
-    similarities are 0 or NaN, which :func:`_nearest` ranks last."""
-    with np.errstate(over="ignore"):
-        return np.linalg.norm(a, axis=0)
+    return (np.flatnonzero(keep) % keep.shape[1]).reshape(-1, k)
 
 
 def knn_seen(table, unseen_id, k):
@@ -252,15 +287,6 @@ def _product_means(vecs, top, weights):
     mix = np.zeros((vecs.shape[1], weights.shape[1]))
     np.put_along_axis(mix, top, weights, axis=0)
     return (mix.T @ vecs.T).T
-
-
-# The most values a gathered chunk of _gathered_means holds: 2^16 floats
-# (512 kB) stay in cache. At 1000 seen x 500 unseen, d_s = 300 and k = 12,
-# on the F-order seen block that _side gathers, a call took 1.05 ms with
-# this cap, 1.92 ms with chunks the size of the similarities and 1.85 ms
-# with a 2^18 cap (medians of 15 interleaved rounds, one BLAS thread,
-# numpy 2.4.6 and OpenBLAS 0.3.31 on a 2-core Xeon).
-_CHUNK_VALUES = 2 ** 16
 
 
 def _gathered_means(vecs, top, weights):

@@ -51,7 +51,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import DataError
-from .linalg import as_matrix, as_number
+from .linalg import as_matrix, as_number, as_type
 
 MAGIC = b"ZSRM"
 _HEADER = struct.Struct("<4sII")
@@ -661,7 +661,10 @@ def _raise_norm_fault(what, overflow, zero):
 def split(dataset, table):
     """Partition instances into (seen, unseen) datasets by class tag.
     Every label must have a prototype, and the seen side must be nonempty.
+    A ``dataset`` or ``table`` of another type is a TypeError.
     """
+    as_type(dataset, "dataset", LabeledDataset)
+    as_type(table, "table", PrototypeTable)
     seen_mask = table.seen[table._columns_of(dataset.labels)]
     if not seen_mask.any():
         raise DataError("seen partition is empty: nothing to train on")
@@ -680,7 +683,9 @@ def _columns(dataset, mask):
 def synthesize(spec):
     """Generate (LabeledDataset, PrototypeTable, ground_truth_map),
     deterministic in ``spec.seed``: classes 0..seen_count-1 are seen, the
-    next ``unseen_count`` unseen, each ``per_class`` adjacent columns."""
+    next ``unseen_count`` unseen, each ``per_class`` adjacent columns. A
+    ``spec`` that is no SynthSpec is a TypeError."""
+    as_type(spec, "spec", SynthSpec)
     rng = np.random.default_rng(spec.seed)
     n_classes = spec.seen_count + spec.unseen_count
     m = n_classes * spec.per_class

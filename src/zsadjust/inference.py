@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adjustment import _blend_neighbors, _col_norms, _nearest, _side
+from .adjustment import _blend_neighbors, _nearest, _side
 from .data import LabeledDataset, PrototypeTable, _rows
 from .errors import DataError
 from .linalg import as_matrix, as_number, as_type
@@ -98,18 +98,28 @@ def _ranked(model, instances, ids, vecs, direction):
     """The cosine similarity (c, m) of the candidates ``vecs``, the
     classes ``ids``, to each column of :func:`_unit_instances`, NaN in the
     columns of zero instances. A candidate p is divided by ``|p|``, or
-    ``|W^T p|`` for "visual"."""
+    ``|W^T p|`` for "visual", where a model near the float range can
+    overflow a similarity: that is a DataError naming the classes."""
     unit, zero = instances
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        scale = _col_norms(vecs if direction == "semantic"
-                           else model.decode(vecs))
+        scale = np.linalg.norm(vecs if direction == "semantic"
+                               else model.decode(vecs), axis=0)
     if np.any(scale == 0.0):
         raise DataError("a decoded prototype is the zero vector")
     if not np.isfinite(scale).all():
         raise DataError(f"cannot rank unseen classes "
                         f"{ids[~np.isfinite(scale)].tolist()}: their "
                         f"prototype norms overflow; rescale the prototypes")
-    sims = (vecs / scale).T @ unit
+    if direction == "semantic":     # unit columns: no cosine overflows
+        sims = (vecs / scale).T @ unit
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            sims = (vecs / scale).T @ unit
+        bad = ~np.isfinite(sims).all(axis=1)
+        if bad.any():
+            raise DataError(f"cannot rank unseen classes {ids[bad].tolist()}:"
+                            f" their visual similarities overflow; rescale "
+                            f"the model")
     sims[:, zero] = np.nan
     return sims
 
@@ -172,8 +182,9 @@ def predict(model, x, table, direction="semantic"):
         If ``x`` is not 1-D or has a non-finite entry (named by its row).
     DataError
         If ``model`` does not fit ``x`` and ``table``, if the mapped
-        instance is the zero vector (cosine undefined), or if its norm or
-        an unseen prototype's (decoded, for "visual") overflows.
+        instance is the zero vector (cosine undefined), if its norm or an
+        unseen prototype's (decoded, for "visual") overflows, or if a
+        visual similarity does.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
@@ -232,7 +243,7 @@ def evaluate(model, unseen, table, ks=(1, 5), direction="semantic"):
     DataError
         If ``model`` does not fit the features or ``table``, or if the
         norm of a compared instance or of an unseen prototype (decoded,
-        for "visual") overflows.
+        for "visual") overflows, or a visual similarity does.
     """
     tic = time.perf_counter()
     as_type(model, "model", MappingModel)
@@ -292,6 +303,8 @@ def sweep_k(seen, unseen, table, hp, k_values, direction="semantic",
     first k ranks (:func:`zsadjust.adjustment._blend_neighbors`), and that
     blend is ranked as a block and scored for Hit@1.
     """
+    as_type(seen, "seen", LabeledDataset, ClassStats)
+    as_type(unseen, "unseen", LabeledDataset)
     _check_direction(direction)
     ks = [as_number(k, "k", 1, int) for k in _each(k_values, "k_values")]
     if not ks:

@@ -231,9 +231,12 @@ def solve_sylvester(system, ridge_on_failure=False):
 
     Raises
     ------
+    TypeError
+        If ``system`` is not a SylvesterSystem.
     SolverError
         On a singular eigenvalue pair (after the optional ridge retry).
     """
+    as_type(system, "system", SylvesterSystem)
     sig, v = sym_eig(system.R)
     return _eig_solve(sym_eig(system.L), sig, system.M @ v,
                       ridge_on_failure) @ v.T

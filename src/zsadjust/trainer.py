@@ -18,8 +18,10 @@ it gathers the seen prototypes P0 and, when it searches, the unseen
 prototypes Q, each in class id order (that of the statistics and of the
 k-NN search), so that no result depends on the table's column order. An
 iteration forms P_t = lambda1 P0 + gamma1 O, searches and blends Q
-against P_t (P0 for ``unseen_neighbors="original"``) and solves on a
-C-order copy of P_t that lives only through the solve. Across
+against P_t and solves on a C-order copy of P_t that lives only through
+the solve. Where the search reads P0 (``unseen_neighbors="original"``,
+or gamma1 = 0), it gives the same blend in every iteration, so it runs
+in the first only and later iterations keep its blend. Across
 iterations the loop holds P0, Q, P_t and the unseen blend. The gather
 of the classes with data, which the first solve and the objective read,
 is dropped once a seen blend replaces it (with gamma1 = 0 it stays, as
@@ -28,10 +30,11 @@ is replaced, so the old block is dropped before the search and the
 solve. No iteration copies a table, looks up an id or re-checks an
 array the loop made.
 
-The validation order: the neighbor flag and the types of ``hp`` and
-``ridge_on_failure`` before any statistics are computed (which checks
-the type of ``seen``), the class ids before the first solve and, with
-the seen blend on, each seen class's instances after it. In an
+The validation order: the neighbor flag and the types of ``hp``,
+``table`` and ``ridge_on_failure`` before any statistics are computed
+(which checks the type of ``seen``), the class ids before the first
+solve and, with the seen blend on, each seen class's instances after
+it. In an
 iteration the unseen search runs before the solve, so its errors come
 first.
 
@@ -55,7 +58,7 @@ from .adjustment import (
     _side,
     _with_columns,
 )
-from .data import _rows
+from .data import PrototypeTable, _rows
 from .errors import DataError, SolverError
 from .linalg import as_number, as_type
 from .mapping import (
@@ -109,8 +112,8 @@ def train(seen, table, hp, unseen_neighbors="adjusted",
     ridge_on_failure : bool
         Passed through to the weight solver.
 
-    A ``seen``, ``hp`` or ``ridge_on_failure`` of another type is a
-    TypeError that names it.
+    A ``seen``, ``table``, ``hp`` or ``ridge_on_failure`` of another type
+    is a TypeError that names it.
 
     Returns
     -------
@@ -133,6 +136,7 @@ def _alternate(seen, table, hp, unseen_neighbors="adjusted",
     if unseen_neighbors not in ("adjusted", "original"):
         raise ValueError("unseen_neighbors must be 'adjusted' or 'original'")
     as_type(hp, "hp", HyperParams)
+    as_type(table, "table", PrototypeTable)
     as_type(ridge_on_failure, "ridge_on_failure", bool)
     stats = class_stats(seen)
     data = None if seen is stats else seen
@@ -178,7 +182,9 @@ def _alternate(seen, table, hp, unseen_neighbors="adjusted",
                     seen_shift = _shift(blended, p_t)
                 p_t = p_obj = blended
             source = p0 if unseen_neighbors == "original" else p_t
-            if searches:    # before the solve: its errors come first
+            # before the solve: its errors come first. Among P0, which
+            # stays, it gives the same blend each time and runs once.
+            if searches and (it == 1 or source is not p0):
                 top, sims = _nearest(source, q, hp.k)
                 blended = _blend_neighbors(q, source, top, sims, hp,
                                            unseen_ids)
@@ -237,9 +243,11 @@ class BenchmarkResult:
 
 def benchmark_training(data, hp, repeats=1, **train_kwargs):
     """Median and max wall-clock of ``train`` over ``repeats`` runs on
-    ``data``, a ``(seen, prototype_table)`` pair. Each run trains on a
-    fresh ``replace(seen)`` with nothing cached, so it times its own
-    eigh(d_v) and, for a dataset, its own Gram product."""
+    ``data``, a ``(seen, prototype_table)`` pair (a tuple or a list; any
+    other type is a TypeError). Each run trains on a fresh
+    ``replace(seen)`` with nothing cached, so it times its own eigh(d_v)
+    and, for a dataset, its own Gram product."""
+    as_type(data, "data", tuple, list)
     as_number(repeats, "repeats", 1, int)
     seen, table = data
 

@@ -3,9 +3,10 @@
 These deliberately avoid the code paths they validate: the
 matrix-equation solve goes through Kronecker vectorization and a dense
 linear solve, the unseen-prototype blend runs one class at a time (or, on
-the package's blocks, one neighbour rank at a time), the ranking tail
-builds one mask per comparison and takes np.argmax of the similarities,
-and the per-instance training loop is the reference for the class-level
+the package's blocks, one neighbour rank at a time), the k-NN search
+forms whole (queries x seen) blocks where the package keeps one, the
+ranking tail builds one mask per comparison and takes np.argmax of the
+similarities, and the per-instance training loop is the reference for the class-level
 statistics that the package trains from. The table-level training loop
 is the reference for the prototype blocks that the package's loop
 carries through its iterations.
@@ -107,6 +108,28 @@ def per_rank_blend_neighbors(queries, vecs, top, sims, hp, ids):
     out = queries.copy(order="K")
     out[:, live] = _blend("unseen", hp, queries[:, live], pull, ids[live])
     return out
+
+
+def whole_block_nearest(vecs, queries, k):
+    """:func:`zsadjust.adjustment._nearest` on whole (queries x seen)
+    blocks: the similarities, their negated copy as the sort key and a
+    partitioned copy of that, with no chunk and nothing in place."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sims = (queries.T @ vecs) / np.outer(np.linalg.norm(queries, axis=0),
+                                             np.linalg.norm(vecs, axis=0))
+    key = -sims
+    key[np.isnan(key)] = np.inf
+    kth = np.partition(key, k - 1, axis=1)[:, k - 1:k]
+    keep = key <= kth
+    if np.count_nonzero(keep) > k * keep.shape[0]:
+        better = key < kth
+        tied = key == kth
+        room = k - np.count_nonzero(better, axis=1, keepdims=True)
+        keep = better | (tied & (np.cumsum(tied, axis=1) <= room))
+    top = (np.flatnonzero(keep) % keep.shape[1]).reshape(-1, k).T
+    cols = np.arange(top.shape[1])
+    top = top[np.argsort(key[cols, top], axis=0, kind="stable"), cols]
+    return top, sims[cols, top]
 
 
 # ---------------------------------------------------------------------------

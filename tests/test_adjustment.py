@@ -27,6 +27,7 @@ from oracles import (
     per_class_adjust_unseen,
     per_class_knn,
     per_rank_blend_neighbors,
+    whole_block_nearest,
 )
 
 
@@ -534,3 +535,44 @@ def test_gathered_means_are_the_bits_of_any_chunk(monkeypatch, cap):
     want = adjustment._gathered_means(vecs, top, weights)
     monkeypatch.setattr(adjustment, "_CHUNK_VALUES", cap)
     assert np.array_equal(adjustment._gathered_means(vecs, top, weights), want)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(data=st.data(), seed=st.integers(0, 2**16),
+       n_seen=st.integers(1, 12), n_query=st.integers(1, 9),
+       cap=st.sampled_from([1, 7, 40, 2 ** 16]))
+def test_nearest_is_the_whole_block_search(data, seed, n_seen, n_query,
+                                           cap):
+    # the search that keeps one (queries x seen) block and takes its keys
+    # a row chunk at a time gives the rows and similarities of the search
+    # on whole blocks, NaN where it has NaN. Integer prototypes with copied
+    # columns tie exactly, also across the k-th value; columns of 1e200
+    # give NaN similarities. A cap of 1 or 7 values makes one or a few
+    # queries a chunk, 40 a few chunks or one, 2^16 one chunk.
+    rng = np.random.default_rng(seed)
+    vecs = rng.integers(-2, 3, size=(3, n_seen)).astype(float)
+    copied = rng.random(n_seen) < 0.5
+    vecs[:, copied] = vecs[:, rng.integers(0, n_seen, size=n_seen)[copied]]
+    queries = rng.integers(-2, 3, size=(3, n_query)).astype(float)
+    vecs[:, rng.random(n_seen) < 0.2] *= 1e200
+    queries[:, rng.random(n_query) < 0.3] *= 1e200
+    vecs[0, ~vecs.any(axis=0)] = 1.0
+    k = data.draw(st.integers(1, n_seen))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(adjustment, "_CHUNK_VALUES", cap)
+        top, sims = _nearest(vecs, queries, k)
+    want_top, want_sims = whole_block_nearest(vecs, queries, k)
+    assert top.flags.c_contiguous and sims.flags.c_contiguous
+    assert np.array_equal(top, want_top)
+    assert np.array_equal(sims, want_sims, equal_nan=True)
+
+
+def test_search_peaks_under_two_blocks():
+    # at d_s = 50, 400 seen x 300 queries and k = 12 the search holds its
+    # (queries x seen) block and a row chunk's temporaries, where forming
+    # the sort key and its partition as whole copies peaked at 3.25 blocks
+    rng = np.random.default_rng(0)
+    vecs = rng.standard_normal((50, 400))
+    queries = rng.standard_normal((50, 300))
+    _, search = _traced_peak(lambda: _nearest(vecs, queries, 12))
+    assert search < 2 * 300 * 400 * 8

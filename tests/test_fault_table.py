@@ -13,6 +13,8 @@ from zsadjust.data import (
     save_labels,
     save_matrix,
     save_prototypes,
+    split,
+    synthesize,
 )
 from zsadjust.errors import DataError, SolverError
 from zsadjust.inference import evaluate, predict, sweep_k
@@ -27,7 +29,7 @@ from zsadjust.mapping import (
     objective,
     objective_gradient,
 )
-from zsadjust.trainer import train
+from zsadjust.trainer import benchmark_training, train
 
 # lambda1 = 0 and gamma1 = 1 make the seen prototypes W xbar_c, of rank 2
 # for features of rank 2: the first re-solve meets a zero pivot pair
@@ -184,6 +186,16 @@ ODD_UNSEEN = PrototypeTable(np.arange(4), np.eye(4) + 1,
                             np.arange(4) % 2 == 0)
 # W x stays finite for the unseen instances, but |W^T p| overflows
 HUGE = MappingModel(np.random.default_rng(0).standard_normal((4, 8)) * 1e300)
+# every norm is finite, yet class 0's visual similarity overflows: W^T p is
+# (0, 1e-150), so p / |W^T p| is (-1e150, 1e150) against W x = (1e300,
+# 1e300) for the instances (1, 0)
+NEAR_MAX = MappingModel(np.array([[1e300, 0.0], [1e300, 1e-150]]))
+NEAR_MAX_TABLE = PrototypeTable(np.arange(3), [[-1.0, 1e-150, 1e-150],
+                                               [1.0, 0.0, 0.0]],
+                                np.zeros(3, dtype=bool))
+NEAR_MAX_DATA = LabeledDataset(np.array([[1.0, 1.0], [0.0, 0.0]]), [0, 1], 3)
+NEAR_MAX_CLASS_0 = (r"cannot rank unseen classes \[0\]: their visual "
+                    r"similarities overflow; rescale the model$")
 
 LIBRARY_FAULTS = {
     # case: (call of tmp_path, exception type, message prefix)
@@ -281,6 +293,12 @@ LIBRARY_FAULTS = {
         HUGE, UNSEEN.features[:, 0], TABLE, direction="visual"), DataError,
         r"cannot rank unseen classes \[6, 7\]: their prototype norms "
         r"overflow"),
+    "visual evaluate of a similarity that overflows": (lambda _: evaluate(
+        NEAR_MAX, NEAR_MAX_DATA, NEAR_MAX_TABLE, direction="visual"),
+        DataError, NEAR_MAX_CLASS_0),
+    "visual predict of a similarity that overflows": (lambda _: predict(
+        NEAR_MAX, [1.0, 0.0], NEAR_MAX_TABLE, direction="visual"),
+        DataError, NEAR_MAX_CLASS_0),
     # each label is checked, not cast: 1.5 and True are not class 1, and a
     # 2-D array is no list of labels
     "expand_per_instance of a fractional label": (
@@ -320,6 +338,30 @@ LIBRARY_FAULTS = {
     "train of a table as its seen data": (lambda _: train(
         TABLE, TABLE, HyperParams()), TypeError,
         "seen must be a LabeledDataset or a ClassStats, got PrototypeTable$"),
+    "train of no table": (lambda _: train(SEEN, None, HyperParams()),
+                          TypeError,
+                          "table must be a PrototypeTable, got NoneType$"),
+    "sweep_k of a table as its seen data": (lambda _: sweep_k(
+        TABLE, UNSEEN, TABLE, HyperParams(), [1]), TypeError,
+        "seen must be a LabeledDataset or a ClassStats, got PrototypeTable$"),
+    "sweep_k of a table as its instances": (lambda _: sweep_k(
+        SEEN, TABLE, TABLE, HyperParams(), [1]), TypeError,
+        "unseen must be a LabeledDataset, got PrototypeTable$"),
+    "split of no table": (lambda _: split(SEEN, None), TypeError,
+                          "table must be a PrototypeTable, got NoneType$"),
+    "split of a table as its dataset": (lambda _: split(TABLE, TABLE),
+                                        TypeError,
+                                        "dataset must be a LabeledDataset, "
+                                        "got PrototypeTable$"),
+    "synthesize of a dict": (lambda _: synthesize({}), TypeError,
+                             "spec must be a SynthSpec, got dict$"),
+    "solve_sylvester of a nested list": (lambda _: solve_sylvester([[1]]),
+                                         TypeError,
+                                         "system must be a SylvesterSystem, "
+                                         "got list$"),
+    "benchmark_training of a bare dataset": (lambda _: benchmark_training(
+        SEEN, HyperParams()), TypeError,
+        "data must be a tuple or a list, got LabeledDataset$"),
     # a truthy string is no bool: "no" would be taken as True too
     "train of a ridge flag that is a string": (lambda _: train(
         SEEN, TABLE, HyperParams(k=2), ridge_on_failure="yes"), TypeError,

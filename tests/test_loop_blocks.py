@@ -232,7 +232,9 @@ def test_each_solve_holds_only_the_current_blocks(neighbors, gamma1, trace):
     # at every solve after the first seen blend, the initial gather and
     # every earlier block, the earlier solves' prototypes too, are
     # garbage; with gamma1 = 0 the gather is the objective's prototype
-    # block and stays
+    # block and stays. A search among the original seen block (with
+    # "original", or gamma1 = 0) runs in the first iteration only, and its
+    # blend stays
     seen, table = _data(0, True)
     hp = HyperParams(gamma1=gamma1, k=3, tol=0.0, iterations=4)
     blocks, alive = [], []
@@ -249,5 +251,6 @@ def test_each_solve_holds_only_the_current_blocks(neighbors, gamma1, trace):
     for it in range(1, hp.iterations + 1):
         want = {("seen", it) if gamma1 else ("gather", 0)}
         if trace:
-            want.add(("unseen", it))
+            want.add(("unseen", it if neighbors == "adjusted" and gamma1
+                      else 1))
         assert alive[it] == want

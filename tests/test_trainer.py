@@ -308,6 +308,24 @@ def test_unseen_neighbor_source_flag_changes_result():
                               orig.vectors[:, unseen_mask])
 
 
+@pytest.mark.parametrize("neighbors, gamma1, searches", [
+    ("adjusted", 0.25, 5), ("original", 0.25, 1), ("adjusted", 0.0, 1)])
+def test_search_among_the_original_seen_block_runs_once(neighbors, gamma1,
+                                                        searches):
+    # the search reads P0 for "original", or with gamma1 = 0, and gives the
+    # same blend in every iteration: it runs in the first only, and later
+    # records read no unseen shift
+    seen, _, table = _synthetic(noise=0.05)
+    hp = HyperParams(gamma1=gamma1, iterations=5, tol=0.0, k=3)
+    with mock.patch.object(trainer, "_nearest",
+                           side_effect=trainer._nearest) as spy:
+        trace = train(seen, table, hp, unseen_neighbors=neighbors)[2]
+    assert spy.call_count == searches and len(trace) == 5
+    assert trace.records[0].unseen_shift > 0.0
+    if searches == 1:
+        assert all(r.unseen_shift == 0.0 for r in trace.records[1:])
+
+
 def test_train_rejects_bad_neighbor_flag():
     seen, _, table = _synthetic()
     with pytest.raises(ValueError, match="unseen_neighbors"):
